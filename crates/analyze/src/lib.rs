@@ -9,7 +9,7 @@
 //!
 //! Run it with `cargo run -p flstore-analyze -- lint` (add `--json` for
 //! machine output); `--list-rules` prints the rule inventory that
-//! `scripts/check_analyze_rules.sh` diffs against the README.
+//! `scripts/check_doc_table.sh` diffs against the README.
 
 #![forbid(unsafe_code)]
 

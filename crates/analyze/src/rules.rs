@@ -1,5 +1,5 @@
 //! The rule inventory. `flstore-analyze -- --list-rules` prints this
-//! table and `scripts/check_analyze_rules.sh` diffs it against the README
+//! table and `scripts/check_doc_table.sh` diffs it against the README
 //! so the documentation can never drift from the binary.
 
 /// Where a rule applies.

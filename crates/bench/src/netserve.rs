@@ -22,7 +22,7 @@ use flstore_core::store::{FlStore, FlStoreConfig};
 use flstore_exec::ShardedExecutor;
 use flstore_fl::ids::JobId;
 use flstore_fl::job::FlJobConfig;
-use flstore_loadgen::{probe_connection_limit, run_closed, run_open_burst, LoadReport};
+use flstore_loadgen::{probe_connection_limit, run_closed, run_open_paced, LoadReport};
 use flstore_net::server::{NetServer, ServerConfig};
 use flstore_trace::driver::{materialize_schedule, TraceConfig};
 use serde_json::{json, Value};
@@ -116,7 +116,7 @@ pub fn netserve(scale: Scale) -> Value {
     ));
     let server = NetServer::bind(backend(), overload_config).expect("bind loopback");
     let addr = server.local_addr().to_string();
-    let burst = run_open_burst(&addr, &schedule, burst_conns);
+    let burst = run_open_paced(&addr, &schedule, burst_conns, 0);
     server.shutdown();
     assert_eq!(
         burst.transport_errors, 0,

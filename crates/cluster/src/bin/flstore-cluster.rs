@@ -12,7 +12,7 @@ fn main() {
     if args.iter().any(|a| a == "--list-events") {
         // Tab-separated: event name, semantics. docs/CLUSTER.md's
         // failure-model table is diffed against this output in CI by
-        // scripts/check_cluster_doc.sh.
+        // scripts/check_doc_table.sh.
         for (name, summary) in FAILURE_EVENTS {
             println!("{name}\t{summary}");
         }

@@ -726,38 +726,15 @@ impl ClusterStore {
             let store = tenants.tenant_mut(job).expect("route member hosts the job");
             return store.submit(now, Request::Stats);
         }
-        let mut report = StatsReport {
-            label: Service::label(self),
-            tenants: self.routes.len(),
-            served: 0,
-            cache_hits: 0,
-            cache_misses: 0,
-            hit_rate: 1.0,
-            faults: 0,
-            spilled_objects: 0,
-            spilled_bytes: ByteSize::ZERO,
-            spill_faults: 0,
-            quota: Vec::new(),
-        };
-        for job in self.jobs() {
-            let Some(store) = self.primary_store(job) else {
-                continue;
-            };
-            report.served += store.ledger().len();
-            report.cache_hits += store.ledger().hits();
-            report.cache_misses += store.ledger().misses();
-            report.faults += store.faults_observed();
-            let (spilled_objects, spilled_bytes) = store.spill_stats();
-            report.spilled_objects += spilled_objects;
-            report.spilled_bytes += spilled_bytes;
-            report.spill_faults += store.spill_faults();
-            report.quota.push(store.quota_usage());
-        }
-        let touched = report.cache_hits + report.cache_misses;
-        if touched > 0 {
-            report.hit_rate = report.cache_hits as f64 / touched as f64;
-        }
-        Response::Stats(report)
+        let per_job = self
+            .jobs()
+            .into_iter()
+            .filter_map(|job| self.primary_store(job).map(FlStore::stats_report));
+        Response::Stats(StatsReport::fold(
+            Service::label(self),
+            self.routes.len(),
+            per_job,
+        ))
     }
 
     /// Submits a run of consecutive serves. `run_job` is the run's

@@ -14,7 +14,7 @@ use flstore_sim::time::{SimDuration, SimTime};
 
 /// What happens to a node. The machine-checked inventory that
 /// `docs/CLUSTER.md` §4 documents row-for-row (see
-/// `scripts/check_cluster_doc.sh`).
+/// `scripts/check_doc_table.sh`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FailureKind {
     /// The node's process dies: in-memory state is dropped (ledgers

@@ -11,6 +11,7 @@
 //! §2 is the normative spec.
 
 use flstore_fl::ids::JobId;
+use flstore_sim::rng::splitmix64;
 
 /// The default number of placement slots. Comfortably above any node
 /// count this simulation runs (so slots spread evenly) while keeping
@@ -20,9 +21,9 @@ pub const DEFAULT_SLOTS: usize = 16;
 /// Routes a job to its placement slot: splitmix64 finalizer over the
 /// raw job id, reduced modulo `slots`.
 ///
-/// The mixer is bit-for-bit the one `flstore-exec` uses for key-shard
-/// routing, applied to the same input — a deliberate choice documented
-/// in docs/CLUSTER.md §2: routes must be derivable by every layer
+/// The mixer is the one `flstore-exec` routes jobs to shards with
+/// ([`splitmix64`]), applied to the same input — a deliberate choice
+/// documented in docs/CLUSTER.md §2: routes must be derivable by every layer
 /// (cluster, net front door, loadgen assertions) without consulting the
 /// store, and splitmix64's avalanche keeps consecutive job ids off the
 /// same slot.
@@ -32,11 +33,7 @@ pub const DEFAULT_SLOTS: usize = 16;
 /// Panics if `slots` is zero.
 pub fn slot_of_job(job: JobId, slots: usize) -> usize {
     assert!(slots > 0, "a cluster has at least one placement slot");
-    let mut x = u64::from(job.as_u32()).wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^= x >> 31;
-    (x % slots as u64) as usize
+    (splitmix64(u64::from(job.as_u32())) % slots as u64) as usize
 }
 
 /// The replica set of a slot: `min(rf, nodes)` distinct nodes, walking
@@ -69,8 +66,8 @@ mod tests {
 
     #[test]
     fn slot_routing_mirrors_the_exec_key_shard_mixer() {
-        // Golden values pinned so the exec mixer and this one cannot
-        // drift apart silently (both claim the same splitmix64).
+        // Golden values pinned so a change to the shared splitmix64 (and
+        // with it every persisted route) cannot land silently.
         let golden: Vec<usize> = (1..=8)
             .map(|raw| slot_of_job(JobId::new(raw), 16))
             .collect();

@@ -349,6 +349,44 @@ impl StatsReport {
             quota: Vec::new(),
         }
     }
+
+    /// Folds per-tenant reports into one system-wide report: counters
+    /// summed, quota rows concatenated in the order given, the hit rate
+    /// recomputed from the summed counters (1.0 when nothing was needed).
+    pub fn fold(
+        label: String,
+        tenants: usize,
+        parts: impl IntoIterator<Item = StatsReport>,
+    ) -> Self {
+        let mut report = StatsReport {
+            label,
+            tenants,
+            served: 0,
+            cache_hits: 0,
+            cache_misses: 0,
+            hit_rate: 1.0,
+            faults: 0,
+            spilled_objects: 0,
+            spilled_bytes: ByteSize::ZERO,
+            spill_faults: 0,
+            quota: Vec::new(),
+        };
+        for part in parts {
+            report.served += part.served;
+            report.cache_hits += part.cache_hits;
+            report.cache_misses += part.cache_misses;
+            report.faults += part.faults;
+            report.spilled_objects += part.spilled_objects;
+            report.spilled_bytes += part.spilled_bytes;
+            report.spill_faults += part.spill_faults;
+            report.quota.extend(part.quota);
+        }
+        let touched = report.cache_hits + report.cache_misses;
+        if touched > 0 {
+            report.hit_rate = report.cache_hits as f64 / touched as f64;
+        }
+        report
+    }
 }
 
 /// Anything that serves FL non-training traffic behind the typed front
@@ -507,19 +545,7 @@ impl Service for FlStore {
             Request::Evict(key) => Response::Evicted {
                 was_cached: self.evict(&key),
             },
-            Request::Stats => {
-                let mut report = StatsReport::from_ledger(
-                    Service::label(self),
-                    self.ledger(),
-                    self.faults_observed(),
-                );
-                let (spilled_objects, spilled_bytes) = self.spill_stats();
-                report.spilled_objects = spilled_objects;
-                report.spilled_bytes = spilled_bytes;
-                report.spill_faults = self.spill_faults();
-                report.quota = vec![self.quota_usage()];
-                Response::Stats(report)
-            }
+            Request::Stats => Response::Stats(self.stats_report()),
         }
     }
 
@@ -616,38 +642,26 @@ impl Service for MultiTenantStore {
     }
 }
 
+impl FlStore {
+    /// This tenant's serving statistics (the [`Request::Stats`] answer).
+    pub fn stats_report(&self) -> StatsReport {
+        let mut report =
+            StatsReport::from_ledger(Service::label(self), self.ledger(), self.faults_observed());
+        (report.spilled_objects, report.spilled_bytes) = self.spill_stats();
+        report.spill_faults = self.spill_faults();
+        report.quota = vec![self.quota_usage()];
+        report
+    }
+}
+
 impl MultiTenantStore {
     /// Aggregated serving statistics across every tenant.
     pub fn stats_report(&self) -> StatsReport {
-        let mut report = StatsReport {
-            label: format!("FLStore-MT({})", self.tenant_count()),
-            tenants: self.tenant_count(),
-            served: 0,
-            cache_hits: 0,
-            cache_misses: 0,
-            hit_rate: 1.0,
-            faults: 0,
-            spilled_objects: 0,
-            spilled_bytes: ByteSize::ZERO,
-            spill_faults: 0,
-            quota: Vec::new(),
-        };
-        for store in self.tenants() {
-            report.served += store.ledger().len();
-            report.cache_hits += store.ledger().hits();
-            report.cache_misses += store.ledger().misses();
-            report.faults += store.faults_observed();
-            let (spilled_objects, spilled_bytes) = store.spill_stats();
-            report.spilled_objects += spilled_objects;
-            report.spilled_bytes += spilled_bytes;
-            report.spill_faults += store.spill_faults();
-            report.quota.push(store.quota_usage());
-        }
-        let touched = report.cache_hits + report.cache_misses;
-        if touched > 0 {
-            report.hit_rate = report.cache_hits as f64 / touched as f64;
-        }
-        report
+        StatsReport::fold(
+            format!("FLStore-MT({})", self.tenant_count()),
+            self.tenant_count(),
+            self.tenants().map(FlStore::stats_report),
+        )
     }
 }
 

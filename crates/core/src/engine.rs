@@ -43,6 +43,7 @@ use flstore_fl::decoded::{DecodedCache, DecodedStats};
 use flstore_fl::metadata::{MetaKey, MetaKind, SharedValue};
 use flstore_serverless::function::FunctionId;
 use flstore_sim::bytes::ByteSize;
+use flstore_sim::rng::splitmix64;
 use flstore_sim::time::SimTime;
 
 use crate::quota::AdmissionGate;
@@ -86,11 +87,7 @@ pub fn key_shard_of(key: &MetaKey, shards: usize) -> usize {
         ^ u64::from(key.round.as_u32())
         ^ client.rotate_left(20)
         ^ (kind_tag << 56);
-    let mut h = packed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    h = (h ^ (h >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    h = (h ^ (h >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    h ^= h >> 31;
-    (h % shards as u64) as usize
+    (splitmix64(packed) % shards as u64) as usize
 }
 
 /// Per-key cache metadata.

@@ -4,9 +4,10 @@
 //! crashes and memory pressure (ROADMAP item 2):
 //!
 //! * [`records`] — the append-only ledger's on-disk record format
-//!   (docs/LEDGER.md): length-prefixed binary records in the wire
-//!   protocol's varint discipline, with a total decoder that never
-//!   panics on a torn tail.
+//!   (docs/LEDGER.md): length-prefixed records whose payloads are the
+//!   shared record codec's bytes (`flstore_fl::codec` — the same bytes
+//!   the wire carries), with a total decoder that never panics on a
+//!   torn tail.
 //! * [`ledger`] — [`DiskLedgerSink`]: the write-ahead sink with
 //!   group-commit batching and AOF-rewrite-style segment sealing
 //!   (periodic compact snapshots, after which the ledger prefix is

@@ -1,17 +1,17 @@
 //! On-disk ledger record format (docs/LEDGER.md).
 //!
 //! A ledger file is a 5-byte header (`"FLSL"` magic + version byte)
-//! followed by length-prefixed records in the same varint/framing
-//! discipline as the wire protocol (docs/WIRE.md):
+//! followed by length-prefixed records:
 //!
 //! ```text
 //! [tag u8][payload-len varint LEB128][payload bytes]
 //! ```
 //!
-//! Record payloads mix varints (times, byte counts) with canonical JSON
-//! (structured values), because the vendored `serde_json` round-trips
-//! every `f64` exactly — the property the store's bit-identical recovery
-//! depends on.
+//! Varints, bounds and every payload field are the shared record
+//! codec's ([`flstore_fl::codec`], normative spec docs/WIRE.md §2): an
+//! `Ingest` payload is a time varint followed by the very bytes the wire
+//! protocol's `Ingest` frame carries for the same round, so the ledger
+//! has no encoding of its own beyond the framing and the seal.
 //!
 //! The decoder is **total**: every byte sequence either parses, stops
 //! cleanly at a torn tail (a crash mid-append), or returns a typed
@@ -21,22 +21,22 @@
 use std::fmt;
 
 use flstore_core::durable::{LedgerEvent, StateDigest};
+use flstore_fl::codec::{
+    get_byte_size, get_cost_breakdown, get_meta_key, get_record, get_sim_time, get_str, get_usize,
+    get_vec, put_byte_size, put_cost_breakdown, put_meta_key, put_record, put_sim_time, put_str,
+    put_varint, put_vec, DecodeError, Reader, MAX_LEN,
+};
 use flstore_fl::job::RoundRecord;
 use flstore_fl::metadata::MetaKey;
 use flstore_sim::bytes::ByteSize;
 use flstore_sim::time::SimTime;
-use flstore_workloads::request::WorkloadRequest;
+use flstore_workloads::request::{get_workload_request, put_workload_request, WorkloadRequest};
 
 /// Ledger file magic: the first four bytes of every ledger/segment file.
 pub const LEDGER_MAGIC: [u8; 4] = *b"FLSL";
 
 /// Current on-disk format version (the fifth header byte).
-pub const LEDGER_VERSION: u8 = 1;
-
-/// Upper bound on one record's payload, mirroring the wire protocol's
-/// frame bound: a declared length past this is corruption, not a large
-/// record.
-pub const MAX_RECORD_LEN: u64 = 64 * 1024 * 1024;
+pub const LEDGER_VERSION: u8 = 2;
 
 /// `Ingest` record tag.
 pub const TAG_INGEST: u8 = 0x01;
@@ -55,30 +55,30 @@ pub const TAG_DIGEST: u8 = 0x06;
 ///
 /// `flstore-durability --list-records` prints this table tab-separated;
 /// docs/LEDGER.md's tag table is diffed against that output in CI
-/// (`scripts/check_ledger_doc.sh`).
+/// (`scripts/check_doc_table.sh`).
 pub const RECORDS: &[(u8, &str, &str, &str)] = &[
     (
         TAG_INGEST,
         "Ingest",
-        "[time varint][json RoundRecord]",
+        "[time varint][round record]",
         "one ingested training round",
     ),
     (
         TAG_SERVE,
         "Serve",
-        "[time varint][json WorkloadRequest]",
+        "[time varint][workload request]",
         "one served request (serves mutate cache state)",
     ),
     (
         TAG_SERVE_BATCH,
         "ServeBatch",
-        "[time varint][json WorkloadRequest list]",
+        "[time varint][count varint][workload request]*",
         "one served batch, preserving the exact batch shape",
     ),
     (
         TAG_EVICT,
         "Evict",
-        "[json MetaKey]",
+        "[metadata key]",
         "an explicit eviction envelope",
     ),
     (
@@ -90,7 +90,7 @@ pub const RECORDS: &[(u8, &str, &str, &str)] = &[
     (
         TAG_DIGEST,
         "Digest",
-        "[json StateDigest]",
+        "[row strings][resident varint][served varint][faults varint][cost breakdown]",
         "segment seal: the state fingerprint replay must reach",
     ),
 ];
@@ -151,7 +151,8 @@ pub enum LedgerError {
         /// Byte offset of the last intact record boundary.
         offset: usize,
     },
-    /// A declared payload length exceeded [`MAX_RECORD_LEN`].
+    /// A declared payload length exceeded the codec's bound ([`MAX_LEN`]):
+    /// corruption, not a large record.
     Oversized {
         /// The declared length.
         declared: u64,
@@ -170,7 +171,7 @@ pub enum LedgerError {
         /// Offset of the offending record.
         offset: usize,
     },
-    /// A complete payload failed to decode (bad JSON, trailing bytes).
+    /// A complete payload failed to decode (short, long, or malformed).
     Corrupt {
         /// Offset of the offending record.
         offset: usize,
@@ -194,7 +195,7 @@ impl fmt::Display for LedgerError {
             }
             LedgerError::Oversized { declared, offset } => write!(
                 f,
-                "record at byte {offset} declares {declared} bytes (max {MAX_RECORD_LEN})"
+                "record at byte {offset} declares {declared} bytes (max {MAX_LEN})"
             ),
             LedgerError::UnknownTag { tag, offset } => {
                 write!(f, "unknown record tag {tag:#04x} at byte {offset}")
@@ -219,60 +220,62 @@ pub fn header() -> [u8; 5] {
     h
 }
 
-/// Appends `v` LEB128-encoded (the wire protocol's varint).
-fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            buf.push(byte);
-            return;
-        }
-        buf.push(byte | 0x80);
-    }
-}
-
-fn frame(tag: u8, payload: Vec<u8>) -> Vec<u8> {
+fn frame(tag: u8, payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(payload.len() + 6);
     out.push(tag);
     put_varint(&mut out, payload.len() as u64);
-    out.extend_from_slice(&payload);
+    out.extend_from_slice(payload);
     out
 }
 
-fn json<T: serde::Serialize>(value: &T) -> Vec<u8> {
-    serde_json::to_vec(value).expect("ledger payloads serialize infallibly")
+fn put_digest(buf: &mut Vec<u8>, d: &StateDigest) {
+    put_vec(buf, &d.rows, |b, row| put_str(b, row));
+    put_byte_size(buf, d.resident);
+    put_varint(buf, d.served as u64);
+    put_varint(buf, d.faults);
+    put_cost_breakdown(buf, &d.background_cost);
+}
+
+fn get_digest(r: &mut Reader<'_>) -> Result<StateDigest, DecodeError> {
+    Ok(StateDigest {
+        rows: get_vec(r, get_str)?,
+        resident: get_byte_size(r)?,
+        served: get_usize(r)?,
+        faults: r.varint()?,
+        background_cost: get_cost_breakdown(r)?,
+    })
 }
 
 /// Encodes one borrowed store event as a complete record
 /// (`[tag][len][payload]`).
 pub fn encode_event(event: &LedgerEvent<'_>) -> Vec<u8> {
-    match event {
+    let mut payload = Vec::new();
+    let tag = match event {
         LedgerEvent::Ingest { now, record } => {
-            let mut payload = Vec::new();
-            put_varint(&mut payload, now.as_micros());
-            payload.extend_from_slice(&json(record));
-            frame(TAG_INGEST, payload)
+            put_sim_time(&mut payload, *now);
+            put_record(&mut payload, record);
+            TAG_INGEST
         }
         LedgerEvent::Serve { now, request } => {
-            let mut payload = Vec::new();
-            put_varint(&mut payload, now.as_micros());
-            payload.extend_from_slice(&json(request));
-            frame(TAG_SERVE, payload)
+            put_sim_time(&mut payload, *now);
+            put_workload_request(&mut payload, request);
+            TAG_SERVE
         }
         LedgerEvent::ServeBatch { now, requests } => {
-            let mut payload = Vec::new();
-            put_varint(&mut payload, now.as_micros());
-            payload.extend_from_slice(&json(&requests.to_vec()));
-            frame(TAG_SERVE_BATCH, payload)
+            put_sim_time(&mut payload, *now);
+            put_vec(&mut payload, requests, put_workload_request);
+            TAG_SERVE_BATCH
         }
-        LedgerEvent::Evict { key } => frame(TAG_EVICT, json(key)),
+        LedgerEvent::Evict { key } => {
+            put_meta_key(&mut payload, key);
+            TAG_EVICT
+        }
         LedgerEvent::Reclaim { need } => {
-            let mut payload = Vec::new();
-            put_varint(&mut payload, need.as_bytes());
-            frame(TAG_RECLAIM, payload)
+            put_byte_size(&mut payload, *need);
+            TAG_RECLAIM
         }
-    }
+    };
+    frame(tag, &payload)
 }
 
 /// Encodes one owned record (used for [`LedgerRecord::Digest`] seals and
@@ -291,7 +294,11 @@ pub fn encode_record(record: &LedgerRecord) -> Vec<u8> {
         }),
         LedgerRecord::Evict { key } => encode_event(&LedgerEvent::Evict { key }),
         LedgerRecord::Reclaim { need } => encode_event(&LedgerEvent::Reclaim { need: *need }),
-        LedgerRecord::Digest(digest) => frame(TAG_DIGEST, json(digest)),
+        LedgerRecord::Digest(digest) => {
+            let mut payload = Vec::new();
+            put_digest(&mut payload, digest);
+            frame(TAG_DIGEST, &payload)
+        }
     }
 }
 
@@ -310,94 +317,46 @@ pub struct ParsedLedger {
     pub torn: Option<usize>,
 }
 
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-enum VarintRead {
-    Value(u64),
-    Eof,
-    Overflow,
-}
-
-impl<'a> Cursor<'a> {
-    fn u8(&mut self) -> Option<u8> {
-        let b = self.buf.get(self.pos).copied()?;
-        self.pos += 1;
-        Some(b)
-    }
-
-    fn varint(&mut self) -> VarintRead {
-        let mut value: u64 = 0;
-        for i in 0..10 {
-            let Some(byte) = self.u8() else {
-                return VarintRead::Eof;
-            };
-            let bits = u64::from(byte & 0x7f);
-            // The 10th byte may only carry the u64's single remaining bit.
-            if i == 9 && bits > 1 {
-                return VarintRead::Overflow;
-            }
-            value |= bits << (7 * i);
-            if byte & 0x80 == 0 {
-                return VarintRead::Value(value);
-            }
-        }
-        VarintRead::Overflow
-    }
-}
-
 fn decode_payload(tag: u8, payload: &[u8], offset: usize) -> Result<LedgerRecord, LedgerError> {
-    let corrupt = |what: &str| LedgerError::Corrupt {
-        offset,
-        what: what.to_string(),
-    };
-    let mut cur = Cursor {
-        buf: payload,
-        pos: 0,
-    };
-    match tag {
-        TAG_INGEST | TAG_SERVE | TAG_SERVE_BATCH => {
-            let micros = match cur.varint() {
-                VarintRead::Value(v) => v,
-                VarintRead::Eof => return Err(corrupt("payload ends inside the time varint")),
-                VarintRead::Overflow => return Err(LedgerError::VarintOverflow { offset }),
-            };
-            let now = SimTime::from_micros(micros);
-            let rest = &payload[cur.pos..];
-            match tag {
-                TAG_INGEST => serde_json::from_slice::<RoundRecord>(rest)
-                    .map(|record| LedgerRecord::Ingest { now, record })
-                    .map_err(|e| corrupt(&format!("RoundRecord json: {e:?}"))),
-                TAG_SERVE => serde_json::from_slice::<WorkloadRequest>(rest)
-                    .map(|request| LedgerRecord::Serve { now, request })
-                    .map_err(|e| corrupt(&format!("WorkloadRequest json: {e:?}"))),
-                _ => serde_json::from_slice::<Vec<WorkloadRequest>>(rest)
-                    .map(|requests| LedgerRecord::ServeBatch { now, requests })
-                    .map_err(|e| corrupt(&format!("WorkloadRequest list json: {e:?}"))),
-            }
-        }
-        TAG_EVICT => serde_json::from_slice::<MetaKey>(payload)
-            .map(|key| LedgerRecord::Evict { key })
-            .map_err(|e| corrupt(&format!("MetaKey json: {e:?}"))),
-        TAG_RECLAIM => match cur.varint() {
-            VarintRead::Value(v) => {
-                if cur.pos != payload.len() {
-                    return Err(corrupt("trailing bytes after the need varint"));
-                }
-                Ok(LedgerRecord::Reclaim {
-                    need: ByteSize::from_bytes(v),
-                })
-            }
-            VarintRead::Eof => Err(corrupt("payload ends inside the need varint")),
-            VarintRead::Overflow => Err(LedgerError::VarintOverflow { offset }),
+    let decode: fn(&mut Reader<'_>) -> Result<LedgerRecord, DecodeError> = match tag {
+        TAG_INGEST => |r| {
+            Ok(LedgerRecord::Ingest {
+                now: get_sim_time(r)?,
+                record: get_record(r)?,
+            })
         },
-        TAG_DIGEST => serde_json::from_slice::<StateDigest>(payload)
-            .map(LedgerRecord::Digest)
-            .map_err(|e| corrupt(&format!("StateDigest json: {e:?}"))),
-        other => Err(LedgerError::UnknownTag { tag: other, offset }),
-    }
+        TAG_SERVE => |r| {
+            Ok(LedgerRecord::Serve {
+                now: get_sim_time(r)?,
+                request: get_workload_request(r)?,
+            })
+        },
+        TAG_SERVE_BATCH => |r| {
+            Ok(LedgerRecord::ServeBatch {
+                now: get_sim_time(r)?,
+                requests: get_vec(r, get_workload_request)?,
+            })
+        },
+        TAG_EVICT => |r| {
+            Ok(LedgerRecord::Evict {
+                key: get_meta_key(r)?,
+            })
+        },
+        TAG_RECLAIM => |r| {
+            Ok(LedgerRecord::Reclaim {
+                need: get_byte_size(r)?,
+            })
+        },
+        TAG_DIGEST => |r| Ok(LedgerRecord::Digest(get_digest(r)?)),
+        other => return Err(LedgerError::UnknownTag { tag: other, offset }),
+    };
+    let mut r = Reader::new(payload);
+    decode(&mut r)
+        .and_then(|record| r.finish().map(|()| record))
+        .map_err(|e| LedgerError::Corrupt {
+            offset,
+            what: e.to_string(),
+        })
 }
 
 /// Parses one ledger file's bytes. Total: returns every intact record and
@@ -406,48 +365,38 @@ fn decode_payload(tag: u8, payload: &[u8], offset: usize) -> Result<LedgerRecord
 /// in [`ParsedLedger::torn`], not an error — the *caller* decides whether
 /// a torn tail is acceptable (it is only in the final, active file).
 pub fn parse_ledger(bytes: &[u8]) -> Result<ParsedLedger, LedgerError> {
-    if bytes.len() < 5 || bytes[..4] != LEDGER_MAGIC {
+    let mut r = Reader::new(bytes);
+    if r.bytes(4).ok() != Some(&LEDGER_MAGIC[..]) {
         return Err(LedgerError::BadMagic);
     }
-    if bytes[4] != LEDGER_VERSION {
-        return Err(LedgerError::BadVersion(bytes[4]));
+    match r.u8() {
+        Ok(LEDGER_VERSION) => {}
+        Ok(version) => return Err(LedgerError::BadVersion(version)),
+        Err(_) => return Err(LedgerError::BadMagic),
     }
-    let mut cur = Cursor { buf: bytes, pos: 5 };
     let mut records = Vec::new();
-    let mut boundaries = vec![5usize];
+    let mut boundaries = vec![r.position()];
     let mut torn = None;
     loop {
-        let record_start = cur.pos;
-        let Some(tag) = cur.u8() else {
+        let offset = r.position();
+        let Ok(tag) = r.u8() else {
             break; // clean end at a record boundary
         };
-        let len = match cur.varint() {
-            VarintRead::Value(v) => v,
-            VarintRead::Eof => {
-                torn = Some(record_start);
+        // A record is torn when the file ends anywhere inside it: in the
+        // length varint or short of the declared payload.
+        let payload = match r.len_prefix().and_then(|len| r.bytes(len)) {
+            Ok(payload) => payload,
+            Err(DecodeError::Truncated) => {
+                torn = Some(offset);
                 break;
             }
-            VarintRead::Overflow => {
-                return Err(LedgerError::VarintOverflow {
-                    offset: record_start,
-                })
+            Err(DecodeError::Oversized { declared, .. }) => {
+                return Err(LedgerError::Oversized { declared, offset })
             }
+            Err(_) => return Err(LedgerError::VarintOverflow { offset }),
         };
-        if len > MAX_RECORD_LEN {
-            return Err(LedgerError::Oversized {
-                declared: len,
-                offset: record_start,
-            });
-        }
-        let len = len as usize;
-        if cur.buf.len() - cur.pos < len {
-            torn = Some(record_start);
-            break;
-        }
-        let payload = &cur.buf[cur.pos..cur.pos + len];
-        cur.pos += len;
-        records.push(decode_payload(tag, payload, record_start)?);
-        boundaries.push(cur.pos);
+        records.push(decode_payload(tag, payload, offset)?);
+        boundaries.push(r.position());
     }
     Ok(ParsedLedger {
         records,
@@ -546,15 +495,16 @@ mod tests {
     fn bad_header_is_rejected() {
         assert_eq!(parse_ledger(b""), Err(LedgerError::BadMagic));
         assert_eq!(parse_ledger(b"FLS"), Err(LedgerError::BadMagic));
-        assert_eq!(parse_ledger(b"XXXX\x01"), Err(LedgerError::BadMagic));
-        assert_eq!(parse_ledger(b"FLSL\x02"), Err(LedgerError::BadVersion(2)));
-        assert!(parse_ledger(b"FLSL\x01").unwrap().records.is_empty());
+        assert_eq!(parse_ledger(b"XXXX\x02"), Err(LedgerError::BadMagic));
+        // Replace, not fork: a v1 (JSON-payload) file is a typed error.
+        assert_eq!(parse_ledger(b"FLSL\x01"), Err(LedgerError::BadVersion(1)));
+        assert!(parse_ledger(b"FLSL\x02").unwrap().records.is_empty());
     }
 
     #[test]
     fn unknown_tag_is_hard_corruption() {
         let mut bytes = header().to_vec();
-        bytes.extend_from_slice(&frame(0x7f, vec![1, 2, 3]));
+        bytes.extend_from_slice(&frame(0x7f, &[1, 2, 3]));
         assert_eq!(
             parse_ledger(&bytes),
             Err(LedgerError::UnknownTag {
@@ -568,11 +518,11 @@ mod tests {
     fn oversized_length_is_hard_corruption() {
         let mut bytes = header().to_vec();
         bytes.push(TAG_RECLAIM);
-        put_varint(&mut bytes, MAX_RECORD_LEN + 1);
+        put_varint(&mut bytes, MAX_LEN + 1);
         assert_eq!(
             parse_ledger(&bytes),
             Err(LedgerError::Oversized {
-                declared: MAX_RECORD_LEN + 1,
+                declared: MAX_LEN + 1,
                 offset: 5
             })
         );
@@ -595,7 +545,7 @@ mod tests {
         put_varint(&mut payload, 42);
         payload.push(0xAA); // junk after the need varint
         let mut bytes = header().to_vec();
-        bytes.extend_from_slice(&frame(TAG_RECLAIM, payload));
+        bytes.extend_from_slice(&frame(TAG_RECLAIM, &payload));
         assert!(matches!(
             parse_ledger(&bytes),
             Err(LedgerError::Corrupt { offset: 5, .. })

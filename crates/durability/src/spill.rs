@@ -83,14 +83,16 @@ impl SpillBackend for DiskSpill {
         let logical = self.index.remove(key)?;
         self.logical_total = self.logical_total.saturating_sub(logical);
         let path = self.path_of(key);
-        let bytes = fs::read(&path).expect("spill read failed");
+        let bytes = fs::read(&path);
         let _ = fs::remove_file(&path);
-        assert!(bytes.len() >= 8, "spill file shorter than its size prefix");
-        let mut size = [0u8; 8];
-        size.copy_from_slice(&bytes[..8]);
-        let stored = ByteSize::from_bytes(u64::from_le_bytes(size));
+        // A missing, unreadable or cut-short file is a lost cache entry,
+        // not a fault: the object is still in the persistent store, so
+        // `None` sends the serve down the normal miss path.
+        let bytes = bytes.ok()?;
+        let (size, payload) = bytes.split_first_chunk::<8>()?;
+        let stored = ByteSize::from_bytes(u64::from_le_bytes(*size));
         debug_assert_eq!(stored, logical, "spill index and file disagree");
-        Some((bytes[8..].to_vec(), stored))
+        Some((payload.to_vec(), stored))
     }
 
     fn discard(&mut self, key: &MetaKey) {

@@ -175,3 +175,50 @@ fn recovery_reproduces_spill_state() {
     );
     drop(recovered.take_record_sink());
 }
+
+#[test]
+fn lost_or_truncated_spill_files_fall_through_to_the_miss_path() {
+    use flstore_core::durable::SpillBackend;
+    use flstore_fl::metadata::MetaKey;
+
+    // Tier level: a file deleted or cut short between `spill` and `fetch`
+    // is a dropped cache entry — `None`, index cleared, never a panic.
+    let dir = DetTempDir::new("spill-lost", 5);
+    let mut tier = DiskSpill::create(dir.path()).unwrap();
+    let logical = ByteSize::from_kb(4);
+    let keys: Vec<MetaKey> = (0..3)
+        .map(|r| MetaKey::aggregate(JobId::new(JOB), flstore_fl::ids::Round::new(r)))
+        .collect();
+    for key in &keys {
+        tier.spill(key, &[7u8; 64], logical);
+    }
+    let mut files: Vec<_> = std::fs::read_dir(dir.path())
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .collect();
+    files.sort();
+    assert_eq!(files.len(), 3);
+    std::fs::remove_file(&files[0]).unwrap();
+    std::fs::write(&files[1], [1u8, 2, 3]).unwrap(); // shorter than the size prefix
+    assert_eq!(tier.fetch(&keys[0]), None);
+    assert_eq!(tier.fetch(&keys[1]), None);
+    assert_eq!(tier.fetch(&keys[2]), Some((vec![7u8; 64], logical)));
+    assert_eq!(tier.stats(), (0, ByteSize::ZERO));
+
+    // Store level: with every spilled file gone, the serve that would
+    // have faulted from disk is answered from the persistent store.
+    let job = job_config();
+    let records: Vec<RoundRecord> = FlJobSim::new(job.clone()).collect();
+    let store_dir = DetTempDir::new("spill-lost-store", 6);
+    let mut store = fresh_store(&spill_config(&job, true), &job);
+    attach(&mut store, store_dir.path()).unwrap();
+    let now = ingest_all(&mut store, &records);
+    assert!(store.spill_stats().0 > 0);
+    for entry in std::fs::read_dir(store_dir.path().join("spill")).unwrap() {
+        std::fs::remove_file(entry.unwrap().path()).unwrap();
+    }
+    let served = store.serve(now, &early_round_request(1, &records)).unwrap();
+    assert_eq!(store.spill_faults(), 0);
+    assert!(served.measured.cache_misses > 0);
+    drop(store.take_record_sink());
+}

@@ -103,6 +103,7 @@ use flstore_core::tracker::RequestTracker;
 use flstore_fl::ids::JobId;
 use flstore_sim::bytes::ByteSize;
 use flstore_sim::cost::{Cost, CostBreakdown};
+use flstore_sim::rng::splitmix64;
 use flstore_sim::time::SimTime;
 
 /// A serving system the executor can own on one shard: it serves exactly
@@ -185,11 +186,7 @@ impl ShardUnit for AggregatorBaseline {
 /// job always lands on the same shard for a given shard count, on every
 /// run and every machine.
 fn shard_of_job(job: JobId, shards: usize) -> usize {
-    let mut x = u64::from(job.as_u32()).wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^= x >> 31;
-    (x % shards as u64) as usize
+    (splitmix64(u64::from(job.as_u32())) % shards as u64) as usize
 }
 
 /// One deferred workload kernel published for any worker to finish. The
@@ -898,37 +895,15 @@ impl<U: ShardUnit + 'static> ShardedExecutor<U> {
         if !self.tenancy {
             return per_unit.remove(0).1;
         }
-        let mut report = StatsReport {
-            label: self.label.clone(),
-            tenants: self.tenants,
-            served: 0,
-            cache_hits: 0,
-            cache_misses: 0,
-            hit_rate: 1.0,
-            faults: 0,
-            spilled_objects: 0,
-            spilled_bytes: ByteSize::ZERO,
-            spill_faults: 0,
-            quota: Vec::new(),
-        };
-        for (_, response) in per_unit {
-            let Response::Stats(stats) = response else {
-                unreachable!("units answer Stats envelopes with stats");
-            };
-            report.served += stats.served;
-            report.cache_hits += stats.cache_hits;
-            report.cache_misses += stats.cache_misses;
-            report.faults += stats.faults;
-            report.spilled_objects += stats.spilled_objects;
-            report.spilled_bytes += stats.spilled_bytes;
-            report.spill_faults += stats.spill_faults;
-            report.quota.extend(stats.quota);
-        }
-        let touched = report.cache_hits + report.cache_misses;
-        if touched > 0 {
-            report.hit_rate = report.cache_hits as f64 / touched as f64;
-        }
-        Response::Stats(report)
+        let per_unit = per_unit.into_iter().map(|(_, response)| match response {
+            Response::Stats(stats) => stats,
+            _ => unreachable!("units answer Stats envelopes with stats"),
+        });
+        Response::Stats(StatsReport::fold(
+            self.label.clone(),
+            self.tenants,
+            per_unit,
+        ))
     }
 }
 

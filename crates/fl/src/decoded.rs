@@ -1,11 +1,11 @@
-//! Decoded-value cache: at most one `Blob → JSON → MetaValue` parse per
+//! Decoded-value cache: at most one `Blob → MetaValue` decode per
 //! cached object lifetime.
 //!
 //! Serving systems keep blobs next to compute (function memory, memcache
 //! clusters, object stores); without this layer every request re-parses
 //! the blob it already holds. [`DecodedCache`] maps a [`MetaKey`] to the
 //! [`SharedValue`] decoded from its current bytes, so a cache hit is an
-//! `Arc` clone instead of a JSON parse.
+//! `Arc` clone instead of a decode.
 //!
 //! Coherence is two-layered:
 //!
@@ -104,7 +104,7 @@ impl Entry {
 /// for e in &entries {
 ///     cache.seed(e.key, &e.blob, e.value.clone());
 /// }
-/// // Every subsequent read is an Arc clone, not a JSON parse.
+/// // Every subsequent read is an Arc clone, not a decode.
 /// let e = &entries[0];
 /// let v = cache.get_or_decode(&e.key, &e.blob).expect("decodable");
 /// assert_eq!(*v, *e.value);

@@ -14,6 +14,8 @@
 //! * [`hyperparams`] / [`metrics`] — the small per-round records (P4 data).
 //! * [`metadata`] — `(job, round, client?, kind)` keys and blob
 //!   serialization with full-model logical sizes.
+//! * [`codec`] — the one binary record encoding the wire, the ledger and
+//!   the blobs share.
 //! * [`dataset`] / [`ids`] — descriptors and identifier newtypes.
 //!
 //! The statistical structure is what matters: honest updates share a global
@@ -29,6 +31,7 @@
 
 pub mod aggregate;
 pub mod client;
+pub mod codec;
 pub mod dataset;
 pub mod decoded;
 pub mod hyperparams;

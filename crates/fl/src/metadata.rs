@@ -3,9 +3,9 @@
 //! Everything an FL job emits is addressed by a [`MetaKey`]
 //! `(job, round, client?, kind)` and stored as a [`MetaValue`]. Values
 //! serialize into [`Blob`]s whose *payload* is the reduced-fidelity record
-//! (JSON) and whose *logical size* is what the real artifact would occupy
-//! (the full serialized model for updates/aggregates) — the quantity all
-//! latency/cost models account.
+//! in the shared binary encoding ([`crate::codec`]) and whose *logical
+//! size* is what the real artifact would occupy (the full serialized model
+//! for updates/aggregates) — the quantity all latency/cost models account.
 
 use std::sync::Arc;
 
@@ -15,6 +15,7 @@ use flstore_cloud::blob::{Blob, ObjectKey};
 use flstore_sim::bytes::ByteSize;
 
 use crate::aggregate::AggregateModel;
+use crate::codec::{get_meta_value, put_meta_value, Reader};
 use crate::hyperparams::HyperParams;
 use crate::ids::{ClientId, JobId, Round};
 use crate::job::RoundRecord;
@@ -125,9 +126,9 @@ impl std::fmt::Display for MetaKey {
 ///
 /// Cloning is a refcount bump — serving systems hand these out per request
 /// so a cached object is parsed from its [`Blob`] at most once per
-/// lifetime, instead of re-running `Blob → JSON → MetaValue` on every
-/// access. `Arc<MetaValue>: Borrow<MetaValue>`, so a `&[SharedValue]`
-/// slice feeds any consumer generic over `Borrow<MetaValue>` (see
+/// lifetime, instead of re-decoding the blob on every access.
+/// `Arc<MetaValue>: Borrow<MetaValue>`, so a `&[SharedValue]` slice feeds
+/// any consumer generic over `Borrow<MetaValue>` (see
 /// `flstore_workloads::run::execute`).
 pub type SharedValue = Arc<MetaValue>;
 
@@ -191,9 +192,12 @@ impl MetaValue {
         ByteSize::from_bytes(body)
     }
 
-    /// Serializes into a storable blob (JSON payload + logical size).
+    /// Serializes into a storable blob: the payload is
+    /// [`put_meta_value`]'s bytes — what the cache holds, the object store
+    /// persists and the cold tier spills — beside the logical size.
     pub fn to_blob(&self, model: &ModelArch) -> Blob {
-        let payload = serde_json::to_vec(self).expect("metadata serializes");
+        let mut payload = Vec::new();
+        put_meta_value(&mut payload, self);
         Blob::with_payload(payload.into(), self.logical_size(model))
     }
 
@@ -202,12 +206,15 @@ impl MetaValue {
     /// Returns `None` for blobs without a decodable payload (e.g. purely
     /// synthetic blobs used in capacity tests).
     pub fn from_blob(blob: &Blob) -> Option<MetaValue> {
-        serde_json::from_slice(blob.payload()).ok()
+        let mut r = Reader::new(blob.payload());
+        let value = get_meta_value(&mut r).ok()?;
+        r.finish().ok()?;
+        Some(value)
     }
 
-    /// One-time parse into a shared handle: the `Blob → JSON → MetaValue`
-    /// decode happens here, after which every consumer clones the cheap
-    /// [`SharedValue`] instead of re-parsing.
+    /// One-time parse into a shared handle: the blob decode happens
+    /// here, after which every consumer clones the cheap [`SharedValue`]
+    /// instead of re-parsing.
     pub fn decode_shared(blob: &Blob) -> Option<SharedValue> {
         MetaValue::from_blob(blob).map(Arc::new)
     }
@@ -228,7 +235,7 @@ pub struct RoundEntry {
     pub key: MetaKey,
     /// The decoded value, shareable without re-parsing.
     pub value: SharedValue,
-    /// The persisted form (JSON payload + logical size).
+    /// The persisted form (encoded payload + logical size).
     pub blob: Blob,
 }
 

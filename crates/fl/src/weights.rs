@@ -8,7 +8,6 @@
 //! dimensions) for the former while storage accounting uses the
 //! architecture's logical size (see `flstore-fl::metadata`).
 
-use bytes::{Bytes, BytesMut};
 use serde::{Deserialize, Serialize};
 
 use flstore_sim::rng::DetRng;
@@ -195,30 +194,6 @@ impl WeightVector {
         }
         Some(acc.scale(1.0 / vectors.len() as f64))
     }
-
-    /// Serializes to little-endian f32 bytes (the reduced physical payload
-    /// stored in blobs).
-    pub fn to_bytes(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(self.values.len() * 4);
-        for v in &self.values {
-            buf.extend_from_slice(&v.to_le_bytes());
-        }
-        buf.freeze()
-    }
-
-    /// Deserializes from little-endian f32 bytes.
-    ///
-    /// Returns `None` if the byte length is not a multiple of 4.
-    pub fn from_bytes(bytes: &[u8]) -> Option<WeightVector> {
-        if !bytes.len().is_multiple_of(4) {
-            return None;
-        }
-        let values = bytes
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-            .collect();
-        Some(WeightVector { values })
-    }
 }
 
 #[cfg(test)]
@@ -261,17 +236,6 @@ mod tests {
         let m = WeightVector::mean(&[&v, &v, &v]).expect("non-empty");
         assert!(m.l2_distance(&v) < 1e-6);
         assert!(WeightVector::mean(&[]).is_none());
-    }
-
-    #[test]
-    fn bytes_round_trip() {
-        let mut rng = DetRng::new(7);
-        let v = WeightVector::gaussian(&mut rng, DEFAULT_DIM, 2.0);
-        let bytes = v.to_bytes();
-        assert_eq!(bytes.len(), DEFAULT_DIM * 4);
-        let back = WeightVector::from_bytes(&bytes).expect("aligned");
-        assert_eq!(back, v);
-        assert!(WeightVector::from_bytes(&bytes[..5]).is_none());
     }
 
     #[test]

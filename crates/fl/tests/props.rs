@@ -60,9 +60,10 @@ proptest! {
 
     #[test]
     fn weight_bytes_round_trip(v in weight_vec()) {
-        let bytes = v.to_bytes();
-        let back = WeightVector::from_bytes(&bytes).expect("aligned");
-        prop_assert_eq!(back, v);
+        // Weights have one byte shape: the shared codec's, inside a blob.
+        let value = MetaValue::Update(update_with(v, 1, 10));
+        let blob = value.to_blob(&ModelArch::RESNET18);
+        prop_assert_eq!(MetaValue::from_blob(&blob), Some(value));
     }
 
     #[test]

@@ -20,17 +20,15 @@
 //!   envelope is re-sent with its virtual stamp advanced by the full
 //!   hint, so a client rides through a node loss with zero failed
 //!   requests.
-//! * **open loop** ([`run_open_burst`]) — `connections` parallel
-//!   connections blast their share of the schedule without waiting for
-//!   responses, the arrival process a saturated front door sees. Under
-//!   overload the interesting outputs are goodput and the typed
-//!   rejection count; the reset count must stay zero.
-//! * **paced open loop** ([`run_open_paced`]) — the same open loop, but
-//!   request *k* of the schedule is released `k / rate` seconds after
-//!   the run starts (a fixed-interval arrival process at `rate`
-//!   requests/s), regardless of response progress. The deterministic
-//!   report fields (counts, checksum) are identical to the burst
-//!   driver's for the same schedule; only the wall-clock fields change.
+//! * **open loop** ([`run_open_paced`]) — `connections` parallel
+//!   connections write their share of the schedule without waiting for
+//!   responses: request *k* is released `k / rate` seconds after the run
+//!   starts (a fixed-interval arrival process at `rate` requests/s),
+//!   regardless of response progress. `rate == 0` never sleeps — the
+//!   burst a saturated front door sees. Under overload the interesting
+//!   outputs are goodput and the typed rejection count; the reset count
+//!   must stay zero. The deterministic report fields (counts, checksum)
+//!   do not depend on `rate`; only the wall-clock fields change.
 //!
 //! Request schedules come from
 //! [`flstore_trace::driver::materialize_schedule`] — the same traces the
@@ -302,75 +300,23 @@ pub fn run_closed(
     Ok(report)
 }
 
-/// Open-loop burst driver: `connections` threads each write their slice
-/// of the schedule as fast as the socket accepts it (no response
-/// pacing), then drain responses. The per-connection checksums are
-/// XOR-folded so the aggregate is independent of thread interleaving.
-pub fn run_open_burst(
-    addr: &str,
-    schedule: &[(SimTime, Request)],
-    connections: usize,
-) -> LoadReport {
-    let connections = connections.max(1);
-    let slices: Vec<Vec<(SimTime, Request)>> = (0..connections)
-        .map(|c| {
-            schedule
-                .iter()
-                .skip(c)
-                .step_by(connections)
-                .cloned()
-                .collect()
-        })
-        .collect();
-
-    #[allow(clippy::disallowed_methods)]
-    let started = Instant::now();
-    let mut workers = Vec::new();
-    for slice in slices {
-        let addr = addr.to_string();
-        workers.push(std::thread::spawn(move || run_burst_conn(&addr, &slice)));
-    }
-    let mut report = empty_report();
-    let mut checksum = 0u64;
-    let mut latencies = Vec::new();
-    for worker in workers {
-        match worker.join() {
-            Ok((part, lats)) => {
-                report.sent += part.sent;
-                report.ok += part.ok;
-                report.overloaded += part.overloaded;
-                report.rejected += part.rejected;
-                report.transport_errors += part.transport_errors;
-                checksum ^= part.checksum;
-                latencies.extend(lats);
-            }
-            Err(_) => report.transport_errors += 1,
-        }
-    }
-    report.checksum = checksum;
-    finish(&mut report, latencies, started);
-    report
-}
-
-/// Paced open-loop driver: like [`run_open_burst`], but arrivals follow
-/// a fixed-interval schedule at `rate` requests per second — request `k`
-/// of the (global) schedule is written no earlier than `k / rate`
-/// seconds after the run starts. Connections own interleaved slices, so
-/// each sleeps toward its own requests' global due times; responses are
-/// drained after the last send exactly as in the burst driver, keeping
-/// the deterministic fields (sent/ok/rejected counts, checksum)
-/// byte-identical between the two open-loop modes.
-///
-/// `rate == 0` degenerates to the burst driver (no pacing).
+/// Open-loop driver: `connections` threads each write their interleaved
+/// slice of the schedule without waiting for responses, then drain them.
+/// Arrivals follow a fixed-interval schedule at `rate` requests per
+/// second — request `k` of the (global) schedule is written no earlier
+/// than `k / rate` seconds after the run starts, each connection
+/// sleeping toward its own requests' global due times. `rate == 0` never
+/// sleeps: every connection writes as fast as the socket accepts (the
+/// overload burst). The per-connection checksums are XOR-folded so the
+/// aggregate is independent of thread interleaving, and the
+/// deterministic fields (sent/ok/rejected counts, checksum) are
+/// byte-identical at every rate.
 pub fn run_open_paced(
     addr: &str,
     schedule: &[(SimTime, Request)],
     connections: usize,
     rate: u64,
 ) -> LoadReport {
-    if rate == 0 {
-        return run_open_burst(addr, schedule, connections);
-    }
     let connections = connections.max(1);
     let slices: Vec<Vec<(usize, SimTime, Request)>> = (0..connections)
         .map(|c| {
@@ -383,7 +329,8 @@ pub fn run_open_paced(
                 .collect()
         })
         .collect();
-    let interval_us = 1e6 / rate as f64;
+    // `rate == 0`: every due time is the run's start — never sleep.
+    let interval_us = if rate == 0 { 0.0 } else { 1e6 / rate as f64 };
 
     #[allow(clippy::disallowed_methods)]
     let started = Instant::now();
@@ -438,45 +385,6 @@ fn run_paced_conn(
         if due > elapsed {
             std::thread::sleep(due - elapsed);
         }
-        #[allow(clippy::disallowed_methods)]
-        send_times.push(Instant::now());
-        if client.send(*now, request).is_err() {
-            report.transport_errors += 1;
-            return (report, latencies);
-        }
-        report.sent += 1;
-    }
-    if client.finish_sending().is_err() {
-        report.transport_errors += 1;
-        return (report, latencies);
-    }
-    for (received, sent_at) in send_times.iter().enumerate().take(report.sent) {
-        match client.recv() {
-            Ok(response) => {
-                #[allow(clippy::disallowed_methods)]
-                let at = Instant::now();
-                latencies.push(at.duration_since(*sent_at).as_secs_f64() * 1e6);
-                report.checksum = fold_response(report.checksum, &response);
-                classify(&response, &mut report);
-            }
-            Err(_) => {
-                report.transport_errors += report.sent - received;
-                break;
-            }
-        }
-    }
-    (report, latencies)
-}
-
-fn run_burst_conn(addr: &str, slice: &[(SimTime, Request)]) -> (LoadReport, Vec<f64>) {
-    let mut report = empty_report();
-    let mut latencies = Vec::with_capacity(slice.len());
-    let Ok(mut client) = NetClient::connect(addr) else {
-        report.transport_errors += slice.len();
-        return (report, latencies);
-    };
-    let mut send_times = Vec::with_capacity(slice.len());
-    for (now, request) in slice {
         #[allow(clippy::disallowed_methods)]
         send_times.push(Instant::now());
         if client.send(*now, request).is_err() {

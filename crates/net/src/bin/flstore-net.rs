@@ -1,7 +1,7 @@
 //! The standalone FLStore network server.
 //!
 //! ```sh
-//! # Print the frame inventory (consumed by scripts/check_wire_doc.sh):
+//! # Print the frame inventory (consumed by scripts/check_doc_table.sh):
 //! flstore-net --list-frames
 //!
 //! # Serve a multi-job FLStore deployment:

@@ -6,15 +6,13 @@
 //! (property-tested in `tests/roundtrip.rs`) and the figures harness can
 //! checksum response payloads under the byte-diff determinism gate.
 //!
-//! Primitives (normative spec: `docs/WIRE.md`):
-//!
-//! * integers and lengths — unsigned LEB128 varints;
-//! * `f64`/`f32` — IEEE-754 bits, little endian (bit-exact, no
-//!   formatting round-trip);
-//! * `bool` — one byte, `0` or `1` (anything else is malformed);
-//! * `Option<T>` — one presence byte (`0`/`1`) then `T`;
-//! * `String` / `Vec<T>` — varint count then elements;
-//! * enums — one tag byte in declaration order.
+//! The primitives and the encoders of the FL model types
+//! ([`RoundRecord`](flstore_fl::job::RoundRecord), `MetaKey`, the
+//! workload request) are the shared record codec's — [`flstore_fl::codec`]
+//! and `flstore_workloads::request` — so an `Ingest` frame carries the
+//! same record bytes the ledger logs and the cache holds. This module
+//! adds only the envelope layer: requests, responses, served outcomes,
+//! stats and typed errors (normative spec: `docs/WIRE.md`).
 //!
 //! Decoding is *validating*: every invariant the in-process types
 //! enforce by construction (finite non-negative costs and work, P3
@@ -29,33 +27,32 @@ use flstore_cloud::compute::WorkUnits;
 use flstore_core::api::{ApiError, Request, Response, StatsReport};
 use flstore_core::quota::{QuotaPolicy, QuotaUsage, TenantQuota};
 use flstore_core::store::{IngestReceipt, ServedRequest};
-use flstore_fl::aggregate::AggregateModel;
-use flstore_fl::hyperparams::HyperParams;
-use flstore_fl::ids::{ClientId, JobId, Round};
-use flstore_fl::job::RoundRecord;
-use flstore_fl::metadata::{MetaKey, MetaKind};
-use flstore_fl::metrics::{ClientRoundInfo, RoundMetrics};
-use flstore_fl::update::{ModelUpdate, UpdateMetrics};
-use flstore_fl::weights::WeightVector;
+use flstore_fl::codec::{
+    get_bool, get_byte_size, get_client, get_cost_breakdown, get_f64, get_job, get_meta_key,
+    get_nonneg_f64, get_option, get_record, get_round, get_sim_duration, get_sim_time, get_str,
+    get_usize, get_vec, put_bool, put_byte_size, put_client, put_cost_breakdown, put_f64, put_job,
+    put_meta_key, put_option, put_record, put_round, put_sim_duration, put_sim_time, put_str,
+    put_varint, put_vec, DecodeError, Reader,
+};
+use flstore_fl::ids::{ClientId, Round};
 use flstore_serverless::function::FunctionError;
 use flstore_serverless::function::FunctionId;
 use flstore_serverless::platform::PlatformError;
-use flstore_sim::bytes::ByteSize;
-use flstore_sim::cost::{Cost, CostBreakdown};
 use flstore_sim::latency::LatencyBreakdown;
-use flstore_sim::time::{SimDuration, SimTime};
+use flstore_sim::time::SimTime;
 use flstore_workloads::outputs::{
     ClusteringOutput, CosineOutput, DebuggingOutput, FilteringOutput, IncentivesOutput,
     InferenceOutput, PersonalizationOutput, ReputationOutput, SchedClusterOutput, SchedPerfOutput,
     WorkloadOutput,
 };
-use flstore_workloads::request::{RequestId, WorkloadRequest};
+use flstore_workloads::request::{
+    get_kind, get_workload_request, put_kind, put_workload_request, RequestId,
+};
 use flstore_workloads::run::{WorkloadError, WorkloadOutcome};
-use flstore_workloads::taxonomy::{PolicyClass, WorkloadKind};
 
 use crate::wire::{
-    put_varint, Reader, WireError, TAG_EVICT, TAG_EVICTED, TAG_INGEST, TAG_INGESTED, TAG_REJECTED,
-    TAG_SERVE, TAG_SERVED, TAG_STATS, TAG_STATS_REPORT,
+    WireError, TAG_EVICT, TAG_EVICTED, TAG_INGEST, TAG_INGESTED, TAG_REJECTED, TAG_SERVE,
+    TAG_SERVED, TAG_STATS, TAG_STATS_REPORT,
 };
 
 /// The closed set of `WorkloadError::MissingInput` details. The wire
@@ -73,443 +70,8 @@ pub const MISSING_INPUT_WHATS: &[&str] = &[
 ];
 
 // ---------------------------------------------------------------------------
-// Primitive writers
-// ---------------------------------------------------------------------------
-
-fn put_f64(buf: &mut Vec<u8>, v: f64) {
-    buf.extend_from_slice(&v.to_bits().to_le_bytes());
-}
-
-fn put_f32(buf: &mut Vec<u8>, v: f32) {
-    buf.extend_from_slice(&v.to_bits().to_le_bytes());
-}
-
-fn put_bool(buf: &mut Vec<u8>, v: bool) {
-    buf.push(u8::from(v));
-}
-
-fn put_str(buf: &mut Vec<u8>, s: &str) {
-    put_varint(buf, s.len() as u64);
-    buf.extend_from_slice(s.as_bytes());
-}
-
-// ---------------------------------------------------------------------------
-// Primitive readers
-// ---------------------------------------------------------------------------
-
-fn get_f64(r: &mut Reader<'_>) -> Result<f64, WireError> {
-    let bytes = r.bytes(8)?;
-    Ok(f64::from_bits(u64::from_le_bytes(
-        bytes.try_into().expect("8 bytes"),
-    )))
-}
-
-fn get_f32(r: &mut Reader<'_>) -> Result<f32, WireError> {
-    let bytes = r.bytes(4)?;
-    Ok(f32::from_bits(u32::from_le_bytes(
-        bytes.try_into().expect("4 bytes"),
-    )))
-}
-
-fn get_bool(r: &mut Reader<'_>) -> Result<bool, WireError> {
-    match r.u8()? {
-        0 => Ok(false),
-        1 => Ok(true),
-        _ => Err(WireError::Malformed("bool byte must be 0 or 1")),
-    }
-}
-
-fn get_u32(r: &mut Reader<'_>) -> Result<u32, WireError> {
-    u32::try_from(r.varint()?).map_err(|_| WireError::Malformed("u32 field out of range"))
-}
-
-fn get_usize(r: &mut Reader<'_>) -> Result<usize, WireError> {
-    usize::try_from(r.varint()?).map_err(|_| WireError::Malformed("usize field out of range"))
-}
-
-fn get_str(r: &mut Reader<'_>) -> Result<String, WireError> {
-    let n = r.len_prefix()?;
-    let bytes = r.bytes(n)?;
-    String::from_utf8(bytes.to_vec()).map_err(|_| WireError::Malformed("string is not UTF-8"))
-}
-
-/// A finite, non-negative `f64` — the invariant `Cost::from_dollars` and
-/// `WorkUnits::from_ref_seconds` assert. Checked *before* construction so
-/// a hostile payload gets a typed error, not a panic.
-fn get_nonneg_f64(r: &mut Reader<'_>, what: &'static str) -> Result<f64, WireError> {
-    let v = get_f64(r)?;
-    if v.is_finite() && v >= 0.0 {
-        Ok(v)
-    } else {
-        Err(WireError::Malformed(what))
-    }
-}
-
-fn get_option<T>(
-    r: &mut Reader<'_>,
-    read: impl FnOnce(&mut Reader<'_>) -> Result<T, WireError>,
-) -> Result<Option<T>, WireError> {
-    if get_bool(r)? {
-        Ok(Some(read(r)?))
-    } else {
-        Ok(None)
-    }
-}
-
-fn put_option<T>(buf: &mut Vec<u8>, v: Option<&T>, write: impl FnOnce(&mut Vec<u8>, &T)) {
-    match v {
-        Some(v) => {
-            put_bool(buf, true);
-            write(buf, v);
-        }
-        None => put_bool(buf, false),
-    }
-}
-
-fn get_vec<T>(
-    r: &mut Reader<'_>,
-    mut read: impl FnMut(&mut Reader<'_>) -> Result<T, WireError>,
-) -> Result<Vec<T>, WireError> {
-    let n = r.len_prefix()?;
-    // Capacity is clamped so a hostile count cannot balloon memory: reads
-    // hit `Truncated` long before a fake multi-million count fills in.
-    let mut out = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        out.push(read(r)?);
-    }
-    Ok(out)
-}
-
-// ---------------------------------------------------------------------------
-// Ids, time, sizes
-// ---------------------------------------------------------------------------
-
-fn put_job(buf: &mut Vec<u8>, job: JobId) {
-    put_varint(buf, u64::from(job.as_u32()));
-}
-
-fn get_job(r: &mut Reader<'_>) -> Result<JobId, WireError> {
-    Ok(JobId::new(get_u32(r)?))
-}
-
-fn put_client(buf: &mut Vec<u8>, client: ClientId) {
-    put_varint(buf, u64::from(client.as_u32()));
-}
-
-fn get_client(r: &mut Reader<'_>) -> Result<ClientId, WireError> {
-    Ok(ClientId::new(get_u32(r)?))
-}
-
-fn put_round(buf: &mut Vec<u8>, round: Round) {
-    put_varint(buf, u64::from(round.as_u32()));
-}
-
-fn get_round(r: &mut Reader<'_>) -> Result<Round, WireError> {
-    Ok(Round::new(get_u32(r)?))
-}
-
-fn put_sim_time(buf: &mut Vec<u8>, t: SimTime) {
-    put_varint(buf, t.as_micros());
-}
-
-fn get_sim_time(r: &mut Reader<'_>) -> Result<SimTime, WireError> {
-    Ok(SimTime::from_micros(r.varint()?))
-}
-
-fn put_sim_duration(buf: &mut Vec<u8>, d: SimDuration) {
-    put_varint(buf, d.as_micros());
-}
-
-fn get_sim_duration(r: &mut Reader<'_>) -> Result<SimDuration, WireError> {
-    Ok(SimDuration::from_micros(r.varint()?))
-}
-
-fn put_byte_size(buf: &mut Vec<u8>, b: ByteSize) {
-    put_varint(buf, b.as_bytes());
-}
-
-fn get_byte_size(r: &mut Reader<'_>) -> Result<ByteSize, WireError> {
-    Ok(ByteSize::from_bytes(r.varint()?))
-}
-
-fn put_cost(buf: &mut Vec<u8>, c: Cost) {
-    put_f64(buf, c.as_dollars());
-}
-
-fn get_cost(r: &mut Reader<'_>) -> Result<Cost, WireError> {
-    Ok(Cost::from_dollars(get_nonneg_f64(
-        r,
-        "cost must be finite and non-negative",
-    )?))
-}
-
-// ---------------------------------------------------------------------------
-// Enum tags (declaration order)
-// ---------------------------------------------------------------------------
-
-fn kind_tag(kind: WorkloadKind) -> u8 {
-    match kind {
-        WorkloadKind::Personalized => 0,
-        WorkloadKind::Clustering => 1,
-        WorkloadKind::Debugging => 2,
-        WorkloadKind::MaliciousFiltering => 3,
-        WorkloadKind::Incentives => 4,
-        WorkloadKind::SchedulingCluster => 5,
-        WorkloadKind::ReputationCalc => 6,
-        WorkloadKind::SchedulingPerf => 7,
-        WorkloadKind::CosineSimilarity => 8,
-        WorkloadKind::Inference => 9,
-    }
-}
-
-fn get_kind(r: &mut Reader<'_>) -> Result<WorkloadKind, WireError> {
-    Ok(match r.u8()? {
-        0 => WorkloadKind::Personalized,
-        1 => WorkloadKind::Clustering,
-        2 => WorkloadKind::Debugging,
-        3 => WorkloadKind::MaliciousFiltering,
-        4 => WorkloadKind::Incentives,
-        5 => WorkloadKind::SchedulingCluster,
-        6 => WorkloadKind::ReputationCalc,
-        7 => WorkloadKind::SchedulingPerf,
-        8 => WorkloadKind::CosineSimilarity,
-        9 => WorkloadKind::Inference,
-        _ => return Err(WireError::Malformed("unknown workload kind tag")),
-    })
-}
-
-fn meta_kind_tag(kind: MetaKind) -> u8 {
-    match kind {
-        MetaKind::ClientUpdate => 0,
-        MetaKind::Aggregate => 1,
-        MetaKind::HyperParams => 2,
-        MetaKind::RoundMetrics => 3,
-    }
-}
-
-fn get_meta_kind(r: &mut Reader<'_>) -> Result<MetaKind, WireError> {
-    Ok(match r.u8()? {
-        0 => MetaKind::ClientUpdate,
-        1 => MetaKind::Aggregate,
-        2 => MetaKind::HyperParams,
-        3 => MetaKind::RoundMetrics,
-        _ => return Err(WireError::Malformed("unknown metadata kind tag")),
-    })
-}
-
-// ---------------------------------------------------------------------------
-// FL record types
-// ---------------------------------------------------------------------------
-
-fn put_weights(buf: &mut Vec<u8>, w: &WeightVector) {
-    let values = w.as_slice();
-    put_varint(buf, values.len() as u64);
-    for &v in values {
-        put_f32(buf, v);
-    }
-}
-
-fn get_weights(r: &mut Reader<'_>) -> Result<WeightVector, WireError> {
-    Ok(WeightVector::from_vec(get_vec(r, get_f32)?))
-}
-
-fn put_hyperparams(buf: &mut Vec<u8>, h: &HyperParams) {
-    put_round(buf, h.round);
-    put_f64(buf, h.learning_rate);
-    put_varint(buf, u64::from(h.batch_size));
-    put_varint(buf, u64::from(h.local_epochs));
-    put_f64(buf, h.momentum);
-    put_f64(buf, h.weight_decay);
-    put_f64(buf, h.server_lr);
-    put_f64(buf, h.sample_fraction);
-}
-
-fn get_hyperparams(r: &mut Reader<'_>) -> Result<HyperParams, WireError> {
-    Ok(HyperParams {
-        round: get_round(r)?,
-        learning_rate: get_f64(r)?,
-        batch_size: get_u32(r)?,
-        local_epochs: get_u32(r)?,
-        momentum: get_f64(r)?,
-        weight_decay: get_f64(r)?,
-        server_lr: get_f64(r)?,
-        sample_fraction: get_f64(r)?,
-    })
-}
-
-fn put_update(buf: &mut Vec<u8>, u: &ModelUpdate) {
-    put_job(buf, u.job);
-    put_client(buf, u.client);
-    put_round(buf, u.round);
-    put_weights(buf, &u.weights);
-    put_f64(buf, u.metrics.local_loss);
-    put_f64(buf, u.metrics.local_accuracy);
-    put_f64(buf, u.metrics.train_time_s);
-    put_f64(buf, u.metrics.upload_time_s);
-    put_varint(buf, u64::from(u.metrics.num_samples));
-    put_varint(buf, u64::from(u.metrics.staleness));
-    put_bool(buf, u.ground_truth_malicious);
-}
-
-fn get_update(r: &mut Reader<'_>) -> Result<ModelUpdate, WireError> {
-    Ok(ModelUpdate {
-        job: get_job(r)?,
-        client: get_client(r)?,
-        round: get_round(r)?,
-        weights: get_weights(r)?,
-        metrics: UpdateMetrics {
-            local_loss: get_f64(r)?,
-            local_accuracy: get_f64(r)?,
-            train_time_s: get_f64(r)?,
-            upload_time_s: get_f64(r)?,
-            num_samples: get_u32(r)?,
-            staleness: get_u32(r)?,
-        },
-        ground_truth_malicious: get_bool(r)?,
-    })
-}
-
-fn put_aggregate(buf: &mut Vec<u8>, a: &AggregateModel) {
-    put_job(buf, a.job);
-    put_round(buf, a.round);
-    put_weights(buf, &a.weights);
-    put_f64(buf, a.loss);
-    put_f64(buf, a.accuracy);
-    put_varint(buf, u64::from(a.num_clients));
-}
-
-fn get_aggregate(r: &mut Reader<'_>) -> Result<AggregateModel, WireError> {
-    Ok(AggregateModel {
-        job: get_job(r)?,
-        round: get_round(r)?,
-        weights: get_weights(r)?,
-        loss: get_f64(r)?,
-        accuracy: get_f64(r)?,
-        num_clients: get_u32(r)?,
-    })
-}
-
-fn put_client_info(buf: &mut Vec<u8>, c: &ClientRoundInfo) {
-    put_client(buf, c.client);
-    put_bool(buf, c.available);
-    put_bool(buf, c.participated);
-    put_bool(buf, c.completed);
-    put_f64(buf, c.compute_speed);
-    put_f64(buf, c.uplink_mbps);
-    put_f64(buf, c.reliability);
-    put_f64(buf, c.payout_balance);
-    put_varint(buf, u64::from(c.participation_count));
-    put_f64(buf, c.last_loss);
-}
-
-fn get_client_info(r: &mut Reader<'_>) -> Result<ClientRoundInfo, WireError> {
-    Ok(ClientRoundInfo {
-        client: get_client(r)?,
-        available: get_bool(r)?,
-        participated: get_bool(r)?,
-        completed: get_bool(r)?,
-        compute_speed: get_f64(r)?,
-        uplink_mbps: get_f64(r)?,
-        reliability: get_f64(r)?,
-        payout_balance: get_f64(r)?,
-        participation_count: get_u32(r)?,
-        last_loss: get_f64(r)?,
-    })
-}
-
-fn put_round_metrics(buf: &mut Vec<u8>, m: &RoundMetrics) {
-    put_round(buf, m.round);
-    put_f64(buf, m.global_loss);
-    put_f64(buf, m.global_accuracy);
-    put_f64(buf, m.training_round_secs);
-    put_varint(buf, m.clients.len() as u64);
-    for c in &m.clients {
-        put_client_info(buf, c);
-    }
-}
-
-fn get_round_metrics(r: &mut Reader<'_>) -> Result<RoundMetrics, WireError> {
-    Ok(RoundMetrics {
-        round: get_round(r)?,
-        global_loss: get_f64(r)?,
-        global_accuracy: get_f64(r)?,
-        training_round_secs: get_f64(r)?,
-        clients: get_vec(r, get_client_info)?,
-    })
-}
-
-fn put_record(buf: &mut Vec<u8>, rec: &RoundRecord) {
-    put_round(buf, rec.round);
-    put_hyperparams(buf, &rec.hyperparams);
-    put_varint(buf, rec.updates.len() as u64);
-    for u in &rec.updates {
-        put_update(buf, u);
-    }
-    put_aggregate(buf, &rec.aggregate);
-    put_round_metrics(buf, &rec.metrics);
-}
-
-fn get_record(r: &mut Reader<'_>) -> Result<RoundRecord, WireError> {
-    Ok(RoundRecord {
-        round: get_round(r)?,
-        hyperparams: get_hyperparams(r)?,
-        updates: get_vec(r, get_update)?,
-        aggregate: get_aggregate(r)?,
-        metrics: get_round_metrics(r)?,
-    })
-}
-
-// ---------------------------------------------------------------------------
 // Requests
 // ---------------------------------------------------------------------------
-
-fn put_workload_request(buf: &mut Vec<u8>, w: &WorkloadRequest) {
-    put_varint(buf, w.id.as_u64());
-    buf.push(kind_tag(w.kind));
-    put_job(buf, w.job);
-    put_round(buf, w.round);
-    put_option(buf, w.client.as_ref(), |b, c| put_client(b, *c));
-    put_varint(buf, u64::from(w.window));
-}
-
-fn get_workload_request(r: &mut Reader<'_>) -> Result<WorkloadRequest, WireError> {
-    let id = RequestId::new(r.varint()?);
-    let kind = get_kind(r)?;
-    let job = get_job(r)?;
-    let round = get_round(r)?;
-    let client = get_option(r, get_client)?;
-    let window = get_u32(r)?;
-    // `WorkloadRequest::new` asserts this; a frame must not reach it.
-    if kind.policy_class() == PolicyClass::P3AcrossRounds && client.is_none() {
-        return Err(WireError::Malformed(
-            "client-tracking (P3) request without a target client",
-        ));
-    }
-    Ok(WorkloadRequest {
-        id,
-        kind,
-        job,
-        round,
-        client,
-        window,
-    })
-}
-
-fn put_meta_key(buf: &mut Vec<u8>, k: &MetaKey) {
-    put_job(buf, k.job);
-    put_round(buf, k.round);
-    put_option(buf, k.client.as_ref(), |b, c| put_client(b, *c));
-    buf.push(meta_kind_tag(k.kind));
-}
-
-fn get_meta_key(r: &mut Reader<'_>) -> Result<MetaKey, WireError> {
-    Ok(MetaKey {
-        job: get_job(r)?,
-        round: get_round(r)?,
-        client: get_option(r, get_client)?,
-        kind: get_meta_kind(r)?,
-    })
-}
 
 /// Encodes a request envelope stamped at `now`, returning the frame tag
 /// and payload. The arrival stamp rides in the payload so the serving
@@ -562,34 +124,36 @@ pub fn decode_request(tag: u8, payload: &[u8]) -> Result<(SimTime, Request), Wir
 // ---------------------------------------------------------------------------
 
 fn put_client_f64s(buf: &mut Vec<u8>, items: &[(ClientId, f64)]) {
-    put_varint(buf, items.len() as u64);
-    for (c, v) in items {
-        put_client(buf, *c);
-        put_f64(buf, *v);
-    }
+    put_vec(buf, items, |b, (c, v)| {
+        put_client(b, *c);
+        put_f64(b, *v);
+    });
 }
 
-fn get_client_f64s(r: &mut Reader<'_>) -> Result<Vec<(ClientId, f64)>, WireError> {
+fn get_client_f64s(r: &mut Reader<'_>) -> Result<Vec<(ClientId, f64)>, DecodeError> {
     get_vec(r, |r| Ok((get_client(r)?, get_f64(r)?)))
 }
 
 fn put_client_usizes(buf: &mut Vec<u8>, items: &[(ClientId, usize)]) {
-    put_varint(buf, items.len() as u64);
-    for (c, v) in items {
-        put_client(buf, *c);
-        put_varint(buf, *v as u64);
-    }
+    put_vec(buf, items, |b, (c, v)| {
+        put_client(b, *c);
+        put_varint(b, *v as u64);
+    });
 }
 
-fn get_client_usizes(r: &mut Reader<'_>) -> Result<Vec<(ClientId, usize)>, WireError> {
+fn get_client_usizes(r: &mut Reader<'_>) -> Result<Vec<(ClientId, usize)>, DecodeError> {
     get_vec(r, |r| Ok((get_client(r)?, get_usize(r)?)))
 }
 
 fn put_clients(buf: &mut Vec<u8>, items: &[ClientId]) {
-    put_varint(buf, items.len() as u64);
-    for c in items {
-        put_client(buf, *c);
-    }
+    put_vec(buf, items, |b, c| put_client(b, *c));
+}
+
+fn put_round_f64s(buf: &mut Vec<u8>, items: &[(Round, f64)]) {
+    put_vec(buf, items, |b, (round, v)| {
+        put_round(b, *round);
+        put_f64(b, *v);
+    });
 }
 
 fn put_output(buf: &mut Vec<u8>, out: &WorkloadOutput) {
@@ -614,10 +178,7 @@ fn put_output(buf: &mut Vec<u8>, out: &WorkloadOutput) {
         WorkloadOutput::Personalization(o) => {
             buf.push(3);
             put_client_usizes(buf, &o.groups);
-            put_varint(buf, o.group_accuracy.len() as u64);
-            for v in &o.group_accuracy {
-                put_f64(buf, *v);
-            }
+            put_vec(buf, &o.group_accuracy, |b, v| put_f64(b, *v));
         }
         WorkloadOutput::SchedCluster(o) => {
             buf.push(4);
@@ -633,21 +194,13 @@ fn put_output(buf: &mut Vec<u8>, out: &WorkloadOutput) {
         WorkloadOutput::Reputation(o) => {
             buf.push(6);
             put_client(buf, o.client);
-            put_varint(buf, o.history.len() as u64);
-            for (round, v) in &o.history {
-                put_round(buf, *round);
-                put_f64(buf, *v);
-            }
+            put_round_f64s(buf, &o.history);
             put_f64(buf, o.reputation);
         }
         WorkloadOutput::Debugging(o) => {
             buf.push(7);
             put_client(buf, o.client);
-            put_varint(buf, o.per_round.len() as u64);
-            for (round, v) in &o.per_round {
-                put_round(buf, *round);
-                put_f64(buf, *v);
-            }
+            put_round_f64s(buf, &o.per_round);
             put_bool(buf, o.faulty);
         }
         WorkloadOutput::Incentives(o) => {
@@ -663,7 +216,7 @@ fn put_output(buf: &mut Vec<u8>, out: &WorkloadOutput) {
     }
 }
 
-fn get_output(r: &mut Reader<'_>) -> Result<WorkloadOutput, WireError> {
+fn get_output(r: &mut Reader<'_>) -> Result<WorkloadOutput, DecodeError> {
     Ok(match r.u8()? {
         0 => WorkloadOutput::Cosine(CosineOutput {
             per_client: get_client_f64s(r)?,
@@ -710,7 +263,7 @@ fn get_output(r: &mut Reader<'_>) -> Result<WorkloadOutput, WireError> {
             batch: get_usize(r)?,
             mean_score: get_f64(r)?,
         }),
-        _ => return Err(WireError::Malformed("unknown workload output tag")),
+        _ => return Err(DecodeError::Malformed("unknown workload output tag")),
     })
 }
 
@@ -725,24 +278,20 @@ fn put_served(buf: &mut Vec<u8>, served: &ServedRequest) {
 
     let m = &served.measured;
     put_varint(buf, m.request.as_u64());
-    buf.push(kind_tag(m.kind));
+    put_kind(buf, m.kind);
     put_sim_time(buf, m.arrived);
     put_sim_time(buf, m.finished);
     put_sim_duration(buf, m.latency.routing);
     put_sim_duration(buf, m.latency.queueing);
     put_sim_duration(buf, m.latency.communication);
     put_sim_duration(buf, m.latency.computation);
-    put_cost(buf, m.cost.compute);
-    put_cost(buf, m.cost.storage);
-    put_cost(buf, m.cost.transfer);
-    put_cost(buf, m.cost.requests);
-    put_cost(buf, m.cost.infra);
+    put_cost_breakdown(buf, &m.cost);
     put_varint(buf, m.cache_hits as u64);
     put_varint(buf, m.cache_misses as u64);
     put_bool(buf, m.recovered_from_fault);
 }
 
-fn get_served(r: &mut Reader<'_>) -> Result<ServedRequest, WireError> {
+fn get_served(r: &mut Reader<'_>) -> Result<ServedRequest, DecodeError> {
     let output = get_output(r)?;
     let work =
         WorkUnits::from_ref_seconds(get_nonneg_f64(r, "work must be finite and non-negative")?);
@@ -758,13 +307,7 @@ fn get_served(r: &mut Reader<'_>) -> Result<ServedRequest, WireError> {
             communication: get_sim_duration(r)?,
             computation: get_sim_duration(r)?,
         },
-        cost: CostBreakdown {
-            compute: get_cost(r)?,
-            storage: get_cost(r)?,
-            transfer: get_cost(r)?,
-            requests: get_cost(r)?,
-            infra: get_cost(r)?,
-        },
+        cost: get_cost_breakdown(r)?,
         cache_hits: get_usize(r)?,
         cache_misses: get_usize(r)?,
         recovered_from_fault: get_bool(r)?,
@@ -795,7 +338,7 @@ fn put_quota_usage(buf: &mut Vec<u8>, q: &QuotaUsage) {
     });
 }
 
-fn get_quota_usage(r: &mut Reader<'_>) -> Result<QuotaUsage, WireError> {
+fn get_quota_usage(r: &mut Reader<'_>) -> Result<QuotaUsage, DecodeError> {
     Ok(QuotaUsage {
         job: get_job(r)?,
         resident: get_byte_size(r)?,
@@ -805,7 +348,7 @@ fn get_quota_usage(r: &mut Reader<'_>) -> Result<QuotaUsage, WireError> {
                 policy: match r.u8()? {
                     0 => QuotaPolicy::Strict,
                     1 => QuotaPolicy::Elastic,
-                    _ => return Err(WireError::Malformed("unknown quota policy tag")),
+                    _ => return Err(DecodeError::Malformed("unknown quota policy tag")),
                 },
             })
         })?,
@@ -823,13 +366,10 @@ fn put_stats(buf: &mut Vec<u8>, s: &StatsReport) {
     put_varint(buf, s.spilled_objects);
     put_byte_size(buf, s.spilled_bytes);
     put_varint(buf, s.spill_faults);
-    put_varint(buf, s.quota.len() as u64);
-    for q in &s.quota {
-        put_quota_usage(buf, q);
-    }
+    put_vec(buf, &s.quota, put_quota_usage);
 }
 
-fn get_stats(r: &mut Reader<'_>) -> Result<StatsReport, WireError> {
+fn get_stats(r: &mut Reader<'_>) -> Result<StatsReport, DecodeError> {
     Ok(StatsReport {
         label: get_str(r)?,
         tenants: get_usize(r)?,
@@ -873,7 +413,7 @@ fn put_api_error(buf: &mut Vec<u8>, e: &ApiError) {
         ApiError::Workload(WorkloadError::MissingInput { kind, what }) => {
             buf.push(4);
             buf.push(0);
-            buf.push(kind_tag(*kind));
+            put_kind(buf, *kind);
             put_str(buf, what);
         }
         ApiError::Platform(p) => {
@@ -907,7 +447,7 @@ fn put_api_error(buf: &mut Vec<u8>, e: &ApiError) {
     }
 }
 
-fn get_api_error(r: &mut Reader<'_>) -> Result<ApiError, WireError> {
+fn get_api_error(r: &mut Reader<'_>) -> Result<ApiError, DecodeError> {
     Ok(match r.u8()? {
         0 => ApiError::UnknownJob { job: get_job(r)? },
         1 => ApiError::QuotaExceeded {
@@ -920,7 +460,7 @@ fn get_api_error(r: &mut Reader<'_>) -> Result<ApiError, WireError> {
         },
         3 => match r.u8()? {
             0 => ApiError::Store(StoreError::NotFound(ObjectKey::new(get_str(r)?))),
-            _ => return Err(WireError::Malformed("unknown store error tag")),
+            _ => return Err(DecodeError::Malformed("unknown store error tag")),
         },
         4 => match r.u8()? {
             0 => {
@@ -932,12 +472,12 @@ fn get_api_error(r: &mut Reader<'_>) -> Result<ApiError, WireError> {
                     .iter()
                     .find(|w| **w == sent)
                     .copied()
-                    .ok_or(WireError::Malformed(
+                    .ok_or(DecodeError::Malformed(
                         "unrecognized missing-input detail string",
                     ))?;
                 ApiError::Workload(WorkloadError::MissingInput { kind, what })
             }
-            _ => return Err(WireError::Malformed("unknown workload error tag")),
+            _ => return Err(DecodeError::Malformed("unknown workload error tag")),
         },
         5 => match r.u8()? {
             0 => ApiError::Platform(PlatformError::UnknownFunction(FunctionId::from_raw(
@@ -949,9 +489,9 @@ fn get_api_error(r: &mut Reader<'_>) -> Result<ApiError, WireError> {
                     need: get_byte_size(r)?,
                     free: get_byte_size(r)?,
                 })),
-                _ => return Err(WireError::Malformed("unknown function error tag")),
+                _ => return Err(DecodeError::Malformed("unknown function error tag")),
             },
-            _ => return Err(WireError::Malformed("unknown platform error tag")),
+            _ => return Err(DecodeError::Malformed("unknown platform error tag")),
         },
         6 => ApiError::Overloaded {
             retry_after_hint: get_sim_duration(r)?,
@@ -960,7 +500,7 @@ fn get_api_error(r: &mut Reader<'_>) -> Result<ApiError, WireError> {
             job: get_job(r)?,
             retry_after_hint: get_sim_duration(r)?,
         },
-        _ => return Err(WireError::Malformed("unknown api error tag")),
+        _ => return Err(DecodeError::Malformed("unknown api error tag")),
     })
 }
 

@@ -1,5 +1,4 @@
-//! Frame layer: version byte, frame tags, varints, and typed decode
-//! errors.
+//! Frame layer: version byte, frame tags, and typed wire errors.
 //!
 //! Every message on a connection is one *frame*:
 //!
@@ -10,9 +9,10 @@
 //! +---------+---------+-------------------+------------------+
 //! ```
 //!
-//! The payload encoding per tag lives in [`crate::codec`]; the normative
-//! spec is `docs/WIRE.md`, whose tag table is machine-checked against
-//! [`FRAMES`] in CI (`scripts/check_wire_doc.sh`).
+//! The payload encoding per tag lives in [`crate::codec`], on top of the
+//! shared primitives in [`flstore_fl::codec`]; the normative spec is
+//! `docs/WIRE.md`, whose tag table is machine-checked against [`FRAMES`]
+//! in CI (`scripts/check_doc_table.sh`).
 //!
 //! Decoding is total: malformed input of any shape — truncated streams,
 //! oversized length prefixes, unknown tags, overlong varints — surfaces
@@ -22,14 +22,17 @@
 use std::fmt;
 use std::io::{self, Read, Write};
 
+use flstore_fl::codec::{put_varint, read_varint, DecodeError};
+
 /// Protocol version carried as the first byte of every frame. Bumped on
 /// any incompatible change to the frame layout or payload encodings.
 pub const WIRE_VERSION: u8 = 2;
 
-/// Hard bound on a frame's payload length. A length prefix above this is
-/// rejected as [`WireError::Oversized`] *before* any allocation, so a
-/// corrupt or hostile length cannot balloon memory.
-pub const MAX_FRAME_LEN: u64 = 64 * 1024 * 1024;
+/// Hard bound on a frame's payload length — the shared codec's one
+/// length bound. A length prefix above this is rejected as
+/// [`WireError::Oversized`] *before* any allocation, so a corrupt or
+/// hostile length cannot balloon memory.
+pub use flstore_fl::codec::MAX_LEN as MAX_FRAME_LEN;
 
 /// Frame tag: `Ingest` request (a full round record for one job).
 pub const TAG_INGEST: u8 = 0x01;
@@ -54,7 +57,7 @@ pub const TAG_REJECTED: u8 = 0x85;
 
 /// The frame inventory: `(tag, name, direction, summary)` for every tag
 /// the protocol defines. `flstore-net --list-frames` prints this table;
-/// `scripts/check_wire_doc.sh` diffs it against the tag table in
+/// `scripts/check_doc_table.sh` diffs it against the tag table in
 /// `docs/WIRE.md` so the spec cannot drift from the implementation.
 pub const FRAMES: &[(u8, &str, &str, &str)] = &[
     (
@@ -178,98 +181,15 @@ impl From<io::Error> for WireError {
     }
 }
 
-/// Appends `v` as an unsigned LEB128 varint (7 bits per byte, little
-/// endian, high bit = continuation). At most 10 bytes for a `u64`.
-pub fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            buf.push(byte);
-            return;
+impl From<DecodeError> for WireError {
+    fn from(e: DecodeError) -> Self {
+        match e {
+            DecodeError::Truncated => WireError::Truncated,
+            DecodeError::Oversized { declared, max } => WireError::Oversized { declared, max },
+            DecodeError::VarintOverflow => WireError::VarintOverflow,
+            DecodeError::TrailingBytes { remaining } => WireError::TrailingBytes { remaining },
+            DecodeError::Malformed(what) => WireError::Malformed(what),
         }
-        buf.push(byte | 0x80);
-    }
-}
-
-/// A bounds-checked cursor over a received payload. All reads return
-/// [`WireError::Truncated`] past the end instead of panicking.
-pub struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    /// Wraps a payload.
-    pub fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
-    }
-
-    /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    /// Fails with [`WireError::TrailingBytes`] unless the payload was
-    /// consumed exactly.
-    pub fn finish(self) -> Result<(), WireError> {
-        if self.remaining() == 0 {
-            Ok(())
-        } else {
-            Err(WireError::TrailingBytes {
-                remaining: self.remaining(),
-            })
-        }
-    }
-
-    /// Reads one byte.
-    pub fn u8(&mut self) -> Result<u8, WireError> {
-        let b = *self.buf.get(self.pos).ok_or(WireError::Truncated)?;
-        self.pos += 1;
-        Ok(b)
-    }
-
-    /// Reads `n` raw bytes.
-    pub fn bytes(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        let end = self.pos.checked_add(n).ok_or(WireError::Truncated)?;
-        let slice = self.buf.get(self.pos..end).ok_or(WireError::Truncated)?;
-        self.pos = end;
-        Ok(slice)
-    }
-
-    /// Reads an unsigned LEB128 varint.
-    pub fn varint(&mut self) -> Result<u64, WireError> {
-        let mut value: u64 = 0;
-        for i in 0..10 {
-            let byte = self.u8()?;
-            let bits = u64::from(byte & 0x7f);
-            // The 10th byte may only carry the u64's single remaining bit.
-            if i == 9 && bits > 1 {
-                return Err(WireError::VarintOverflow);
-            }
-            value |= bits << (7 * i);
-            if byte & 0x80 == 0 {
-                return Ok(value);
-            }
-        }
-        Err(WireError::VarintOverflow)
-    }
-
-    /// Reads a varint and narrows it to `usize`, bounds-checked against
-    /// [`MAX_FRAME_LEN`] (a length inside a payload can never legitimately
-    /// exceed the frame bound).
-    pub fn len_prefix(&mut self) -> Result<usize, WireError> {
-        let v = self.varint()?;
-        if v > MAX_FRAME_LEN {
-            return Err(WireError::Oversized {
-                declared: v,
-                max: MAX_FRAME_LEN,
-            });
-        }
-        usize::try_from(v).map_err(|_| WireError::Oversized {
-            declared: v,
-            max: MAX_FRAME_LEN,
-        })
     }
 }
 
@@ -308,24 +228,11 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<(u8, Vec<u8>)>, WireError>
     }
 
     // Length varint, byte by byte (we cannot over-read from a stream).
-    let mut declared: u64 = 0;
-    let mut done = false;
-    for i in 0..10 {
+    let declared = read_varint(|| {
         let mut byte = [0u8; 1];
         r.read_exact(&mut byte)?;
-        let bits = u64::from(byte[0] & 0x7f);
-        if i == 9 && bits > 1 {
-            return Err(WireError::VarintOverflow);
-        }
-        declared |= bits << (7 * i);
-        if byte[0] & 0x80 == 0 {
-            done = true;
-            break;
-        }
-    }
-    if !done {
-        return Err(WireError::VarintOverflow);
-    }
+        Ok::<u8, WireError>(byte[0])
+    })?;
     if declared > MAX_FRAME_LEN {
         return Err(WireError::Oversized {
             declared,
@@ -340,28 +247,6 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<(u8, Vec<u8>)>, WireError>
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn varint_round_trips_boundaries() {
-        for v in [0u64, 1, 127, 128, 16383, 16384, u64::MAX - 1, u64::MAX] {
-            let mut buf = Vec::new();
-            put_varint(&mut buf, v);
-            let mut r = Reader::new(&buf);
-            assert_eq!(r.varint().unwrap(), v);
-            r.finish().unwrap();
-        }
-    }
-
-    #[test]
-    fn varint_rejects_overlong() {
-        // 11 continuation bytes can never be a valid u64 varint.
-        let buf = [0x80u8; 11];
-        assert_eq!(Reader::new(&buf).varint(), Err(WireError::VarintOverflow));
-        // A 10th byte carrying more than the one remaining bit overflows.
-        let mut buf = vec![0x80u8; 9];
-        buf.push(0x02);
-        assert_eq!(Reader::new(&buf).varint(), Err(WireError::VarintOverflow));
-    }
 
     #[test]
     fn frame_round_trips() {

@@ -12,8 +12,10 @@
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 
-/// SplitMix64 finalizer used to decorrelate derived seeds.
-fn splitmix64(mut x: u64) -> u64 {
+/// SplitMix64 finalizer: decorrelates derived seeds here, and is the one
+/// mixer behind every hash router in the stack (executor job shards,
+/// cluster placement slots, engine key-shards).
+pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = x;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

@@ -326,123 +326,46 @@ pub fn drive_batched<S: Service>(
     batch: BatchConfig,
 ) -> DriveReport {
     assert!(batch.max_batch >= 1, "batches need at least one slot");
-    assert!(
-        trace.events.is_some() || !trace.kinds.is_empty(),
-        "trace needs at least one workload kind"
-    );
-    let mut sim = FlJobSim::new(job_cfg.clone());
-    let mut rng = DetRng::stream(trace.seed, "trace-targets");
-
-    let round_interval = trace.window.div_u64(u64::from(job_cfg.rounds.max(1)));
-    let planned: Vec<(SimTime, Option<TraceEvent>)> = match &trace.events {
-        Some(events) => events
-            .iter()
-            .map(|e| {
-                (
-                    SimTime::ZERO + SimDuration::from_secs_f64(e.t),
-                    Some(e.clone()),
-                )
-            })
-            .collect(),
-        None => crate::arrival::poisson_arrivals(
-            trace.seed,
-            SimTime::ZERO,
-            trace.window,
-            trace.requests,
-        )
-        .into_iter()
-        .map(|at| (at, None))
-        .collect(),
-    };
-
-    let mut outcomes = Vec::with_capacity(planned.len());
-    let mut errors = 0usize;
-    let mut next_round_at = SimTime::ZERO;
-    let mut latest: Option<Arc<RoundRecord>> = None;
-    let mut audited: Vec<ClientId> = Vec::new();
-    let mut request_seq = 0u64;
+    let schedule = materialize_schedule(job_cfg, trace);
+    let planned = trace.events.as_ref().map_or(trace.requests, Vec::len);
+    let serves = schedule
+        .iter()
+        .filter(|(_, request)| matches!(request, Request::Serve(_)))
+        .count();
+    // An arrival before any ingested round has nothing to target; the
+    // schedule leaves it out and the report counts it as an error.
+    let mut errors = planned - serves;
+    let mut outcomes = Vec::with_capacity(serves);
     let mut pending: Vec<(SimTime, Request)> = Vec::new();
 
-    for (at, event) in planned {
-        // Everything due before this arrival happens first, in time order.
-        // Two kinds of work can be due: a stale batch's window deadline (a
-        // timer would have flushed it — serve it there, so no queued
+    for (at, request) in schedule {
+        // A stale batch's window deadline falls due before this envelope:
+        // a timer would have flushed it — serve it there, so no queued
         // request waits longer than `batch.window` past its batch's first
         // arrival, and a late arrival starts a fresh batch instead of
-        // joining a stale one) and round ingests at their cadence (which
-        // barrier-flush pending requests, stamped at their arrival, before
-        // the round lands). Submissions stay clock-monotonic either way.
-        loop {
-            let deadline = pending
-                .first()
-                .map(|&(first, _)| first + batch.window)
-                .filter(|&d| d <= at);
-            let round_due = next_round_at <= at;
-            if let Some(d) = deadline {
-                if !round_due || d <= next_round_at {
-                    flush(system, &mut pending, &mut outcomes, &mut errors, Some(d));
-                    continue;
-                }
-            }
-            if !round_due {
-                break;
-            }
-            match sim.next_round() {
-                Some(record) => {
-                    flush(system, &mut pending, &mut outcomes, &mut errors, None);
-                    let record = Arc::new(record);
-                    let response = system.submit(
-                        next_round_at,
-                        Request::Ingest {
-                            job: job_cfg.job,
-                            record: record.clone(),
-                        },
-                    );
-                    if !response.is_ok() {
-                        errors += 1;
-                    }
-                    latest = Some(record);
-                    next_round_at += round_interval;
-                }
-                None => break,
+        // joining a stale one. Submissions stay clock-monotonic.
+        if let Some(&(first, _)) = pending.first() {
+            let deadline = first + batch.window;
+            if deadline <= at {
+                flush(
+                    system,
+                    &mut pending,
+                    &mut outcomes,
+                    &mut errors,
+                    Some(deadline),
+                );
             }
         }
-        let Some(record) = latest.as_ref() else {
-            errors += 1;
+        if matches!(request, Request::Ingest { .. }) {
+            // Round barrier: pending requests (stamped at their arrival)
+            // are served before the round lands.
+            flush(system, &mut pending, &mut outcomes, &mut errors, None);
+            if !system.submit(at, request).is_ok() {
+                errors += 1;
+            }
             continue;
-        };
-        let kind = match &event {
-            Some(e) => e.workload,
-            None => trace.kinds[request_seq as usize % trace.kinds.len()],
-        };
-        request_seq += 1;
-        let explicit_client = event.as_ref().and_then(|e| e.client).map(ClientId::new);
-        let client = match kind.policy_class() {
-            PolicyClass::P3AcrossRounds => explicit_client.or_else(|| {
-                // Audits focus on a rotating handful of clients.
-                if audited.len() < 4 {
-                    let pick = record.updates[rng.index(record.updates.len())].client;
-                    if !audited.contains(&pick) {
-                        audited.push(pick);
-                    }
-                }
-                Some(audited[request_seq as usize % audited.len()])
-            }),
-            _ => explicit_client,
-        };
-        let round = event
-            .as_ref()
-            .and_then(|e| e.round)
-            .map(Round::new)
-            .unwrap_or(record.round);
-        let request = WorkloadRequest::new(
-            RequestId::new(request_seq),
-            kind,
-            job_cfg.job,
-            round,
-            client,
-        );
-        pending.push((at, Request::Serve(request)));
+        }
+        pending.push((at, request));
         let span = at.duration_since(pending[0].0);
         if pending.len() >= batch.max_batch || span >= batch.window {
             flush(system, &mut pending, &mut outcomes, &mut errors, None);
@@ -462,14 +385,14 @@ pub fn drive_batched<S: Service>(
 }
 
 /// Materializes the envelope schedule a trace produces, without driving
-/// any system: the same planned arrivals, round-ingest cadence, workload
-/// targets, and rotating P3 audit set as [`drive_batched`], flattened to
-/// `(arrival, envelope)` pairs in submission order.
+/// any system: planned arrivals, round-ingest cadence, workload targets,
+/// and the rotating P3 audit set, flattened to `(arrival, envelope)`
+/// pairs in submission order.
 ///
-/// This is the replay surface for out-of-process consumers — the
-/// `flstore-loadgen` client drivers serialize exactly this schedule over
-/// the wire, so a networked run serves the *same trace* the in-process
-/// driver serves. Arrival stamps are monotone non-decreasing; every
+/// This is the one trace planner: [`drive_batched`] consumes it
+/// in-process and the `flstore-loadgen` client drivers serialize exactly
+/// this schedule over the wire, so a networked run serves the *same
+/// trace* the in-process driver serves. Arrival stamps are monotone non-decreasing; every
 /// `Ingest` precedes the serves that target its round.
 ///
 /// ```
@@ -551,6 +474,7 @@ pub fn materialize_schedule(job_cfg: &FlJobConfig, trace: &TraceConfig) -> Vec<(
         let explicit_client = event.as_ref().and_then(|e| e.client).map(ClientId::new);
         let client = match kind.policy_class() {
             PolicyClass::P3AcrossRounds => explicit_client.or_else(|| {
+                // Audits focus on a rotating handful of clients.
                 if audited.len() < 4 {
                     let pick = record.updates[rng.index(record.updates.len())].client;
                     if !audited.contains(&pick) {

@@ -11,6 +11,10 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
+use flstore_fl::codec::{
+    get_client, get_job, get_option, get_round, get_u32, put_client, put_job, put_option,
+    put_round, put_varint, DecodeError, Reader,
+};
 use flstore_fl::ids::{ClientId, JobId, Round};
 use flstore_fl::job::RoundRecord;
 use flstore_fl::metadata::MetaKey;
@@ -107,6 +111,74 @@ impl WorkloadRequest {
         let start = end.saturating_sub(self.window.saturating_sub(1));
         (start..=end).map(Round::new).collect()
     }
+}
+
+/// Appends a workload kind as its tag byte (declaration order).
+pub fn put_kind(buf: &mut Vec<u8>, kind: WorkloadKind) {
+    buf.push(match kind {
+        WorkloadKind::Personalized => 0,
+        WorkloadKind::Clustering => 1,
+        WorkloadKind::Debugging => 2,
+        WorkloadKind::MaliciousFiltering => 3,
+        WorkloadKind::Incentives => 4,
+        WorkloadKind::SchedulingCluster => 5,
+        WorkloadKind::ReputationCalc => 6,
+        WorkloadKind::SchedulingPerf => 7,
+        WorkloadKind::CosineSimilarity => 8,
+        WorkloadKind::Inference => 9,
+    });
+}
+
+/// Reads a workload kind tag.
+pub fn get_kind(r: &mut Reader<'_>) -> Result<WorkloadKind, DecodeError> {
+    Ok(match r.u8()? {
+        0 => WorkloadKind::Personalized,
+        1 => WorkloadKind::Clustering,
+        2 => WorkloadKind::Debugging,
+        3 => WorkloadKind::MaliciousFiltering,
+        4 => WorkloadKind::Incentives,
+        5 => WorkloadKind::SchedulingCluster,
+        6 => WorkloadKind::ReputationCalc,
+        7 => WorkloadKind::SchedulingPerf,
+        8 => WorkloadKind::CosineSimilarity,
+        9 => WorkloadKind::Inference,
+        _ => return Err(DecodeError::Malformed("unknown workload kind tag")),
+    })
+}
+
+/// Appends a request in the shared binary encoding (`docs/WIRE.md` §4):
+/// the bytes a wire `Serve` frame and a ledger `Serve` record carry.
+pub fn put_workload_request(buf: &mut Vec<u8>, w: &WorkloadRequest) {
+    put_varint(buf, w.id.as_u64());
+    put_kind(buf, w.kind);
+    put_job(buf, w.job);
+    put_round(buf, w.round);
+    put_option(buf, w.client.as_ref(), |b, c| put_client(b, *c));
+    put_varint(buf, u64::from(w.window));
+}
+
+/// Reads a request, validating the invariant [`WorkloadRequest::new`]
+/// asserts so hostile bytes never reach a panicking constructor.
+pub fn get_workload_request(r: &mut Reader<'_>) -> Result<WorkloadRequest, DecodeError> {
+    let id = RequestId::new(r.varint()?);
+    let kind = get_kind(r)?;
+    let job = get_job(r)?;
+    let round = get_round(r)?;
+    let client = get_option(r, get_client)?;
+    let window = get_u32(r)?;
+    if kind.policy_class() == PolicyClass::P3AcrossRounds && client.is_none() {
+        return Err(DecodeError::Malformed(
+            "client-tracking (P3) request without a target client",
+        ));
+    }
+    Ok(WorkloadRequest {
+        id,
+        kind,
+        job,
+        round,
+        client,
+        window,
+    })
 }
 
 /// Directory of what metadata exists for one job: which clients completed

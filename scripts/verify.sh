@@ -11,11 +11,10 @@
 #   4. cargo clippy --all-targets -D warnings  (lint: BLOCKING, like CI)
 #   5. cargo fmt --check                       (lint: BLOCKING, like CI)
 #   6. cargo doc --no-deps -D warnings         (lint: public API stays documented)
-#   7. determinism lint (analyze: BLOCKING, like CI) + rules/README
-#      drift guard via scripts/check_analyze_rules.sh + wire-protocol
-#      spec drift guard via scripts/check_wire_doc.sh + ledger-format
-#      spec drift guard via scripts/check_ledger_doc.sh + cluster-plane
-#      spec drift guard via scripts/check_cluster_doc.sh
+#   7. determinism lint (analyze: BLOCKING, like CI) + the four
+#      inventory-table drift guards via scripts/check_doc_table.sh:
+#      analyze rules vs README, wire frames vs docs/WIRE.md, ledger
+#      records vs docs/LEDGER.md, failure events vs docs/CLUSTER.md
 #   8. lock-order detector tests: parking_lot unit tests + the exec
 #      stress/rendezvous/seeded-inversion suite + the net socket suite,
 #      all --features lock-order
@@ -79,10 +78,10 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps
 # lint over the workspace sources, the rules/README drift guard, and the
 # lock-order deadlock detector suites.
 run cargo run -q -p flstore-analyze -- lint
-run scripts/check_analyze_rules.sh
-run scripts/check_wire_doc.sh
-run scripts/check_ledger_doc.sh
-run scripts/check_cluster_doc.sh
+run scripts/check_doc_table.sh analyze-rules README.md -- run -q -p flstore-analyze -- --list-rules
+run scripts/check_doc_table.sh wire-frames docs/WIRE.md -- run -q -p flstore-net --bin flstore-net -- --list-frames
+run scripts/check_doc_table.sh ledger-records docs/LEDGER.md -- run -q -p flstore-durability --bin flstore-durability -- --list-records
+run scripts/check_doc_table.sh cluster-failure-events docs/CLUSTER.md -- run -q -p flstore-cluster --bin flstore-cluster -- --list-events
 run cargo test -q -p parking_lot --features lock-order
 run cargo test -q -p flstore-exec --features lock-order
 run cargo test -q -p flstore-net --features lock-order
