@@ -27,9 +27,101 @@ pub const DEFAULT_DIM: usize = 256;
 /// assert!(a.cosine_similarity(&b).abs() < 1e-6);
 /// assert!((a.l2_norm() - 1.0).abs() < 1e-6);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// # Multi-row reductions
+///
+/// The associated functions [`l2_norms`](Self::l2_norms),
+/// [`dots`](Self::dots), [`l2_distances`](Self::l2_distances),
+/// [`paired_l2_distances`](Self::paired_l2_distances) and
+/// [`cosine_similarities`](Self::cosine_similarities) reduce many rows at
+/// once. They keep **one sequential f64 chain per output, in element
+/// order, starting from `-0.0`** (the fold `Iterator::sum::<f64>`
+/// performs), so every output is bit-equal to the one-row method it
+/// replaces; they are faster only because each pass runs four such
+/// chains side by side, which lets the CPU overlap four additions instead
+/// of waiting out one add latency per element.
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
 pub struct WeightVector {
     values: Vec<f32>,
+}
+
+impl Clone for WeightVector {
+    fn clone(&self) -> Self {
+        WeightVector {
+            values: self.values.clone(),
+        }
+    }
+
+    /// Reuses `self`'s allocation.
+    fn clone_from(&mut self, source: &Self) {
+        self.values.clone_from(&source.values);
+    }
+}
+
+/// Runs four independent f64 chains in one pass: chain `j` sums
+/// `term(a[j][e], b[j][e])` over `e` in element order, from `-0.0`.
+///
+/// Requires `a[j].len() == b[j].len()`. Rows may differ in length from
+/// each other: the common prefix runs four-wide and each longer row
+/// finishes its own chain alone, still in element order.
+#[inline(always)]
+fn chains4(a: [&[f32]; 4], b: [&[f32]; 4], term: impl Fn(f32, f32) -> f64) -> [f64; 4] {
+    let n = a.iter().map(|r| r.len()).min().unwrap_or(0);
+    // Slicing every row to `n` up front lets the compiler drop the bounds
+    // checks inside the loop.
+    let (a0, a1, a2, a3) = (&a[0][..n], &a[1][..n], &a[2][..n], &a[3][..n]);
+    let (b0, b1, b2, b3) = (&b[0][..n], &b[1][..n], &b[2][..n], &b[3][..n]);
+    let (mut s0, mut s1, mut s2, mut s3) = (-0.0f64, -0.0f64, -0.0f64, -0.0f64);
+    for e in 0..n {
+        s0 += term(a0[e], b0[e]);
+        s1 += term(a1[e], b1[e]);
+        s2 += term(a2[e], b2[e]);
+        s3 += term(a3[e], b3[e]);
+    }
+    let mut sums = [s0, s1, s2, s3];
+    for (s, (x, y)) in sums.iter_mut().zip(a.iter().zip(&b)) {
+        for (p, q) in x[n..].iter().zip(&y[n..]) {
+            *s += term(*p, *q);
+        }
+    }
+    sums
+}
+
+/// Fills `out[i]` with the chain of pair `i`, four pairs per pass. A
+/// short last block repeats its final pair rather than running a slower
+/// one-chain loop; the repeat's result is discarded.
+fn reduce_pairs<'a>(
+    out: &mut [f64],
+    pair: impl Fn(usize) -> (&'a [f32], &'a [f32]),
+    term: impl Fn(f32, f32) -> f64 + Copy,
+) {
+    let n = out.len();
+    for start in (0..n).step_by(4) {
+        let p = |j: usize| pair((start + j).min(n - 1));
+        let ((a0, b0), (a1, b1), (a2, b2), (a3, b3)) = (p(0), p(1), p(2), p(3));
+        let sums = chains4([a0, a1, a2, a3], [b0, b1, b2, b3], term);
+        let block = &mut out[start..n.min(start + 4)];
+        block.copy_from_slice(&sums[..block.len()]);
+    }
+}
+
+fn square(a: f32, _: f32) -> f64 {
+    (a as f64) * (a as f64)
+}
+
+fn product(a: f32, b: f32) -> f64 {
+    (a as f64) * (b as f64)
+}
+
+fn squared_difference(a: f32, b: f32) -> f64 {
+    let d = (a as f64) - (b as f64);
+    d * d
+}
+
+/// The cosine of two vectors from their dot product and the product of
+/// their norms — the one formula behind every cosine in this module.
+fn cosine(dot: f64, denom: f64) -> f64 {
+    (dot / denom).clamp(-1.0, 1.0)
 }
 
 impl WeightVector {
@@ -92,15 +184,34 @@ impl WeightVector {
 
     /// Cosine similarity in `[-1, 1]`; zero if either vector is zero.
     ///
+    /// Both norms and the dot product are three independent chains of
+    /// one pass, each bit-equal to [`l2_norm`](Self::l2_norm) and
+    /// [`dot`](Self::dot).
+    ///
     /// # Panics
     ///
-    /// Panics on dimension mismatch.
+    /// Panics on dimension mismatch, unless either vector is zero (a
+    /// zero vector scores 0.0 against a vector of any dimension).
     pub fn cosine_similarity(&self, other: &WeightVector) -> f64 {
-        let denom = self.l2_norm() * other.l2_norm();
+        if self.dim() != other.dim() {
+            let denom = self.l2_norm() * other.l2_norm();
+            return if denom == 0.0 {
+                0.0
+            } else {
+                cosine(self.dot(other), denom)
+            };
+        }
+        let (mut aa, mut bb, mut ab) = (-0.0f64, -0.0f64, -0.0f64);
+        for (a, b) in self.values.iter().zip(&other.values) {
+            aa += square(*a, *a);
+            bb += square(*b, *b);
+            ab += product(*a, *b);
+        }
+        let denom = aa.sqrt() * bb.sqrt();
         if denom == 0.0 {
             0.0
         } else {
-            (self.dot(other) / denom).clamp(-1.0, 1.0)
+            cosine(ab, denom)
         }
     }
 
@@ -158,12 +269,16 @@ impl WeightVector {
 
     /// `self * factor`.
     pub fn scale(&self, factor: f64) -> WeightVector {
-        WeightVector {
-            values: self
-                .values
-                .iter()
-                .map(|v| (*v as f64 * factor) as f32)
-                .collect(),
+        let mut scaled = self.clone();
+        scaled.scale_in_place(factor);
+        scaled
+    }
+
+    /// Multiplies every component by `factor` in place, bit-equal to
+    /// [`scale`](Self::scale).
+    pub fn scale_in_place(&mut self, factor: f64) {
+        for v in &mut self.values {
+            *v = (*v as f64 * factor) as f32;
         }
     }
 
@@ -179,6 +294,40 @@ impl WeightVector {
         }
     }
 
+    /// Adds every row into `self`, four rows per pass over `self`.
+    ///
+    /// Each component still sums its rows one at a time in row order, in
+    /// f32, so the result is bit-equal to calling `self.axpy(1.0, row)`
+    /// for each row in turn.
+    ///
+    /// # Panics
+    ///
+    /// Panics on dimension mismatch.
+    pub fn add_rows(&mut self, rows: &[&WeightVector]) {
+        let n = self.dim();
+        for row in rows {
+            assert_eq!(n, row.dim(), "dimension mismatch in axpy");
+        }
+        let acc = &mut self.values[..n];
+        let mut blocks = rows.chunks_exact(4);
+        for block in &mut blocks {
+            let (r0, r1, r2, r3) = (
+                &block[0].values[..n],
+                &block[1].values[..n],
+                &block[2].values[..n],
+                &block[3].values[..n],
+            );
+            for e in 0..n {
+                acc[e] = acc[e] + r0[e] + r1[e] + r2[e] + r3[e];
+            }
+        }
+        for row in blocks.remainder() {
+            for (a, v) in acc.iter_mut().zip(&row.values) {
+                *a += *v;
+            }
+        }
+    }
+
     /// Unweighted mean of several vectors.
     ///
     /// Returns `None` when `vectors` is empty.
@@ -187,13 +336,131 @@ impl WeightVector {
     ///
     /// Panics on dimension mismatch among inputs.
     pub fn mean(vectors: &[&WeightVector]) -> Option<WeightVector> {
-        let first = vectors.first()?;
-        let mut acc = WeightVector::zeros(first.dim());
-        for v in vectors {
-            acc.axpy(1.0, v);
-        }
-        Some(acc.scale(1.0 / vectors.len() as f64))
+        let mut acc = WeightVector::zeros(0);
+        acc.mean_into(vectors).then_some(acc)
     }
+
+    /// Overwrites `self` with the unweighted mean of `rows`, reusing its
+    /// allocation.
+    ///
+    /// The arithmetic is [`mean`](Self::mean)'s: zeros of the first row's
+    /// dimension, every row added in order ([`add_rows`](Self::add_rows)),
+    /// then a scale by `1 / rows.len()`. Returns `false` and leaves `self`
+    /// untouched when `rows` is empty.
+    ///
+    /// # Panics
+    ///
+    /// Panics on dimension mismatch among inputs.
+    pub fn mean_into(&mut self, rows: &[&WeightVector]) -> bool {
+        let Some(first) = rows.first() else {
+            return false;
+        };
+        self.values.clear();
+        self.values.resize(first.dim(), 0.0);
+        self.add_rows(rows);
+        self.scale_in_place(1.0 / rows.len() as f64);
+        true
+    }
+
+    /// Euclidean norm of every row: `out[i]` is bit-equal to
+    /// `rows[i].l2_norm()` (one chain per row; see the type docs).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len() != rows.len()`.
+    pub fn l2_norms(rows: &[&WeightVector], out: &mut [f64]) {
+        assert_eq!(out.len(), rows.len(), "one output per row");
+        reduce_pairs(out, |i| (rows[i].as_slice(), rows[i].as_slice()), square);
+        out.iter_mut().for_each(|s| *s = s.sqrt());
+    }
+
+    /// Dot product of every row with `v`: `out[i]` is bit-equal to
+    /// `rows[i].dot(v)` (one chain per row; see the type docs).
+    ///
+    /// # Panics
+    ///
+    /// Panics on dimension mismatch, or if `out.len() != rows.len()`.
+    pub fn dots(rows: &[&WeightVector], v: &WeightVector, out: &mut [f64]) {
+        assert_eq!(out.len(), rows.len(), "one output per row");
+        for row in rows {
+            assert_eq!(row.dim(), v.dim(), "dimension mismatch in dot product");
+        }
+        reduce_pairs(out, |i| (rows[i].as_slice(), v.as_slice()), product);
+    }
+
+    /// Euclidean distance of every row to `v`: `out[i]` is bit-equal to
+    /// `rows[i].l2_distance(v)` (one chain per row; see the type docs).
+    ///
+    /// # Panics
+    ///
+    /// Panics on dimension mismatch, or if `out.len() != rows.len()`.
+    pub fn l2_distances(rows: &[&WeightVector], v: &WeightVector, out: &mut [f64]) {
+        l2_distances_by(rows, |_| v, out);
+    }
+
+    /// Euclidean distance of every row to its own partner: `out[i]` is
+    /// bit-equal to `rows[i].l2_distance(others[i])` (one chain per row;
+    /// see the type docs).
+    ///
+    /// # Panics
+    ///
+    /// Panics on dimension mismatch, or unless `others` and `out` are as
+    /// long as `rows`.
+    pub fn paired_l2_distances(rows: &[&WeightVector], others: &[&WeightVector], out: &mut [f64]) {
+        assert_eq!(others.len(), rows.len(), "one partner per row");
+        l2_distances_by(rows, |i| others[i], out);
+    }
+
+    /// Cosine similarity of every row to `v`, given the rows' norms:
+    /// `out[i]` is bit-equal to `rows[i].cosine_similarity(v)` when
+    /// `norms[i]` is `rows[i].l2_norm()`.
+    ///
+    /// `v`'s norm is taken once, and dot products run four rows per pass
+    /// ([`dots`](Self::dots)) only for rows whose norm product is
+    /// nonzero, exactly where `cosine_similarity` takes one.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a dimension mismatch between `v` and a nonzero row, or
+    /// unless `norms` and `out` are as long as `rows`.
+    pub fn cosine_similarities(
+        rows: &[&WeightVector],
+        norms: &[f64],
+        v: &WeightVector,
+        out: &mut [f64],
+    ) {
+        assert_eq!(norms.len(), rows.len(), "one norm per row");
+        assert_eq!(out.len(), rows.len(), "one output per row");
+        let v_norm = v.l2_norm();
+        let scored: Vec<usize> = (0..rows.len())
+            .filter(|i| norms[*i] * v_norm != 0.0)
+            .collect();
+        let scored_rows: Vec<&WeightVector> = scored.iter().map(|i| rows[*i]).collect();
+        let mut dots = vec![0.0; scored.len()];
+        WeightVector::dots(&scored_rows, v, &mut dots);
+        out.fill(0.0);
+        for (i, dot) in scored.iter().zip(&dots) {
+            out[*i] = cosine(*dot, norms[*i] * v_norm);
+        }
+    }
+}
+
+/// [`WeightVector::l2_distances`] against a per-row partner.
+fn l2_distances_by<'a>(
+    rows: &[&'a WeightVector],
+    other: impl Fn(usize) -> &'a WeightVector,
+    out: &mut [f64],
+) {
+    assert_eq!(out.len(), rows.len(), "one output per row");
+    for (i, row) in rows.iter().enumerate() {
+        assert_eq!(row.dim(), other(i).dim(), "dimension mismatch in distance");
+    }
+    reduce_pairs(
+        out,
+        |i| (rows[i].as_slice(), other(i).as_slice()),
+        squared_difference,
+    );
+    out.iter_mut().for_each(|s| *s = s.sqrt());
 }
 
 #[cfg(test)]

@@ -22,13 +22,17 @@
 //!   requests.
 //! * **open loop** ([`run_open_paced`]) — `connections` parallel
 //!   connections write their share of the schedule without waiting for
-//!   responses: request *k* is released `k / rate` seconds after the run
+//!   responses: request *k* is due `k / rate` seconds after the run
 //!   starts (a fixed-interval arrival process at `rate` requests/s),
-//!   regardless of response progress. `rate == 0` never sleeps — the
-//!   burst a saturated front door sees. Under overload the interesting
-//!   outputs are goodput and the typed rejection count; the reset count
-//!   must stay zero. The deterministic report fields (counts, checksum)
-//!   do not depend on `rate`; only the wall-clock fields change.
+//!   regardless of response progress, and each connection reads its
+//!   responses on a second thread as they arrive. Latency runs from a
+//!   request's due time, so a stalled generator or server shows up in
+//!   every later request; how late the generator itself wrote is
+//!   reported beside it. `rate == 0` never sleeps — the burst a
+//!   saturated front door sees. Under overload the interesting outputs
+//!   are goodput and the typed rejection count; the reset count must
+//!   stay zero. The deterministic report fields (counts, checksum) do
+//!   not depend on `rate`; only the wall-clock fields change.
 //!
 //! Request schedules come from
 //! [`flstore_trace::driver::materialize_schedule`] — the same traces the
@@ -51,12 +55,14 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-use std::time::Instant;
+use std::io::{BufReader, BufWriter, Write};
+use std::net::{Shutdown, TcpStream};
+use std::time::{Duration, Instant};
 
 use flstore_core::api::{ApiError, Request, Response};
 use flstore_net::client::NetClient;
-use flstore_net::codec::encode_response;
-use flstore_net::wire::WireError;
+use flstore_net::codec::{decode_response, encode_request, encode_response};
+use flstore_net::wire::{read_frame, write_frame, WireError};
 use flstore_sim::time::{SimDuration, SimTime};
 use serde_json::{json, Value};
 
@@ -128,8 +134,13 @@ pub struct LoadReport {
     pub elapsed_wall_s: f64,
     /// Non-rejected responses per wall second.
     pub goodput_rps_wall: f64,
-    /// Send-to-receive wall latency percentiles.
+    /// Wall latency percentiles: from send to receipt in the closed
+    /// loop, from the request's due time to receipt in the open loop.
     pub latency: Option<LatencyStats>,
+    /// Open loop: the furthest any request was written past its due
+    /// time, µs — how far the generator fell behind its own schedule.
+    /// Zero for the closed loop, which has no schedule.
+    pub lateness_max_us: f64,
 }
 
 impl LoadReport {
@@ -154,6 +165,7 @@ impl LoadReport {
             "p99_us_wall": lat(|l| l.p99_us),
             "mean_us_wall": lat(|l| l.mean_us),
             "max_us_wall": lat(|l| l.max_us),
+            "lateness_max_us_wall": self.lateness_max_us,
         })
     }
 }
@@ -191,6 +203,7 @@ fn empty_report() -> LoadReport {
         elapsed_wall_s: 0.0,
         goodput_rps_wall: 0.0,
         latency: None,
+        lateness_max_us: 0.0,
     }
 }
 
@@ -301,16 +314,18 @@ pub fn run_closed(
 }
 
 /// Open-loop driver: `connections` threads each write their interleaved
-/// slice of the schedule without waiting for responses, then drain them.
-/// Arrivals follow a fixed-interval schedule at `rate` requests per
-/// second — request `k` of the (global) schedule is written no earlier
-/// than `k / rate` seconds after the run starts, each connection
-/// sleeping toward its own requests' global due times. `rate == 0` never
-/// sleeps: every connection writes as fast as the socket accepts (the
-/// overload burst). The per-connection checksums are XOR-folded so the
-/// aggregate is independent of thread interleaving, and the
-/// deterministic fields (sent/ok/rejected counts, checksum) are
-/// byte-identical at every rate.
+/// slice of the schedule without waiting for responses, while a second
+/// thread per connection reads and time-stamps the responses as they
+/// arrive. Arrivals follow a fixed-interval schedule at `rate` requests
+/// per second — request `k` of the (global) schedule is due `k / rate`
+/// seconds after the run starts and is written no earlier, each
+/// connection sleeping toward its own requests' global due times; its
+/// latency runs from that due time to its response's arrival.
+/// `rate == 0` never sleeps: every request is due at the start and
+/// every connection writes as fast as the socket accepts (the overload
+/// burst). The per-connection checksums are XOR-folded so the aggregate
+/// is independent of thread interleaving, and the deterministic fields
+/// (sent/ok/rejected counts, checksum) are byte-identical at every rate.
 pub fn run_open_paced(
     addr: &str,
     schedule: &[(SimTime, Request)],
@@ -352,6 +367,7 @@ pub fn run_open_paced(
                 report.overloaded += part.overloaded;
                 report.rejected += part.rejected;
                 report.transport_errors += part.transport_errors;
+                report.lateness_max_us = report.lateness_max_us.max(part.lateness_max_us);
                 checksum ^= part.checksum;
                 latencies.extend(lats);
             }
@@ -371,47 +387,75 @@ fn run_paced_conn(
 ) -> (LoadReport, Vec<f64>) {
     let mut report = empty_report();
     let mut latencies = Vec::with_capacity(slice.len());
-    let Ok(mut client) = NetClient::connect(addr) else {
+    let connected = TcpStream::connect(addr).and_then(|stream| {
+        stream.set_nodelay(true)?;
+        let read_half = stream.try_clone()?;
+        Ok((stream, read_half))
+    });
+    let Ok((stream, read_half)) = connected else {
         report.transport_errors += slice.len();
         return (report, latencies);
     };
-    let mut send_times = Vec::with_capacity(slice.len());
-    for (k, now, request) in slice {
-        let due = std::time::Duration::from_micros((*k as f64 * interval_us) as u64);
-        // Wall-clock reads are this crate's purpose (see crate docs and
-        // analyze-allowlist.txt).
-        #[allow(clippy::disallowed_methods)]
-        let elapsed = started.elapsed();
-        if due > elapsed {
-            std::thread::sleep(due - elapsed);
-        }
-        #[allow(clippy::disallowed_methods)]
-        send_times.push(Instant::now());
-        if client.send(*now, request).is_err() {
-            report.transport_errors += 1;
-            return (report, latencies);
-        }
-        report.sent += 1;
-    }
-    if client.finish_sending().is_err() {
-        report.transport_errors += 1;
-        return (report, latencies);
-    }
-    for (received, sent_at) in send_times.iter().enumerate().take(report.sent) {
-        match client.recv() {
-            Ok(response) => {
+    let due = |k: usize| started + Duration::from_micros((k as f64 * interval_us) as u64);
+
+    let arrivals = std::thread::scope(|scope| {
+        // Responses come back in submission order; each is stamped the
+        // moment its frame is read, while the sender is still writing.
+        let receiver = scope.spawn(move || {
+            let mut reader = BufReader::new(read_half);
+            let mut arrivals = Vec::with_capacity(slice.len());
+            while arrivals.len() < slice.len() {
+                let Ok(Some((tag, payload))) = read_frame(&mut reader) else {
+                    break;
+                };
                 #[allow(clippy::disallowed_methods)]
                 let at = Instant::now();
-                latencies.push(at.duration_since(*sent_at).as_secs_f64() * 1e6);
-                report.checksum = fold_response(report.checksum, &response);
-                classify(&response, &mut report);
+                arrivals.push((at, decode_response(tag, &payload)));
             }
-            Err(_) => {
-                report.transport_errors += report.sent - received;
+            arrivals
+        });
+        let mut writer = BufWriter::new(stream);
+        for (k, now, request) in slice {
+            let due = due(*k);
+            // Wall-clock reads are this crate's purpose (see crate docs
+            // and analyze-allowlist.txt).
+            #[allow(clippy::disallowed_methods)]
+            let wall = Instant::now();
+            if due > wall {
+                std::thread::sleep(due - wall);
+            }
+            #[allow(clippy::disallowed_methods)]
+            let late = Instant::now().saturating_duration_since(due);
+            report.lateness_max_us = report.lateness_max_us.max(late.as_secs_f64() * 1e6);
+            let (tag, payload) = encode_request(*now, request);
+            if write_frame(&mut writer, tag, &payload)
+                .and_then(|()| writer.flush())
+                .is_err()
+            {
+                report.transport_errors += 1;
                 break;
             }
+            report.sent += 1;
         }
+        // Half-close so the server, once it has answered everything it
+        // read, closes too and the receiver sees the end of the stream.
+        // Every frame is already flushed, and a connection too broken to
+        // half-close shows up below as requests left unanswered.
+        let _ = writer.get_ref().shutdown(Shutdown::Write);
+        receiver.join().unwrap_or_default()
+    });
+
+    let mut answered = 0;
+    for ((k, _, _), (at, response)) in slice.iter().zip(arrivals) {
+        let Ok(response) = response else {
+            break;
+        };
+        latencies.push(at.saturating_duration_since(due(*k)).as_secs_f64() * 1e6);
+        report.checksum = fold_response(report.checksum, &response);
+        classify(&response, &mut report);
+        answered += 1;
     }
+    report.transport_errors += report.sent - answered;
     (report, latencies)
 }
 

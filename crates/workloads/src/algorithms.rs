@@ -25,9 +25,17 @@ pub struct KMeansResult {
 /// Returns `None` when `vectors` is empty or `k == 0`; if `k` exceeds the
 /// number of vectors it is clamped.
 ///
+/// Every distance is one f64 chain computed four rows at a time
+/// ([`WeightVector::l2_distances`]), each centroid is the f32 mean of its
+/// members in input order, a centroid left without members keeps its
+/// position, and ties go to the lowest centroid index.
+///
 /// # Panics
 ///
-/// Panics if input vectors disagree in dimensionality.
+/// Panics if input vectors disagree in dimensionality. With `k >= 2` it
+/// also panics on a NaN or infinite component, whose seeding weight
+/// [`DetRng::weighted_index`] rejects, and on a NaN distance in the
+/// assignment step ("distances are finite").
 pub fn kmeans(
     vectors: &[&WeightVector],
     k: usize,
@@ -37,78 +45,77 @@ pub fn kmeans(
     if vectors.is_empty() || k == 0 {
         return None;
     }
-    let k = k.min(vectors.len());
+    let n = vectors.len();
+    let k = k.min(n);
     let mut rng = DetRng::stream(seed, "kmeans");
 
     // k-means++ seeding: first centroid uniform, then proportional to
-    // squared distance from the nearest chosen centroid.
+    // squared distance from the nearest chosen centroid. `nearest` keeps
+    // that squared distance per point, so each new centroid costs one
+    // distance pass.
     let mut centroids: Vec<WeightVector> = Vec::with_capacity(k);
-    centroids.push(vectors[rng.index(vectors.len())].clone());
+    centroids.push(vectors[rng.index(n)].clone());
+    let mut nearest = vec![f64::INFINITY; n];
+    let mut dist = vec![0.0; k * n];
     while centroids.len() < k {
-        let d2: Vec<f64> = vectors
-            .iter()
-            .map(|v| {
-                centroids
-                    .iter()
-                    .map(|c| {
-                        let d = v.l2_distance(c);
-                        d * d
-                    })
-                    .fold(f64::INFINITY, f64::min)
-            })
-            .collect();
-        let total: f64 = d2.iter().sum();
+        let newest = centroids.last().expect("seeded");
+        let d = &mut dist[..n];
+        WeightVector::l2_distances(vectors, newest, d);
+        for (d2, d) in nearest.iter_mut().zip(d.iter()) {
+            *d2 = d2.min(d * d);
+        }
+        let total: f64 = nearest.iter().sum();
         let next = if total <= f64::EPSILON {
-            rng.index(vectors.len())
+            rng.index(n)
         } else {
-            rng.weighted_index(&d2)
+            rng.weighted_index(&nearest)
         };
         centroids.push(vectors[next].clone());
     }
 
-    let mut assignments = vec![0usize; vectors.len()];
+    let mut assignments = vec![0usize; n];
+    let mut members: Vec<&WeightVector> = Vec::with_capacity(n);
     let mut iterations = 0;
     for iter in 0..max_iters.max(1) {
         iterations = iter + 1;
-        // Assignment step.
+        // Assignment step: `dist[j * n + i]` is point i's distance to
+        // centroid j.
+        for (c, d) in centroids.iter().zip(dist.chunks_exact_mut(n)) {
+            WeightVector::l2_distances(vectors, c, d);
+        }
         let mut changed = false;
-        for (i, v) in vectors.iter().enumerate() {
-            let (best, _) = centroids
-                .iter()
-                .enumerate()
-                .map(|(j, c)| (j, v.l2_distance(c)))
+        for (i, assigned) in assignments.iter_mut().enumerate() {
+            let (best, _) = (0..k)
+                .map(|j| (j, dist[j * n + i]))
                 .min_by(|a, b| a.1.partial_cmp(&b.1).expect("distances are finite"))
                 .expect("k >= 1");
-            if assignments[i] != best {
-                assignments[i] = best;
+            if *assigned != best {
+                *assigned = best;
                 changed = true;
             }
         }
-        // Update step.
-        for (j, centroid) in centroids.iter_mut().enumerate() {
-            let members: Vec<&WeightVector> = vectors
-                .iter()
-                .zip(&assignments)
-                .filter(|(_, a)| **a == j)
-                .map(|(v, _)| *v)
-                .collect();
-            if let Some(mean) = WeightVector::mean(&members) {
-                *centroid = mean;
-            }
-        }
+        // Converged: the update step would recompute the same centroids.
         if !changed && iter > 0 {
             break;
         }
+        // Update step.
+        for (j, centroid) in centroids.iter_mut().enumerate() {
+            members.clear();
+            members.extend(
+                vectors
+                    .iter()
+                    .zip(&assignments)
+                    .filter(|(_, a)| **a == j)
+                    .map(|(v, _)| *v),
+            );
+            centroid.mean_into(&members);
+        }
     }
 
-    let inertia = vectors
-        .iter()
-        .zip(&assignments)
-        .map(|(v, a)| {
-            let d = v.l2_distance(&centroids[*a]);
-            d * d
-        })
-        .sum();
+    let partners: Vec<&WeightVector> = assignments.iter().map(|a| &centroids[*a]).collect();
+    let d = &mut dist[..n];
+    WeightVector::paired_l2_distances(vectors, &partners, d);
+    let inertia = d.iter().map(|d| d * d).sum();
 
     Some(KMeansResult {
         assignments,

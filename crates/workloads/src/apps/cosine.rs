@@ -6,6 +6,7 @@
 
 use flstore_fl::aggregate::AggregateModel;
 use flstore_fl::update::ModelUpdate;
+use flstore_fl::weights::WeightVector;
 
 use crate::outputs::CosineOutput;
 
@@ -16,9 +17,15 @@ pub fn run(updates: &[&ModelUpdate], aggregate: &AggregateModel) -> Option<Cosin
     if updates.is_empty() {
         return None;
     }
+    let vectors: Vec<&WeightVector> = updates.iter().map(|u| &u.weights).collect();
+    let mut norms = vec![0.0; vectors.len()];
+    WeightVector::l2_norms(&vectors, &mut norms);
+    let mut similarities = vec![0.0; vectors.len()];
+    WeightVector::cosine_similarities(&vectors, &norms, &aggregate.weights, &mut similarities);
     let per_client: Vec<_> = updates
         .iter()
-        .map(|u| (u.client, u.weights.cosine_similarity(&aggregate.weights)))
+        .zip(similarities)
+        .map(|(u, s)| (u.client, s))
         .collect();
     let mean = per_client.iter().map(|(_, s)| *s).sum::<f64>() / per_client.len() as f64;
     let min = per_client

@@ -26,8 +26,10 @@ pub fn run(updates: &[&ModelUpdate]) -> Option<FilteringOutput> {
     }
     let vectors: Vec<&WeightVector> = updates.iter().map(|u| &u.weights).collect();
     let mean = WeightVector::mean(&vectors)?;
-    let norms: Vec<f64> = vectors.iter().map(|w| w.l2_norm()).collect();
-    let cosines: Vec<f64> = vectors.iter().map(|w| w.cosine_similarity(&mean)).collect();
+    let mut norms = vec![0.0; vectors.len()];
+    WeightVector::l2_norms(&vectors, &mut norms);
+    let mut cosines = vec![0.0; vectors.len()];
+    WeightVector::cosine_similarities(&vectors, &norms, &mean, &mut cosines);
     let z_norm = robust_z_scores(&norms);
     let z_cos = robust_z_scores(&cosines);
     let scores: Vec<(_, f64)> = updates

@@ -28,20 +28,31 @@ pub fn run(updates: &[&ModelUpdate], aggregate: &AggregateModel) -> Option<Incen
     // participant receives something for showing up. The aggregate is used
     // only as the fallback reference when a client is alone in the round.
     let vectors: Vec<&WeightVector> = updates.iter().map(|u| &u.weights).collect();
-    let mut raw: Vec<f64> = Vec::with_capacity(updates.len());
-    for skip in 0..updates.len() {
-        let rest: Vec<&WeightVector> = vectors
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| *i != skip)
-            .map(|(_, v)| *v)
-            .collect();
-        let alignment = match WeightVector::mean(&rest) {
-            Some(consensus) => vectors[skip].cosine_similarity(&consensus),
-            // Single participant owns the round: score against the aggregate.
-            None => vectors[skip].cosine_similarity(&aggregate.weights),
-        };
+    let n = vectors.len();
+    let mut raw: Vec<f64> = Vec::with_capacity(n);
+    if n == 1 {
+        // Single participant owns the round: score against the aggregate.
+        let alignment = vectors[0].cosine_similarity(&aggregate.weights);
         raw.push(alignment.max(0.0) + 1e-3);
+    } else {
+        // The consensus without client `skip` is `WeightVector::mean` of
+        // the others: an in-order f32 sum, then a scale. `prefix` holds
+        // the sum of the clients before `skip`, so each consensus only
+        // adds the clients after it.
+        let mut prefix = WeightVector::zeros(vectors[0].dim());
+        let mut consensus = WeightVector::zeros(vectors[1].dim());
+        for skip in 0..n {
+            if skip > 0 {
+                consensus.clone_from(&prefix);
+            }
+            consensus.add_rows(&vectors[skip + 1..]);
+            consensus.scale_in_place(1.0 / (n - 1) as f64);
+            let alignment = vectors[skip].cosine_similarity(&consensus);
+            raw.push(alignment.max(0.0) + 1e-3);
+            if skip + 1 < n {
+                prefix.add_rows(&vectors[skip..=skip]);
+            }
+        }
     }
     let total: f64 = raw.iter().sum();
     let payouts = updates

@@ -5,7 +5,6 @@
 //! the request seed so repeated requests are reproducible.
 
 use flstore_fl::aggregate::AggregateModel;
-use flstore_fl::weights::WeightVector;
 use flstore_sim::rng::DetRng;
 
 use crate::outputs::InferenceOutput;
@@ -25,8 +24,14 @@ pub fn run(aggregate: &AggregateModel, batch: usize, seed: u64) -> Option<Infere
     let scale = (dim as f64).sqrt();
     let mut total = 0.0;
     for _ in 0..batch {
-        let input = WeightVector::gaussian(&mut rng, dim, 1.0);
-        let logit = aggregate.weights.dot(&input) / scale;
+        // Each input component is drawn exactly as `WeightVector::gaussian`
+        // draws it and folded straight into the dot product's chain.
+        let mut dot = -0.0f64;
+        for w in aggregate.weights.as_slice() {
+            let x = rng.normal(0.0, 1.0) as f32;
+            dot += (*w as f64) * (x as f64);
+        }
+        let logit = dot / scale;
         total += 1.0 / (1.0 + (-logit).exp()); // sigmoid score
     }
     Some(InferenceOutput {

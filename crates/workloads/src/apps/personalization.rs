@@ -21,12 +21,16 @@ pub fn run(updates: &[&ModelUpdate], k: usize, seed: u64) -> Option<Personalizat
     // Feature = weight direction with local accuracy appended as an extra
     // (scaled) dimension, so groups reflect both what the model learned and
     // how well it fits local data.
+    let weights: Vec<&WeightVector> = updates.iter().map(|u| &u.weights).collect();
+    let mut norms = vec![0.0; updates.len()];
+    WeightVector::l2_norms(&weights, &mut norms);
     let features: Vec<WeightVector> = updates
         .iter()
-        .map(|u| {
-            let mut values: Vec<f32> = u.weights.as_slice().to_vec();
-            let norm = u.weights.l2_norm().max(1e-9);
-            values.iter_mut().for_each(|v| *v /= norm as f32);
+        .zip(&norms)
+        .map(|(u, norm)| {
+            let norm = norm.max(1e-9) as f32;
+            let mut values = Vec::with_capacity(u.weights.dim() + 1);
+            values.extend(u.weights.as_slice().iter().map(|v| v / norm));
             values.push((u.metrics.local_accuracy * 2.0) as f32);
             WeightVector::from_vec(values)
         })
