@@ -1,7 +1,7 @@
 //! The two allow mechanisms: inline `// flstore: allow(<rule>, <reason>)`
 //! annotations parsed out of comment tokens, and the checked-in path
 //! allowlist file (`analyze-allowlist.txt` at the workspace root — the
-//! explicit bench/overhead allowlist the wall-clock rule refers to).
+//! sanctioned wall-clock readers the wall-clock rule refers to).
 //!
 //! Both demand a reason: an annotation without one, or an allowlist line
 //! without a justification, is itself a violation — suppressions must

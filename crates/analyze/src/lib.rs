@@ -3,7 +3,7 @@
 //! A source-level determinism lint (token scanning, no rustc internals)
 //! that enforces the invariants the serving plane's byte-diff gate relies
 //! on: no hash-ordered iteration feeding results, no wall-clock or ambient
-//! entropy outside the bench allowlist, and the vendored `parking_lot`
+//! entropy outside `analyze-allowlist.txt`, and the vendored `parking_lot`
 //! (non-poisoning, lock-order instrumentable) everywhere `std::sync`
 //! locks would otherwise creep in.
 //!

@@ -163,7 +163,7 @@ pub fn lint_file(rel: &str, src: &str, allowlist: &Allowlist) -> Vec<Diagnostic>
             file: rel.to_string(),
             line,
             message: format!(
-                "`{what}::now()` outside the bench/overhead allowlist — wall-clock reads \
+                "`{what}::now()` outside the analyze-allowlist.txt entries — wall-clock reads \
                  break replayability; plumb simulated time or add the file to \
                  analyze-allowlist.txt with a justification"
             ),

@@ -37,7 +37,7 @@ pub struct Rule {
 pub const UNORDERED_ITER: &str = "unordered_iter";
 /// Float accumulation folded over an unordered iterator.
 pub const UNORDERED_FLOAT_FOLD: &str = "unordered_float_fold";
-/// `SystemTime::now` / `Instant::now` outside the bench/overhead allowlist.
+/// `SystemTime::now` / `Instant::now` outside `analyze-allowlist.txt`.
 pub const WALL_CLOCK: &str = "wall_clock";
 /// Ambient entropy (`thread_rng`, `OsRng`, `from_entropy`, ...).
 pub const AMBIENT_ENTROPY: &str = "ambient_entropy";
@@ -65,7 +65,7 @@ pub const RULES: &[Rule] = &[
     Rule {
         id: WALL_CLOCK,
         scope: Scope::Workspace,
-        summary: "SystemTime::now / Instant::now outside the bench/overhead allowlist",
+        summary: "SystemTime::now / Instant::now outside the analyze-allowlist.txt entries",
     },
     Rule {
         id: AMBIENT_ENTROPY,

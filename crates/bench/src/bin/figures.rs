@@ -37,39 +37,6 @@ const EXPERIMENTS: &[(&str, Experiment, &str)] = &[
     ("cluster", cluster::cluster, "cluster"),
 ];
 
-/// Criterion bench targets (`cargo bench --bench <name>`), one per hot
-/// path. `figures -- --list-benches` prints this inventory so tooling
-/// discovers the microbenches from the same binary that runs the
-/// experiments; keep it in sync with `[[bench]]` in Cargo.toml.
-const BENCHES: &[(&str, &str)] = &[
-    ("engine_ops", "Cache Engine record/touch/remove"),
-    ("tracker_ops", "Request Tracker dispatch/complete"),
-    (
-        "policy_decisions",
-        "caching-policy ingest/request/victim decisions",
-    ),
-    ("workload_kernels", "the ten workload compute kernels"),
-    ("serve_path", "end-to-end round ingest and cache-hit serve"),
-    ("decoded_cache", "decoded-value layer hits vs re-parsing"),
-    (
-        "batch_serve",
-        "batched vs sequential serving of same-replica-set requests",
-    ),
-    (
-        "sharded_serve",
-        "sharded-executor scaling (1/2/4/8 shards) vs sequential serve_batch",
-    ),
-    (
-        "key_sharded_serve",
-        "one hot tenant: work-stealing serves at 1/2/4/8 key shards vs sequential",
-    ),
-];
-
-/// The statistics every bench target reports per benchmark (the vendored
-/// criterion stand-in): printed as the third `--list-benches` column so
-/// tooling knows tail latency (p95/p99) is available.
-const BENCH_STATS: &str = "mean/best/p50/p95/p99";
-
 /// Aliases: a figure produced jointly with another maps to the same run.
 const ALIASES: &[(&str, &str)] = &[
     ("fig2", "fig1"),
@@ -86,14 +53,6 @@ fn main() {
         // Machine-readable manifest: one output file stem per experiment.
         for (_, _, output) in EXPERIMENTS {
             println!("{output}");
-        }
-        return;
-    }
-    if args.iter().any(|a| a == "--list-benches") {
-        // Machine-readable bench inventory: one Criterion target per line,
-        // tab-separated: name, what it measures, statistics reported.
-        for (name, what) in BENCHES {
-            println!("{name}\t{what}\t{BENCH_STATS}");
         }
         return;
     }
@@ -197,11 +156,13 @@ fn main() {
         "FLStore reproduction — experiment harness ({} scale)",
         if fast { "fast" } else { "paper" }
     );
+    // The run configuration goes to stderr: stdout is a result, and the
+    // gate diffs it across thread and key-shard counts.
     if threads > 1 {
-        println!("serving plane: sharded executor, {threads} worker threads");
+        eprintln!("serving plane: sharded executor, {threads} worker threads");
     }
     if let Some(shards) = key_shards {
-        println!("cache engines: {shards} MetaKey shard(s) per job");
+        eprintln!("cache engines: {shards} MetaKey shard(s) per job");
     }
     #[cfg(feature = "lock-order")]
     eprintln!(

@@ -5,19 +5,21 @@
 //! tenant to one core. This experiment drives exactly that worst case —
 //! one job, a skewed stream of compute-bound P2 serves (malicious-client
 //! filtering over one round's updates, all hitting the same replica set)
-//! — through two planes:
+//! — and proves the shard count and the steal plane are unobservable in
+//! the bytes:
 //!
-//! 1. **Determinism sweep** — the same batch served sequentially with the
-//!    cache engine partitioned into 1/2/4/8 MetaKey shards, plus once
-//!    through a 4-worker stealing executor. Responses, the response
-//!    checksum (FNV-1a over the wire encoding), and the window cost must
-//!    be identical everywhere: the shard count and the steal plane are
-//!    unobservable in the bytes.
-//! 2. **Scaling sweep** — the serve phase timed at 1/2/4/8 key shards,
-//!    each served by a matching worker count so idle workers steal the
-//!    hot tenant's deferred kernels. Wall-clock fields carry the `_wall`
-//!    suffix that `scripts/compare_results.sh` normalizes; everything
-//!    else reproduces byte-for-byte.
+//! 1. **Key-shard sweep** — the same batch served sequentially with the
+//!    cache engine partitioned into 1/2/4/8 MetaKey shards. Responses,
+//!    the response checksum (FNV-1a over the wire encoding), and the
+//!    window cost must be identical everywhere.
+//! 2. **Stealing sweep** — the batch served at 1/2/4/8 key shards, each
+//!    through a matching worker count so idle workers steal the hot
+//!    tenant's deferred kernels; plus the deferred API finished inline.
+//!    Every run must reproduce the sequential checksum.
+//!
+//! Everything here is a pure function of the seed and scale. How fast
+//! stealing makes the serve phase is a wall-clock fact, measured by the
+//! `benchmark/` probe `exec.steal_speedup_k2`.
 
 use flstore_core::api::{DeferredResponse, Request, Response, Service};
 use flstore_core::policy::TailoredPolicy;
@@ -32,7 +34,7 @@ use flstore_workloads::request::{RequestId, WorkloadRequest};
 use flstore_workloads::taxonomy::WorkloadKind;
 use serde_json::{json, Value};
 
-use crate::util::{header, save_json, secs, subheader, Scale};
+use crate::util::{header, save_json, subheader, Scale};
 
 /// Key-shard counts both sweeps cover.
 const KEY_SHARDS: [usize; 4] = [1, 2, 4, 8];
@@ -109,18 +111,8 @@ fn checksum(responses: &[Response]) -> u64 {
     hash
 }
 
-/// Times one closure on the real clock.
-// Wall-clock is the measurement here, reported only in `_wall` fields
-// (see analyze-allowlist.txt).
-#[allow(clippy::disallowed_methods)]
-fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
-    let started = std::time::Instant::now();
-    let out = f();
-    (out, started.elapsed().as_secs_f64())
-}
-
 /// The `keyshard` experiment: byte-equivalence across MetaKey shard
-/// counts, then the serve-phase scaling curve under work stealing.
+/// counts, then the same bytes under work stealing at every worker count.
 pub fn keyshard(scale: Scale) -> Value {
     header("Intra-job parallelism: MetaKey-sharded cache, work-stealing serves");
     let cfg = hot_job();
@@ -159,83 +151,35 @@ pub fn keyshard(scale: Scale) -> Value {
     assert_eq!(served, requests, "every hot serve hits the cache");
     let sum = checksum(&expected);
 
-    // The stealing executor (4 workers, 4 key shards) must reproduce the
-    // sequential bytes too — the tentpole's held line, re-proven at
-    // experiment scale.
-    let (store, round) = loaded_store(4);
-    let mut exec = ShardedExecutor::new(vec![store], 4);
-    let stolen = exec.submit_batch(now, &hot_batch(requests, round));
-    assert_eq!(
-        checksum(&stolen),
-        sum,
-        "work stealing must be unobservable in response bytes"
-    );
-    drop(exec);
-    println!("  {served}/{requests} served, checksum {sum:016x} — identical at every K");
+    // Phase 2: the stealing sweep. Key shards and workers move together;
+    // the owner serializes bookkeeping while idle workers steal kernels.
+    subheader("stealing: key shards = workers = K, then deferred kernels finished inline");
+    let mut scaling = Vec::new();
+    for shards in KEY_SHARDS {
+        let (store, round) = loaded_store(shards);
+        let mut exec = ShardedExecutor::new(vec![store], shards);
+        assert_eq!(
+            checksum(&exec.submit_batch(now, &hot_batch(requests, round))),
+            sum,
+            "work stealing must be unobservable in response bytes (K={shards})"
+        );
+        scaling.push(json!({ "key_shards": shards, "workers": shards }));
+    }
 
-    // Phase 2a: serve-phase decomposition through the public deferred
-    // API — how much of a serve is owner-serialized bookkeeping (cache,
-    // ledger, placement; submission order is mandatory) versus pure
-    // kernels (stealable by any worker). The stealable fraction bounds
-    // the scaling curve by Amdahl's law: speedup(K) = 1/((1-p) + p/K).
-    subheader("decomposition: owner-serialized bookkeeping vs stealable kernels");
+    // The public deferred API: owner-serialized bookkeeping first, then
+    // the pure kernels finished in order, must equal inline serving.
     let (mut store, round) = loaded_store(4);
-    let batch = hot_batch(requests, round);
-    let (deferred, book_s) = timed(|| store.submit_batch_deferred(now, &batch));
-    let (finished, kernel_s) = timed(|| {
-        deferred
-            .into_iter()
-            .map(DeferredResponse::finish)
-            .collect::<Vec<_>>()
-    });
+    let finished: Vec<Response> = store
+        .submit_batch_deferred(now, &hot_batch(requests, round))
+        .into_iter()
+        .map(DeferredResponse::finish)
+        .collect();
     assert_eq!(
         checksum(&finished),
         sum,
         "deferred finishing diverged from inline serving"
     );
-    let stealable = kernel_s / (book_s + kernel_s);
-    println!(
-        "  bookkeeping {} + kernels {} per {requests} serves — {:.1}% stealable (wall)",
-        secs(book_s),
-        secs(kernel_s),
-        stealable * 100.0
-    );
-
-    // Phase 2b: scaling sweep. Key shards and workers move together; the
-    // owner serializes bookkeeping while idle workers steal kernels.
-    // Measured wall clock tracks the projection only when real cores
-    // exist to steal on (this box: `available_parallelism` cores).
-    subheader("scaling: serve-phase wall clock, key shards = workers = K");
-    let mut scaling = Vec::new();
-    let mut base_s = 0.0f64;
-    for shards in KEY_SHARDS {
-        let (store, round) = loaded_store(shards);
-        let batch = hot_batch(requests, round);
-        let mut exec = ShardedExecutor::new(vec![store], shards);
-        let (responses, elapsed) = timed(|| exec.submit_batch(now, &batch));
-        assert_eq!(
-            checksum(&responses),
-            sum,
-            "scaling run diverged (K={shards})"
-        );
-        if shards == 1 {
-            base_s = elapsed;
-        }
-        let measured = if elapsed > 0.0 { base_s / elapsed } else { 1.0 };
-        let projected = 1.0 / ((1.0 - stealable) + stealable / shards as f64);
-        println!(
-            "  K={shards}: {} for {requests} serves — {measured:.2}x measured, \
-             {projected:.2}x Amdahl-projected (wall)",
-            secs(elapsed)
-        );
-        scaling.push(json!({
-            "key_shards": shards,
-            "workers": shards,
-            "serve_s_wall": elapsed,
-            "speedup_x_wall": measured,
-            "projected_speedup_x_wall": projected,
-        }));
-    }
+    println!("  {served}/{requests} served, checksum {sum:016x} — identical at every K");
 
     let v = json!({
         "experiment": "keyshard",
@@ -251,11 +195,6 @@ pub fn keyshard(scale: Scale) -> Value {
             "served": served,
             "checksum": format!("{sum:016x}"),
             "window_cost_usd": cost,
-        },
-        "decomposition": {
-            "bookkeeping_s_wall": book_s,
-            "kernels_s_wall": kernel_s,
-            "stealable_fraction_wall": stealable,
         },
         "scaling": scaling,
     });

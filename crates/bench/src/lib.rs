@@ -15,9 +15,11 @@
 //! ```
 //! Append `--fast` for one-tenth-scale smoke runs.
 //!
-//! Criterion microbenches (`cargo bench`) cover the per-operation costs of
-//! the Cache Engine, Request Tracker, caching policies, workload kernels,
-//! and the end-to-end serve path.
+//! Every output — JSON and stdout — is a pure function of the seed and the
+//! scale: time comes from the simulated clock only, so a sequential run
+//! and a `--threads N` run are byte-identical. This implementation's
+//! wall-clock cost (per-operation latencies, kernel times, steal speedup,
+//! loopback latency) is measured by the standalone `benchmark/` package.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -111,7 +111,8 @@ pub fn subheader(title: &str) {
 
 /// Writes an experiment's JSON payload under `results/` (override the
 /// directory with `FLSTORE_RESULTS_DIR`, e.g. so smoke runs don't clobber
-/// full-scale outputs).
+/// full-scale outputs). The `[saved …]` note goes to stderr because it
+/// names the directory, which differs between runs the gate compares.
 pub fn save_json(name: &str, value: &Value) {
     let dir = std::env::var("FLSTORE_RESULTS_DIR")
         .map(PathBuf::from)
@@ -122,7 +123,7 @@ pub fn save_json(name: &str, value: &Value) {
     let path = dir.join(format!("{name}.json"));
     if let Ok(body) = serde_json::to_string_pretty(value) {
         let _ = fs::write(&path, body);
-        println!("[saved {}]", path.display());
+        eprintln!("[saved {}]", path.display());
     }
 }
 

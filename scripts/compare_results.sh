@@ -1,28 +1,21 @@
 #!/usr/bin/env bash
-# Byte-diffs two figure-result directories: every JSON output must be
-# identical, except sanctioned wall-clock fields, which are normalized
-# away before comparing:
+# Byte-diffs two directories of flstore-loadgen JSON reports: every
+# report must be identical once the `_wall` fields are normalized away.
 #
-#   * overhead.json's dispatch_us/complete_us/record_us — the §5.5
-#     overhead microbenchmark times real operations;
-#   * any numeric field whose name ends in `_wall` — the naming
-#     convention the network-plane outputs (netserve.json, loadgen
-#     reports) use to mark measured latency/goodput. Everything else in
-#     those files (counts, checksums over response payload bytes) is
-#     pure payload fact and must reproduce byte-for-byte.
+# Its users are the net, recovery and cluster smokes
+# (scripts/{net,recovery,cluster}_smoke.sh), which replay one seeded
+# schedule against two differently configured servers and demand the
+# same payload. A loadgen report marks every wall-clock measurement
+# (latency, goodput, elapsed time, and the timing-dependent Overloaded
+# count) with a `_wall` name suffix; everything else in it — counts,
+# retries, the FNV-1a checksum over response bytes — is a payload fact
+# and must reproduce byte-for-byte. That suffix is the ONLY normalized
+# pattern: widening it would silently weaken the gate, so producers opt
+# in by naming, never by editing this script.
 #
-# These are the ONLY normalized bytes by design: real wall-clock reads
-# are banned everywhere else in the workspace (`Instant::now` — see
-# analyze-allowlist.txt and clippy.toml), so every other output derives
-# purely from the simulated clock and seeded RNG streams and must
-# reproduce byte-for-byte. Widening the normalization beyond these two
-# rules would silently weaken the determinism gate; producers must opt
-# in by using the `_wall` suffix, never by editing this script.
-#
-# This is the standing parallel-determinism gate: CI runs the figures
-# sweep sequentially and with --threads 4 and feeds both directories
-# here, so any divergence between the sharded executor and sequential
-# serving fails the build.
+# Figure outputs do not come through here. They carry no wall-clock
+# bytes, so the figures gate is a plain `diff -r` (scripts/verify.sh,
+# .github/workflows/ci.yml).
 #
 # Usage: scripts/compare_results.sh <dir-a> <dir-b>
 set -euo pipefail
@@ -37,12 +30,6 @@ fi
 a="$1"
 b="$2"
 
-# Strip the sanctioned wall-clock fields: the overhead.json *_us trio
-# (applied only to that file) and the `_wall`-suffixed convention
-# (applied everywhere).
-normalize_overhead() {
-    sed -E 's/"(dispatch|complete|record)_us": *[0-9.eE+-]+/"\1_us": "WALL-CLOCK"/g' "$1"
-}
 normalize_wall() {
     sed -E 's/"([A-Za-z0-9_]+_wall)": *[0-9.eE+-]+/"\1": "WALL-CLOCK"/g' "$1"
 }
@@ -55,13 +42,6 @@ for f in "$a"/*.json; do
     if [ ! -f "$b/$name" ]; then
         echo "missing in $b: $name"
         fail=1
-        continue
-    fi
-    if [ "$name" = "overhead.json" ]; then
-        if ! diff -q <(normalize_overhead "$f") <(normalize_overhead "$b/$name") >/dev/null; then
-            echo "differs (beyond wall-clock fields): $name"
-            fail=1
-        fi
     elif ! diff -q <(normalize_wall "$f") <(normalize_wall "$b/$name") >/dev/null; then
         echo "differs (beyond _wall fields): $name"
         fail=1
@@ -81,6 +61,6 @@ for f in "$b"/*.json; do
 done
 
 if [ "$fail" -eq 0 ]; then
-    echo "all $count result files identical across $a and $b (modulo sanctioned wall-clock fields)"
+    echo "all $count reports identical across $a and $b (modulo _wall fields)"
 fi
 exit "$fail"

@@ -7,42 +7,42 @@
 # local verify and CI cannot drift:
 #   1. cargo build --release                   (tier1: whole workspace)
 #   2. cargo test -q                           (tier1: unit + property + integration + doctests)
-#   3. cargo build --benches                   (tier1: Criterion benches compile)
-#   4. cargo clippy --all-targets -D warnings  (lint: BLOCKING, like CI)
-#   5. cargo fmt --check                       (lint: BLOCKING, like CI)
-#   6. cargo doc --no-deps -D warnings         (lint: public API stays documented)
-#   7. determinism lint (analyze: BLOCKING, like CI) + the four
+#   3. cargo clippy --all-targets -D warnings  (lint: BLOCKING, like CI)
+#   4. cargo fmt --check                       (lint: BLOCKING, like CI)
+#   5. cargo doc --no-deps -D warnings         (lint: public API stays documented)
+#   6. determinism lint (analyze: BLOCKING, like CI) + the four
 #      inventory-table drift guards via scripts/check_doc_table.sh:
 #      analyze rules vs README, wire frames vs docs/WIRE.md, ledger
 #      records vs docs/LEDGER.md, failure events vs docs/CLUSTER.md
-#   8. lock-order detector tests: parking_lot unit tests + the exec
+#   7. lock-order detector tests: parking_lot unit tests + the exec
 #      stress/rendezvous/seeded-inversion suite + the net socket suite,
 #      all --features lock-order
-#   9. figures smoke: every experiment id end-to-end at --fast scale into
-#      results-smoke/ (so full-scale results/ are never clobbered), then
+#   8. figures smoke: every experiment id end-to-end at --fast scale into
+#      results-smoke/ (so full-scale results/ are never clobbered), its
+#      stdout captured as results-smoke/stdout.txt, then
 #      scripts/check_figures_outputs.sh — the same check CI runs.
-#  10. parallel determinism: the same sweep again with --threads 4 (built
+#   9. parallel determinism: the same sweep again with --threads 4 (built
 #      with the lock-order detector armed) into results-smoke-threads4/,
-#      byte-diffed against the sequential run via
-#      scripts/compare_results.sh (sanctioned wall-clock fields
-#      excepted) — the sharded executor must be bit-for-bit sequential.
-#  11. intra-job determinism: the sweep a third time with --threads 4
+#      compared with the sequential run by a plain `diff -r` — every JSON
+#      file and the captured stdout, no normalization: the sharded
+#      executor must be bit-for-bit sequential.
+#  10. intra-job determinism: the sweep a third time with --threads 4
 #      --key-shards 4 (MetaKey-sharded cache engines, work-stealing
-#      serves, lock-order armed) into results-smoke-keyshards4/,
-#      byte-diffed against the sequential run — the key-shard layout
-#      must be unobservable in every result byte.
-#  12. net smoke: the real server binary + load generator over loopback
+#      serves, lock-order armed) into results-smoke-keyshards4/, plain
+#      `diff -r` against the sequential run — the key-shard layout must
+#      be unobservable in every result byte.
+#  11. net smoke: the real server binary + load generator over loopback
 #      via scripts/net_smoke.sh — closed-loop reports byte-diffed across
 #      shard counts, overload asserted typed (zero transport errors),
 #      paced arrivals asserted result-transparent.
-#  13. recovery smoke: a durable server SIGKILL'd mid-life and recovered
+#  12. recovery smoke: a durable server SIGKILL'd mid-life and recovered
 #      from its write-ahead ledger via scripts/recovery_smoke.sh —
 #      served responses byte-diffed against an uninterrupted run.
-#  14. cluster smoke: the net server fronting a 3-node rf=2 cluster with
+#  13. cluster smoke: the net server fronting a 3-node rf=2 cluster with
 #      a node killed mid-run via scripts/cluster_smoke.sh — zero failed
 #      requests after retries, post-failover pass byte-diffed against a
 #      churn-free twin.
-#      Skip 9–14 with --skip-smoke for a quick edit-compile loop.
+#      Skip 8–13 with --skip-smoke for a quick edit-compile loop.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -65,9 +65,21 @@ run() {
     "$@"
 }
 
+# figures_leg <dir> <cargo args...>: one figures sweep into <dir>, with
+# its stdout (the printed tables and paper comparisons) captured as
+# <dir>/stdout.txt so the determinism gate diffs it with the JSON.
+figures_leg() {
+    local dir="$1"
+    shift
+    rm -rf "$dir"
+    mkdir -p "$dir"
+    echo
+    echo "==> FLSTORE_RESULTS_DIR=$dir cargo $* > $dir/stdout.txt"
+    FLSTORE_RESULTS_DIR="$dir" cargo "$@" >"$dir/stdout.txt"
+}
+
 run cargo build --release
 run cargo test -q
-run cargo build --benches
 run cargo clippy -q --all-targets -- -D warnings
 run cargo fmt --check
 echo
@@ -91,28 +103,22 @@ if [ "$skip_smoke" -eq 0 ]; then
     # satisfied by stale files nor clobber full-scale results/ the
     # developer may have spent minutes generating. (CI uses the default
     # results/ from a fresh checkout.)
-    export FLSTORE_RESULTS_DIR=results-smoke
-    rm -rf results-smoke
-    run cargo run --release --bin figures -- all --fast
+    figures_leg results-smoke run --release --bin figures -- all --fast
     run scripts/check_figures_outputs.sh results-smoke
 
     # Parallel determinism gate: the sharded executor must reproduce the
-    # sequential sweep byte for byte. --features lock-order arms the
-    # deadlock detector, so an inversion fails loudly instead of hanging.
-    export FLSTORE_RESULTS_DIR=results-smoke-threads4
-    rm -rf results-smoke-threads4
-    run cargo run --release -p flstore-bench --features lock-order --bin figures -- all --fast --threads 4
-    run scripts/compare_results.sh results-smoke results-smoke-threads4
+    # sequential sweep byte for byte — JSON and stdout, plain diff.
+    # --features lock-order arms the deadlock detector, so an inversion
+    # fails loudly instead of hanging.
+    figures_leg results-smoke-threads4 run --release -p flstore-bench --features lock-order --bin figures -- all --fast --threads 4
+    run diff -r results-smoke results-smoke-threads4
 
     # Intra-job determinism gate: the same sweep with every cache engine
     # MetaKey-sharded 4 ways — serves run through the work-stealing
     # plane — must also reproduce the sequential bytes. The shard layout
     # is a serve-phase fact; it may never reach a result file.
-    export FLSTORE_RESULTS_DIR=results-smoke-keyshards4
-    rm -rf results-smoke-keyshards4
-    run cargo run --release -p flstore-bench --features lock-order --bin figures -- all --fast --threads 4 --key-shards 4
-    unset FLSTORE_RESULTS_DIR
-    run scripts/compare_results.sh results-smoke results-smoke-keyshards4
+    figures_leg results-smoke-keyshards4 run --release -p flstore-bench --features lock-order --bin figures -- all --fast --threads 4 --key-shards 4
+    run diff -r results-smoke results-smoke-keyshards4
 
     # Network plane smoke: real server binary + load generator over
     # loopback, lock-order armed; closed-loop determinism across shard
