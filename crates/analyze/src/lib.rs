@@ -8,8 +8,9 @@
 //! locks would otherwise creep in.
 //!
 //! Run it with `cargo run -p flstore-analyze -- lint` (add `--json` for
-//! machine output); `--list-rules` prints the rule inventory that
-//! `scripts/check_doc_table.sh` diffs against the README.
+//! machine output). The rule inventory ([`rules::inventory`]) is the
+//! README's rule table; the workspace's `tests/doc_tables.rs` keeps the
+//! two identical.
 
 #![forbid(unsafe_code)]
 

@@ -2,7 +2,6 @@
 //!
 //! ```text
 //! flstore-analyze lint [--json] [--root <path>]   # exit 1 on violations
-//! flstore-analyze --list-rules                    # rule inventory (tsv)
 //! ```
 
 #![forbid(unsafe_code)]
@@ -10,12 +9,10 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use flstore_analyze::{lint_workspace, rules};
+use flstore_analyze::lint_workspace;
 
 fn usage() -> ExitCode {
-    eprintln!(
-        "usage: flstore-analyze lint [--json] [--root <path>]\n       flstore-analyze --list-rules"
-    );
+    eprintln!("usage: flstore-analyze lint [--json] [--root <path>]");
     ExitCode::from(2)
 }
 
@@ -23,10 +20,6 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut iter = args.iter();
     match iter.next().map(String::as_str) {
-        Some("--list-rules") => {
-            print!("{}", rules::inventory());
-            ExitCode::SUCCESS
-        }
         Some("lint") => {
             let mut json = false;
             let mut root = PathBuf::from(".");

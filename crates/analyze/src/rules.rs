@@ -1,6 +1,6 @@
-//! The rule inventory. `flstore-analyze -- --list-rules` prints this
-//! table and `scripts/check_doc_table.sh` diffs it against the README
-//! so the documentation can never drift from the binary.
+//! The rule inventory. The workspace's `tests/doc_tables.rs` compares
+//! it with the README's rule table, so the documentation can never
+//! drift from the lint.
 
 /// Where a rule applies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -13,7 +13,7 @@ pub enum Scope {
 }
 
 impl Scope {
-    /// Stable string used in `--list-rules` output and the README table.
+    /// Stable string used in the inventory and the README table.
     pub fn as_str(self) -> &'static str {
         match self {
             Scope::DeterminismCrates => "determinism-crates",
@@ -97,7 +97,7 @@ pub fn rule_by_id(id: &str) -> Option<&'static Rule> {
     RULES.iter().find(|r| r.id == id)
 }
 
-/// The `--list-rules` inventory: one `id\tscope\tsummary` line per rule.
+/// The rule inventory: one `id\tscope\tsummary` line per rule.
 pub fn inventory() -> String {
     let mut out = String::new();
     for rule in RULES {

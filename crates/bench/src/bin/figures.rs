@@ -3,8 +3,8 @@
 #![forbid(unsafe_code)]
 
 use flstore_bench::{
-    breakdown, cluster, durability, headline, inventory, jobs, keyshard, motivation, netserve,
-    policies, robustness, tenancy, Scale,
+    breakdown, cluster, durability, headline, inventory, jobs, motivation, policies, robustness,
+    tenancy, Scale,
 };
 
 type Experiment = fn(Scale) -> serde_json::Value;
@@ -31,9 +31,7 @@ const EXPERIMENTS: &[(&str, Experiment, &str)] = &[
     ("tenancy", tenancy::tenancy, "tenancy"),
     ("capacity", inventory::capacity, "capacity"),
     ("overhead", inventory::overhead, "overhead"),
-    ("netserve", netserve::netserve, "netserve"),
     ("durability", durability::durability, "durability"),
-    ("keyshard", keyshard::keyshard, "keyshard"),
     ("cluster", cluster::cluster, "cluster"),
 ];
 

@@ -31,9 +31,7 @@ pub mod durability;
 pub mod headline;
 pub mod inventory;
 pub mod jobs;
-pub mod keyshard;
 pub mod motivation;
-pub mod netserve;
 pub mod policies;
 pub mod robustness;
 pub mod tenancy;

@@ -7,7 +7,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use flstore_exec::ShardUnit;
 use flstore_fl::job::FlJobConfig;
-use flstore_trace::driver::{drive_parallel, BatchConfig, DriveReport, TraceConfig};
+use flstore_trace::driver::{drive_parallel, DriveReport, TraceConfig};
 use serde_json::Value;
 
 /// Worker shards the experiments serve through (`figures -- --threads N`).
@@ -48,7 +48,7 @@ pub fn drive_unit<U: ShardUnit + 'static>(
     job: &FlJobConfig,
     trace: &TraceConfig,
 ) -> (DriveReport, U) {
-    drive_parallel(unit, job, trace, BatchConfig::SEQUENTIAL, serving_threads())
+    drive_parallel(unit, job, trace, serving_threads())
 }
 
 /// Experiment scale: `Full` reproduces the paper's parameters; `Fast`

@@ -12,9 +12,9 @@
 use flstore_sim::rng::DetRng;
 use flstore_sim::time::{SimDuration, SimTime};
 
-/// What happens to a node. The machine-checked inventory that
-/// `docs/CLUSTER.md` §4 documents row-for-row (see
-/// `scripts/check_doc_table.sh`).
+/// What happens to a node. [`FAILURE_EVENTS`] is the machine-checked
+/// inventory that `docs/CLUSTER.md` §4 documents row-for-row (see the
+/// workspace's `tests/doc_tables.rs`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FailureKind {
     /// The node's process dies: in-memory state is dropped (ledgers
@@ -45,8 +45,8 @@ pub enum FailureKind {
     },
 }
 
-/// The `name` column `flstore-cluster --list-events` prints for each
-/// failure kind, in declaration order — the drift-guard inventory.
+/// `(name, semantics)` for each failure kind, in declaration order —
+/// the inventory `docs/CLUSTER.md`'s failure-event table must match.
 pub const FAILURE_EVENTS: &[(&str, &str)] = &[
     (
         "Kill",

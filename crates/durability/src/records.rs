@@ -53,9 +53,8 @@ pub const TAG_DIGEST: u8 = 0x06;
 
 /// The record inventory: `(tag, name, payload layout, summary)`.
 ///
-/// `flstore-durability --list-records` prints this table tab-separated;
-/// docs/LEDGER.md's tag table is diffed against that output in CI
-/// (`scripts/check_doc_table.sh`).
+/// The workspace's `tests/doc_tables.rs` compares it with
+/// `docs/LEDGER.md`'s tag table, row for row.
 pub const RECORDS: &[(u8, &str, &str, &str)] = &[
     (
         TAG_INGEST,

@@ -7,7 +7,7 @@
 //!
 //! * **Byte equivalence** — responses from the stealing executor match a
 //!   sequential run of the same seeded mix on an identically loaded
-//!   deployment, for several seeds.
+//!   deployment, for several seeds, at workers = key shards ∈ {2, 4, 8}.
 //! * **Exact attribution** — the shared `RequestTracker` records every
 //!   serve on its *owner's* lane and nothing else. Stealing moves the
 //!   kernel, never the bookkeeping: a thief must be invisible in the
@@ -35,13 +35,13 @@ const WORKERS: usize = 8;
 
 /// The hot tenant: one job, its cache engine partitioned into as many
 /// MetaKey shards as the executor has workers.
-fn loaded_store() -> (FlStore, Vec<RoundRecord>) {
+fn loaded_store(workers: usize) -> (FlStore, Vec<RoundRecord>) {
     let cfg = FlJobConfig {
         rounds: 4,
         ..FlJobConfig::quick_test(JobId::new(JOB))
     };
     let store_cfg = FlStoreConfig {
-        key_shards: WORKERS,
+        key_shards: workers,
         platform: PlatformConfig {
             reclaim: ReclaimModel::DISABLED,
             ..PlatformConfig::default()
@@ -90,52 +90,54 @@ fn seeded_serves(seed: u64, len: usize, records: &[RoundRecord]) -> Vec<Request>
 
 #[test]
 fn stolen_serves_match_sequential_and_stay_attributed_to_the_owner() {
-    for seed in [0x57EA_0001u64, 0x57EA_0002, 0x57EA_0003] {
-        let (mut sequential, records) = loaded_store();
-        let mix = seeded_serves(seed, 384, &records);
-        let now = SimTime::from_secs(3600);
-        let expected: Vec<Response> = mix
-            .iter()
-            .map(|r| sequential.submit(now, r.clone()))
-            .collect();
+    for workers in [2usize, 4, 8] {
+        for seed in [0x57EA_0001u64, 0x57EA_0002, 0x57EA_0003] {
+            let (mut sequential, records) = loaded_store(workers);
+            let mix = seeded_serves(seed, 384, &records);
+            let now = SimTime::from_secs(3600);
+            let expected: Vec<Response> = mix
+                .iter()
+                .map(|r| sequential.submit(now, r.clone()))
+                .collect();
 
-        let (store, _) = loaded_store();
-        let mut exec = ShardedExecutor::new(vec![store], WORKERS);
-        let responses = exec.submit_batch(now, &mix);
-        assert_eq!(
-            responses, expected,
-            "stealing changed bytes (seed {seed:x})"
-        );
-        assert_eq!(
-            Service::window_cost(&mut exec, now),
-            sequential.total_cost(now),
-            "stealing changed costs (seed {seed:x})"
-        );
-
-        // Attribution: with one tenant there is exactly one owner lane.
-        // Seven of eight workers only ever stole — none may appear.
-        let owner = exec.shard_of(JobId::new(JOB)).expect("registered job");
-        let tracker = exec.tracker();
-        assert_eq!(tracker.len(), mix.len());
-        assert_eq!(tracker.in_flight(), 0, "every stolen serve completed");
-        for request in &mix {
-            let Request::Serve(w) = request else {
-                unreachable!()
-            };
-            let entry = tracker.entry(w.id).expect("every serve is tracked");
-            assert!(entry.done);
+            let (store, _) = loaded_store(workers);
+            let mut exec = ShardedExecutor::new(vec![store], workers);
+            let responses = exec.submit_batch(now, &mix);
             assert_eq!(
-                entry.functions,
-                vec![FunctionId::from_raw(owner as u64)],
-                "a thief leaked into the tracker (seed {seed:x})"
+                responses, expected,
+                "stealing changed bytes ({workers} workers, seed {seed:x})"
             );
+            assert_eq!(
+                Service::window_cost(&mut exec, now),
+                sequential.total_cost(now),
+                "stealing changed costs ({workers} workers, seed {seed:x})"
+            );
+
+            // Attribution: with one tenant there is exactly one owner lane.
+            // Every other worker only ever stole — none may appear.
+            let owner = exec.shard_of(JobId::new(JOB)).expect("registered job");
+            let tracker = exec.tracker();
+            assert_eq!(tracker.len(), mix.len());
+            assert_eq!(tracker.in_flight(), 0, "every stolen serve completed");
+            for request in &mix {
+                let Request::Serve(w) = request else {
+                    unreachable!()
+                };
+                let entry = tracker.entry(w.id).expect("every serve is tracked");
+                assert!(entry.done);
+                assert_eq!(
+                    entry.functions,
+                    vec![FunctionId::from_raw(owner as u64)],
+                    "a thief leaked into the tracker ({workers} workers, seed {seed:x})"
+                );
+            }
         }
     }
 }
 
 #[test]
 fn client_threads_drive_the_steal_plane_concurrently() {
-    let (store, records) = loaded_store();
+    let (store, records) = loaded_store(WORKERS);
     let records = Arc::new(records);
     let exec = Arc::new(Mutex::named(
         ShardedExecutor::new(vec![store], WORKERS),

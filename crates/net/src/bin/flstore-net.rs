@@ -1,9 +1,6 @@
 //! The standalone FLStore network server.
 //!
 //! ```sh
-//! # Print the frame inventory (consumed by scripts/check_doc_table.sh):
-//! flstore-net --list-frames
-//!
 //! # Serve a multi-job FLStore deployment:
 //! flstore-net serve --addr 127.0.0.1:0 --jobs 4 --threads 4
 //!
@@ -38,12 +35,11 @@ use flstore_exec::ShardedExecutor;
 use flstore_fl::ids::JobId;
 use flstore_fl::job::FlJobConfig;
 use flstore_net::server::{NetServer, ServerConfig};
-use flstore_net::wire::FRAMES;
 use flstore_sim::time::{SimDuration, SimTime};
 
 fn usage() -> ! {
     eprintln!(
-        "usage: flstore-net --list-frames\n       flstore-net serve [--addr HOST:PORT] \
+        "usage: flstore-net serve [--addr HOST:PORT] \
          [--jobs N] [--threads N (0 = all cores)] [--key-shards K] [--max-conns N]\n       \
          [--max-inflight N]\n       \
          [--data-dir DIR] [--flush-every N] [--snapshot-every N] [--spill]\n       \
@@ -125,15 +121,6 @@ fn parse_node_at(args: &mut std::slice::Iter<'_, String>, flag: &str) -> (usize,
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--list-frames") {
-        // Machine-readable frame inventory, tab-separated: tag byte,
-        // name, direction, summary. docs/WIRE.md's tag table is diffed
-        // against this output in CI.
-        for (tag, name, direction, summary) in FRAMES {
-            println!("0x{tag:02x}\t{name}\t{direction}\t{summary}");
-        }
-        return;
-    }
     if args.first().map(String::as_str) != Some("serve") {
         usage();
     }
@@ -178,6 +165,21 @@ fn main() {
             "--spill" => durability.spill = true,
             _ => usage(),
         }
+    }
+    // Cluster flags the library would panic on, or that would be silently
+    // ignored, are rejected here, before anything runs. Without
+    // --cluster-nodes there is no node a --kill/--rejoin can name.
+    if cluster_rf == 0 {
+        eprintln!("--cluster-rf must be at least 1");
+        usage();
+    }
+    if let Some((node, _)) = kills
+        .iter()
+        .chain(&rejoins)
+        .find(|(n, _)| *n >= cluster_nodes)
+    {
+        eprintln!("--kill/--rejoin node {node} is not one of the {cluster_nodes} --cluster-nodes");
+        usage();
     }
 
     // Cluster mode: the front door drives a replicated ClusterStore

@@ -12,7 +12,7 @@
 //! The payload encoding per tag lives in [`crate::codec`], on top of the
 //! shared primitives in [`flstore_fl::codec`]; the normative spec is
 //! `docs/WIRE.md`, whose tag table is machine-checked against [`FRAMES`]
-//! in CI (`scripts/check_doc_table.sh`).
+//! by the workspace's `tests/doc_tables.rs`.
 //!
 //! Decoding is total: malformed input of any shape — truncated streams,
 //! oversized length prefixes, unknown tags, overlong varints — surfaces
@@ -56,9 +56,9 @@ pub const TAG_STATS_REPORT: u8 = 0x84;
 pub const TAG_REJECTED: u8 = 0x85;
 
 /// The frame inventory: `(tag, name, direction, summary)` for every tag
-/// the protocol defines. `flstore-net --list-frames` prints this table;
-/// `scripts/check_doc_table.sh` diffs it against the tag table in
-/// `docs/WIRE.md` so the spec cannot drift from the implementation.
+/// the protocol defines. The workspace's `tests/doc_tables.rs` compares
+/// it with the tag table in `docs/WIRE.md`, so the spec cannot drift
+/// from the implementation.
 pub const FRAMES: &[(u8, &str, &str, &str)] = &[
     (
         TAG_INGEST,

@@ -5,9 +5,7 @@
 //! job, the same requests, the same virtual clock — only the serving
 //! architecture changes. Systems plug in through the unified front door
 //! ([`flstore_core::api::Service`]); the driver turns arrivals into typed
-//! [`Request`] envelopes and submits them through a configurable
-//! arrival-window batcher ([`BatchConfig`]) — batch size 1 reproduces
-//! strictly sequential serving, envelope for envelope.
+//! [`Request`] envelopes and submits each one at its arrival instant.
 
 use std::sync::Arc;
 
@@ -177,40 +175,6 @@ impl TraceConfig {
     }
 }
 
-/// How the driver groups arrivals into [`Service::submit_batch`] calls.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BatchConfig {
-    /// Maximum envelopes per batch (≥ 1). 1 submits every request the
-    /// instant it arrives — strictly sequential serving.
-    pub max_batch: usize,
-    /// Arrival window: a batch is flushed once the span between its first
-    /// and newest member reaches this duration, even if it is not full.
-    /// A stale batch straddling a quiet period is served at its window
-    /// deadline (`first arrival + window`), not held until the next
-    /// arrival, so no request is queued longer than the window.
-    pub window: SimDuration,
-}
-
-impl BatchConfig {
-    /// Strictly sequential serving (batch size 1) — reproduces the
-    /// pre-batching driver envelope for envelope.
-    pub const SEQUENTIAL: BatchConfig = BatchConfig {
-        max_batch: 1,
-        window: SimDuration::ZERO,
-    };
-
-    /// Batches of up to `max_batch` requests arriving within `window`.
-    pub fn new(max_batch: usize, window: SimDuration) -> Self {
-        BatchConfig { max_batch, window }
-    }
-}
-
-impl Default for BatchConfig {
-    fn default() -> Self {
-        BatchConfig::SEQUENTIAL
-    }
-}
-
 /// Report of one drive: per-request outcomes plus window costs.
 #[derive(Debug, Clone)]
 pub struct DriveReport {
@@ -269,34 +233,8 @@ impl DriveReport {
     }
 }
 
-/// Submits every pending serve envelope as one batch. The batch is
-/// stamped at `stamp` when given (a window deadline), clamped to no
-/// earlier than the newest member's arrival; otherwise at the newest
-/// member's arrival (every member has arrived by then either way).
-fn flush<S: Service + ?Sized>(
-    system: &mut S,
-    pending: &mut Vec<(SimTime, Request)>,
-    outcomes: &mut Vec<RequestOutcome>,
-    errors: &mut usize,
-    stamp: Option<SimTime>,
-) {
-    let Some(&(last_arrival, _)) = pending.last() else {
-        return;
-    };
-    let at = stamp.unwrap_or(last_arrival).max(last_arrival);
-    let requests: Vec<Request> = pending.drain(..).map(|(_, r)| r).collect();
-    for response in system.submit_batch(at, &requests) {
-        match response {
-            Response::Served(served) => outcomes.push(served.measured),
-            Response::Rejected(_) => *errors += 1,
-            // The driver only queues serve envelopes.
-            _ => {}
-        }
-    }
-}
-
-/// Drives `system` through one FL job plus a request trace, serving every
-/// request the instant it arrives (batch size 1).
+/// Drives `system` through one FL job plus a request trace, submitting
+/// every envelope of [`materialize_schedule`] the instant it arrives.
 ///
 /// Rounds are ingested at an even cadence across the window; requests
 /// arrive Poisson. Each request targets the *latest ingested round* (the FL
@@ -309,23 +247,6 @@ pub fn drive<S: Service>(
     job_cfg: &FlJobConfig,
     trace: &TraceConfig,
 ) -> DriveReport {
-    drive_batched(system, job_cfg, trace, BatchConfig::SEQUENTIAL)
-}
-
-/// Like [`drive`], but groups arrivals through the front door's batched
-/// submission path: up to `batch.max_batch` requests arriving within
-/// `batch.window` are served as one [`Service::submit_batch`] call, so
-/// executors amortize fixed per-request work across the batch. Round
-/// ingests act as batch barriers — pending requests (which arrived
-/// earlier) are always served before the next round lands, preserving the
-/// sequential interleaving of ingest and serve traffic.
-pub fn drive_batched<S: Service>(
-    system: &mut S,
-    job_cfg: &FlJobConfig,
-    trace: &TraceConfig,
-    batch: BatchConfig,
-) -> DriveReport {
-    assert!(batch.max_batch >= 1, "batches need at least one slot");
     let schedule = materialize_schedule(job_cfg, trace);
     let planned = trace.events.as_ref().map_or(trace.requests, Vec::len);
     let serves = schedule
@@ -336,42 +257,14 @@ pub fn drive_batched<S: Service>(
     // schedule leaves it out and the report counts it as an error.
     let mut errors = planned - serves;
     let mut outcomes = Vec::with_capacity(serves);
-    let mut pending: Vec<(SimTime, Request)> = Vec::new();
-
     for (at, request) in schedule {
-        // A stale batch's window deadline falls due before this envelope:
-        // a timer would have flushed it — serve it there, so no queued
-        // request waits longer than `batch.window` past its batch's first
-        // arrival, and a late arrival starts a fresh batch instead of
-        // joining a stale one. Submissions stay clock-monotonic.
-        if let Some(&(first, _)) = pending.first() {
-            let deadline = first + batch.window;
-            if deadline <= at {
-                flush(
-                    system,
-                    &mut pending,
-                    &mut outcomes,
-                    &mut errors,
-                    Some(deadline),
-                );
-            }
-        }
-        if matches!(request, Request::Ingest { .. }) {
-            // Round barrier: pending requests (stamped at their arrival)
-            // are served before the round lands.
-            flush(system, &mut pending, &mut outcomes, &mut errors, None);
-            if !system.submit(at, request).is_ok() {
-                errors += 1;
-            }
-            continue;
-        }
-        pending.push((at, request));
-        let span = at.duration_since(pending[0].0);
-        if pending.len() >= batch.max_batch || span >= batch.window {
-            flush(system, &mut pending, &mut outcomes, &mut errors, None);
+        match system.submit(at, request) {
+            Response::Served(served) => outcomes.push(served.measured),
+            // A rejected ingest counts as an error too.
+            Response::Rejected(_) => errors += 1,
+            _ => {}
         }
     }
-    flush(system, &mut pending, &mut outcomes, &mut errors, None);
 
     let end = SimTime::ZERO + trace.window;
     DriveReport {
@@ -389,11 +282,11 @@ pub fn drive_batched<S: Service>(
 /// and the rotating P3 audit set, flattened to `(arrival, envelope)`
 /// pairs in submission order.
 ///
-/// This is the one trace planner: [`drive_batched`] consumes it
-/// in-process and the `flstore-loadgen` client drivers serialize exactly
-/// this schedule over the wire, so a networked run serves the *same
-/// trace* the in-process driver serves. Arrival stamps are monotone non-decreasing; every
-/// `Ingest` precedes the serves that target its round.
+/// This is the one trace planner: [`drive`] consumes it in-process and
+/// the `flstore-loadgen` client drivers serialize exactly this schedule
+/// over the wire, so a networked run serves the *same trace* the
+/// in-process driver serves. Arrival stamps are monotone non-decreasing;
+/// every `Ingest` precedes the serves that target its round.
 ///
 /// ```
 /// use flstore_fl::ids::JobId;
@@ -502,32 +395,28 @@ pub fn materialize_schedule(job_cfg: &FlJobConfig, trace: &TraceConfig) -> Vec<(
     schedule
 }
 
-/// The parallel drive loop: like [`drive_batched`], but serving through a
-/// [`ShardedExecutor`] with `threads` worker shards — each batch the
-/// arrival-window batcher forms fans out across the executor's workers
-/// and merges back into submission order, while round ingests remain
-/// barriers so the virtual clock stays monotonic. With `threads <= 1` the
-/// system is driven in-thread, envelope for envelope.
+/// The parallel drive loop: like [`drive`], but serving through a
+/// [`ShardedExecutor`] with `threads` worker shards. With `threads <= 1`
+/// the system is driven in-thread.
 ///
 /// The executor is bit-for-bit equivalent to sequential submission, so a
-/// parallel drive produces the *same report* as a sequential one with the
-/// same [`BatchConfig`] — only the wall-clock cost of the drive changes.
-/// The serving unit is handed back with the report so callers can inspect
-/// post-drive state (fault counters, cache contents).
+/// parallel drive produces the *same report* as a sequential one — only
+/// the wall-clock cost of the drive changes. The serving unit is handed
+/// back with the report so callers can inspect post-drive state (fault
+/// counters, cache contents).
 pub fn drive_parallel<U: ShardUnit + 'static>(
     system: U,
     job_cfg: &FlJobConfig,
     trace: &TraceConfig,
-    batch: BatchConfig,
     threads: usize,
 ) -> (DriveReport, U) {
     if threads <= 1 {
         let mut system = system;
-        let report = drive_batched(&mut system, job_cfg, trace, batch);
+        let report = drive(&mut system, job_cfg, trace);
         return (report, system);
     }
     let mut exec = ShardedExecutor::new(vec![system], threads);
-    let report = drive_batched(&mut exec, job_cfg, trace, batch);
+    let report = drive(&mut exec, job_cfg, trace);
     let unit = exec
         .into_units()
         .pop()
@@ -638,145 +527,20 @@ mod tests {
     }
 
     #[test]
-    fn batch_size_one_is_the_sequential_driver() {
-        let job = small_job();
-        let trace = TraceConfig::smoke(11);
-        let mut a = flstore(&job);
-        let mut b = flstore(&job);
-        let ra = drive(&mut a, &job, &trace);
-        let rb = drive_batched(
-            &mut b,
-            &job,
-            &trace,
-            BatchConfig {
-                max_batch: 1,
-                window: SimDuration::from_hours(9),
-            },
-        );
-        assert_eq!(ra.outcomes, rb.outcomes);
-        assert_eq!(ra.errors, rb.errors);
-        assert_eq!(ra.total_cost, rb.total_cost);
-    }
-
-    #[test]
-    fn batched_drive_serves_the_full_trace() {
-        let job = small_job();
-        let trace = TraceConfig::smoke(13);
-        let mut sequential = flstore(&job);
-        let rs = drive(&mut sequential, &job, &trace);
-        for max_batch in [4, 16] {
-            let mut store = flstore(&job);
-            let report = drive_batched(
-                &mut store,
-                &job,
-                &trace,
-                BatchConfig::new(max_batch, SimDuration::from_secs(600)),
-            );
-            assert_eq!(
-                report.outcomes.len() + report.errors,
-                rs.outcomes.len() + rs.errors,
-                "batched drive dropped requests at max_batch={max_batch}"
-            );
-            // The same requests hit the same cached working set.
-            assert!((report.hit_rate() - rs.hit_rate()).abs() < 0.05);
-        }
-    }
-
-    #[test]
-    fn stale_batches_flush_at_their_window_deadline() {
-        // One request arrives at t=10, the next at t=3000. With a 60 s
-        // window, the first must be served at its deadline (t=70) — not
-        // held for ~50 minutes and lumped into the next batch.
-        let events = vec![
-            TraceEvent {
-                t: 10.0,
-                workload: WorkloadKind::Inference,
-                round: None,
-                client: None,
-            },
-            TraceEvent {
-                t: 3000.0,
-                workload: WorkloadKind::Inference,
-                round: None,
-                client: None,
-            },
-        ];
-        let job = small_job();
-        let trace = TraceConfig {
-            seed: 1,
-            requests: events.len(),
-            window: SimDuration::from_secs(3100),
-            kinds: vec![WorkloadKind::Inference],
-            events: Some(events),
-        };
-        let mut store = flstore(&job);
-        let report = drive_batched(
-            &mut store,
-            &job,
-            &trace,
-            BatchConfig::new(16, SimDuration::from_secs(60)),
-        );
-        assert_eq!(report.outcomes.len(), 2);
-        assert_eq!(report.outcomes[0].arrived, SimTime::from_secs(70));
-        assert_eq!(report.outcomes[1].arrived, SimTime::from_secs(3000));
-
-        // Finer round cadence than the window: the round due at t=155
-        // precedes the t=210 deadline, so the pending request is
-        // barrier-flushed at its own arrival (t=10) before the ingest —
-        // the Service clock never runs backwards.
-        let events = vec![
-            TraceEvent {
-                t: 10.0,
-                workload: WorkloadKind::Inference,
-                round: None,
-                client: None,
-            },
-            TraceEvent {
-                t: 3000.0,
-                workload: WorkloadKind::Inference,
-                round: None,
-                client: None,
-            },
-        ];
-        let job = small_job();
-        let trace = TraceConfig {
-            seed: 1,
-            requests: events.len(),
-            window: SimDuration::from_secs(3100),
-            kinds: vec![WorkloadKind::Inference],
-            events: Some(events),
-        };
-        let mut store = flstore(&job);
-        let report = drive_batched(
-            &mut store,
-            &job,
-            &trace,
-            BatchConfig::new(16, SimDuration::from_secs(200)),
-        );
-        assert_eq!(report.outcomes.len(), 2);
-        assert_eq!(report.outcomes[0].arrived, SimTime::from_secs(10));
-    }
-
-    #[test]
     fn parallel_drive_matches_sequential_drive() {
         let job = small_job();
         let trace = TraceConfig::smoke(17);
-        for batch in [
-            BatchConfig::SEQUENTIAL,
-            BatchConfig::new(8, SimDuration::from_secs(300)),
-        ] {
-            let mut sequential = flstore(&job);
-            let rs = drive_batched(&mut sequential, &job, &trace, batch);
-            for threads in [2usize, 4] {
-                let (rp, store) = drive_parallel(flstore(&job), &job, &trace, batch, threads);
-                assert_eq!(rs.outcomes, rp.outcomes, "threads={threads}");
-                assert_eq!(rs.errors, rp.errors);
-                assert_eq!(rs.total_cost, rp.total_cost);
-                assert_eq!(rs.infra_cost, rp.infra_cost);
-                assert_eq!(rs.label, rp.label);
-                // The unit comes back for post-drive inspection.
-                assert_eq!(store.ledger().outcomes, sequential.ledger().outcomes);
-            }
+        let mut sequential = flstore(&job);
+        let rs = drive(&mut sequential, &job, &trace);
+        for threads in [2usize, 4] {
+            let (rp, store) = drive_parallel(flstore(&job), &job, &trace, threads);
+            assert_eq!(rs.outcomes, rp.outcomes, "threads={threads}");
+            assert_eq!(rs.errors, rp.errors);
+            assert_eq!(rs.total_cost, rp.total_cost);
+            assert_eq!(rs.infra_cost, rp.infra_cost);
+            assert_eq!(rs.label, rp.label);
+            // The unit comes back for post-drive inspection.
+            assert_eq!(store.ledger().outcomes, sequential.ledger().outcomes);
         }
     }
 

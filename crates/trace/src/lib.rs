@@ -5,8 +5,8 @@
 //! architecture:
 //!
 //! * [`arrival`] — uniform / Poisson / burst arrival processes.
-//! * [`driver`] — the [`driver::drive`] / [`driver::drive_batched`] /
-//!   [`driver::drive_parallel`] replay loops over the unified front door
+//! * [`driver`] — the [`driver::drive`] / [`driver::drive_parallel`]
+//!   replay loops over the unified front door
 //!   (`flstore_core::api::Service`), external JSON-lines traces
 //!   ([`driver::TraceConfig::from_jsonl`]), and [`driver::DriveReport`]
 //!   summaries.
@@ -21,8 +21,5 @@ pub mod arrival;
 pub mod driver;
 pub mod scenario;
 
-pub use driver::{
-    drive, drive_batched, drive_parallel, BatchConfig, DriveReport, TraceConfig, TraceError,
-    TraceEvent,
-};
+pub use driver::{drive, drive_parallel, DriveReport, TraceConfig, TraceError, TraceEvent};
 pub use scenario::PolicyVariant;

@@ -26,7 +26,7 @@ fi
 # drill is the only figures-level coverage of crash recovery and the
 # cold tier, so deregistering either would shrink coverage without any
 # file going missing.
-for required in tenancy jobs overhead durability keyshard; do
+for required in tenancy jobs overhead durability; do
     if ! echo "$expected" | grep -qx "$required"; then
         echo "required experiment '$required' missing from figures -- --list" >&2
         exit 1

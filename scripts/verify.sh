@@ -10,17 +10,16 @@
 #   3. cargo clippy --all-targets -D warnings  (lint: BLOCKING, like CI)
 #   4. cargo fmt --check                       (lint: BLOCKING, like CI)
 #   5. cargo doc --no-deps -D warnings         (lint: public API stays documented)
-#   6. determinism lint (analyze: BLOCKING, like CI) + the four
-#      inventory-table drift guards via scripts/check_doc_table.sh:
-#      analyze rules vs README, wire frames vs docs/WIRE.md, ledger
-#      records vs docs/LEDGER.md, failure events vs docs/CLUSTER.md
+#   6. determinism lint (analyze: BLOCKING, like CI); the doc inventory
+#      tables are checked by tests/doc_tables.rs in step 2
 #   7. lock-order detector tests: parking_lot unit tests + the exec
 #      stress/rendezvous/seeded-inversion suite + the net socket suite,
 #      all --features lock-order
 #   8. figures smoke: every experiment id end-to-end at --fast scale into
 #      results-smoke/ (so full-scale results/ are never clobbered), its
 #      stdout captured as results-smoke/stdout.txt, then
-#      scripts/check_figures_outputs.sh — the same check CI runs.
+#      scripts/check_figures_outputs.sh — the same check CI runs — and
+#      `sha256sum -c FIGURES.sha256`: every result byte is committed.
 #   9. parallel determinism: the same sweep again with --threads 4 (built
 #      with the lock-order detector armed) into results-smoke-threads4/,
 #      compared with the sequential run by a plain `diff -r` — every JSON
@@ -32,14 +31,14 @@
 #      `diff -r` against the sequential run — the key-shard layout must
 #      be unobservable in every result byte.
 #  11. net smoke: the real server binary + load generator over loopback
-#      via scripts/net_smoke.sh — closed-loop reports byte-diffed across
+#      via scripts/smoke.sh net — closed-loop reports byte-diffed across
 #      shard counts, overload asserted typed (zero transport errors),
 #      paced arrivals asserted result-transparent.
 #  12. recovery smoke: a durable server SIGKILL'd mid-life and recovered
-#      from its write-ahead ledger via scripts/recovery_smoke.sh —
+#      from its write-ahead ledger via scripts/smoke.sh recovery —
 #      served responses byte-diffed against an uninterrupted run.
 #  13. cluster smoke: the net server fronting a 3-node rf=2 cluster with
-#      a node killed mid-run via scripts/cluster_smoke.sh — zero failed
+#      a node killed mid-run via scripts/smoke.sh cluster — zero failed
 #      requests after retries, post-failover pass byte-diffed against a
 #      churn-free twin.
 #      Skip 8–13 with --skip-smoke for a quick edit-compile loop.
@@ -87,13 +86,9 @@ echo "==> RUSTDOCFLAGS='-D warnings' cargo doc --no-deps"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps
 
 # Correctness tooling (blocking, like CI's analyze job): the determinism
-# lint over the workspace sources, the rules/README drift guard, and the
-# lock-order deadlock detector suites.
+# lint over the workspace sources and the lock-order deadlock detector
+# suites.
 run cargo run -q -p flstore-analyze -- lint
-run scripts/check_doc_table.sh analyze-rules README.md -- run -q -p flstore-analyze -- --list-rules
-run scripts/check_doc_table.sh wire-frames docs/WIRE.md -- run -q -p flstore-net --bin flstore-net -- --list-frames
-run scripts/check_doc_table.sh ledger-records docs/LEDGER.md -- run -q -p flstore-durability --bin flstore-durability -- --list-records
-run scripts/check_doc_table.sh cluster-failure-events docs/CLUSTER.md -- run -q -p flstore-cluster --bin flstore-cluster -- --list-events
 run cargo test -q -p parking_lot --features lock-order
 run cargo test -q -p flstore-exec --features lock-order
 run cargo test -q -p flstore-net --features lock-order
@@ -105,6 +100,11 @@ if [ "$skip_smoke" -eq 0 ]; then
     # results/ from a fresh checkout.)
     figures_leg results-smoke run --release --bin figures -- all --fast
     run scripts/check_figures_outputs.sh results-smoke
+    # Figure bytes are committed data: a PR that moves one updates
+    # FIGURES.sha256 in its own diff.
+    echo
+    echo "==> (cd results-smoke && sha256sum -c ../FIGURES.sha256)"
+    (cd results-smoke && sha256sum --quiet -c ../FIGURES.sha256)
 
     # Parallel determinism gate: the sharded executor must reproduce the
     # sequential sweep byte for byte — JSON and stdout, plain diff.
@@ -123,18 +123,18 @@ if [ "$skip_smoke" -eq 0 ]; then
     # Network plane smoke: real server binary + load generator over
     # loopback, lock-order armed; closed-loop determinism across shard
     # counts, typed overload, clean connection limiting, paced arrivals.
-    run scripts/net_smoke.sh
+    run scripts/smoke.sh net
 
     # Durability plane smoke: SIGKILL the durable server mid-life,
     # recover from the ledger, byte-diff serving against an
     # uninterrupted twin.
-    run scripts/recovery_smoke.sh
+    run scripts/smoke.sh recovery
 
     # Cluster plane smoke: the net server fronting a 3-node rf=2
     # cluster, one node killed mid-run; the retrying load generator
     # must lose zero requests and the post-failover pass must
     # byte-match a churn-free twin.
-    run scripts/cluster_smoke.sh
+    run scripts/smoke.sh cluster
 else
     echo
     echo "==> figures smoke SKIPPED (--skip-smoke); CI always runs it"
