@@ -30,16 +30,13 @@ pub const DEFAULT_DIM: usize = 256;
 ///
 /// # Multi-row reductions
 ///
-/// The associated functions [`l2_norms`](Self::l2_norms),
-/// [`dots`](Self::dots), [`l2_distances`](Self::l2_distances),
-/// [`paired_l2_distances`](Self::paired_l2_distances) and
-/// [`cosine_similarities`](Self::cosine_similarities) reduce many rows at
-/// once. They keep **one sequential f64 chain per output, in element
-/// order, starting from `-0.0`** (the fold `Iterator::sum::<f64>`
-/// performs), so every output is bit-equal to the one-row method it
-/// replaces; they are faster only because each pass runs four such
-/// chains side by side, which lets the CPU overlap four additions instead
-/// of waiting out one add latency per element.
+/// A kernel that reduces many rows at once packs them into
+/// [`RowPanels`] and takes its norms, dot products, distances and cosines
+/// from there. Each output is bit-equal to the one-row method here
+/// ([`l2_norm`](Self::l2_norm), [`dot`](Self::dot),
+/// [`l2_distance`](Self::l2_distance),
+/// [`cosine_similarity`](Self::cosine_similarity)), which the tests
+/// compare against.
 #[derive(Debug, PartialEq, Serialize, Deserialize)]
 pub struct WeightVector {
     values: Vec<f32>,
@@ -55,53 +52,6 @@ impl Clone for WeightVector {
     /// Reuses `self`'s allocation.
     fn clone_from(&mut self, source: &Self) {
         self.values.clone_from(&source.values);
-    }
-}
-
-/// Runs four independent f64 chains in one pass: chain `j` sums
-/// `term(a[j][e], b[j][e])` over `e` in element order, from `-0.0`.
-///
-/// Requires `a[j].len() == b[j].len()`. Rows may differ in length from
-/// each other: the common prefix runs four-wide and each longer row
-/// finishes its own chain alone, still in element order.
-#[inline(always)]
-fn chains4(a: [&[f32]; 4], b: [&[f32]; 4], term: impl Fn(f32, f32) -> f64) -> [f64; 4] {
-    let n = a.iter().map(|r| r.len()).min().unwrap_or(0);
-    // Slicing every row to `n` up front lets the compiler drop the bounds
-    // checks inside the loop.
-    let (a0, a1, a2, a3) = (&a[0][..n], &a[1][..n], &a[2][..n], &a[3][..n]);
-    let (b0, b1, b2, b3) = (&b[0][..n], &b[1][..n], &b[2][..n], &b[3][..n]);
-    let (mut s0, mut s1, mut s2, mut s3) = (-0.0f64, -0.0f64, -0.0f64, -0.0f64);
-    for e in 0..n {
-        s0 += term(a0[e], b0[e]);
-        s1 += term(a1[e], b1[e]);
-        s2 += term(a2[e], b2[e]);
-        s3 += term(a3[e], b3[e]);
-    }
-    let mut sums = [s0, s1, s2, s3];
-    for (s, (x, y)) in sums.iter_mut().zip(a.iter().zip(&b)) {
-        for (p, q) in x[n..].iter().zip(&y[n..]) {
-            *s += term(*p, *q);
-        }
-    }
-    sums
-}
-
-/// Fills `out[i]` with the chain of pair `i`, four pairs per pass. A
-/// short last block repeats its final pair rather than running a slower
-/// one-chain loop; the repeat's result is discarded.
-fn reduce_pairs<'a>(
-    out: &mut [f64],
-    pair: impl Fn(usize) -> (&'a [f32], &'a [f32]),
-    term: impl Fn(f32, f32) -> f64 + Copy,
-) {
-    let n = out.len();
-    for start in (0..n).step_by(4) {
-        let p = |j: usize| pair((start + j).min(n - 1));
-        let ((a0, b0), (a1, b1), (a2, b2), (a3, b3)) = (p(0), p(1), p(2), p(3));
-        let sums = chains4([a0, a1, a2, a3], [b0, b1, b2, b3], term);
-        let block = &mut out[start..n.min(start + 4)];
-        block.copy_from_slice(&sums[..block.len()]);
     }
 }
 
@@ -361,106 +311,253 @@ impl WeightVector {
         self.scale_in_place(1.0 / rows.len() as f64);
         true
     }
+}
+
+/// Rows per panel: how many independent f64 chains one pass runs.
+const LANES: usize = 8;
+
+/// Entries [`pack`] fills lane by lane before moving on: 4 KiB, so the
+/// tile stays in L1 while all eight lanes are written into it.
+const PACK_TILE: usize = 128;
+
+/// Appends the first `width` elements of `rows` (at most [`LANES`] of
+/// them) element-major: entry `e` holds element `e` of every row. A
+/// group shorter than `LANES` repeats its last row in the spare lanes.
+fn pack(rows: &[&WeightVector], width: usize, into: &mut Vec<[f32; LANES]>) {
+    let start = into.len();
+    into.resize(start + width, [0.0; LANES]);
+    for (t, tile) in into[start..].chunks_mut(PACK_TILE).enumerate() {
+        for j in 0..LANES {
+            let row = &rows[j.min(rows.len() - 1)].as_slice()[t * PACK_TILE..];
+            for (entry, x) in tile.iter_mut().zip(row) {
+                entry[j] = *x;
+            }
+        }
+    }
+}
+
+/// Runs one panel's [`LANES`] chains in one pass: lane `j` sums
+/// `term(a[j], b[j])` over the entries in order, from `-0.0` (where
+/// `Iterator::sum::<f64>` starts). The lanes never mix, so the compiler
+/// keeps them side by side in vector registers.
+#[inline(always)]
+fn chains(
+    panel: &[[f32; LANES]],
+    partner: impl Iterator<Item = [f32; LANES]>,
+    term: impl Fn(f32, f32) -> f64,
+) -> [f64; LANES] {
+    let mut sums = [-0.0f64; LANES];
+    for (a, b) in panel.iter().zip(partner) {
+        for j in 0..LANES {
+            sums[j] += term(a[j], b[j]);
+        }
+    }
+    sums
+}
+
+/// What each row's chain pairs its elements with.
+#[derive(Clone, Copy)]
+enum Partner<'v> {
+    /// The row itself.
+    Itself,
+    /// One vector shared by every row.
+    Shared(&'v [f32]),
+    /// Row `i` pairs with `others[i]`.
+    PerRow(&'v [&'v WeightVector]),
+}
+
+/// A kernel's rows, copied once into panels of eight rows for multi-row
+/// reductions.
+///
+/// Panel `p` holds rows `8p..8p + 8` element-major: its entry `e` is
+/// element `e` of each of those rows. A short last panel repeats its
+/// final row and throws that lane away.
+///
+/// Every method keeps **one sequential f64 chain per output, in element
+/// order, starting from `-0.0`**, the fold `Iterator::sum::<f64>`
+/// performs, so each output is bit-equal to the one-row
+/// [`WeightVector`] method named in its docs. The eight chains of a
+/// panel are independent, which is what makes a pass fast: the compiler
+/// runs them as f64x2 vector operations.
+///
+/// Rows may differ in length. A panel covers its rows' common prefix,
+/// and each longer row finishes its own chain alone, still in element
+/// order.
+///
+/// A `RowPanels` is built per kernel call and dropped with it; it holds
+/// one copy of the rows.
+///
+/// # Examples
+///
+/// ```
+/// use flstore_fl::weights::{RowPanels, WeightVector};
+///
+/// let a = WeightVector::from_vec(vec![3.0, 4.0]);
+/// let b = WeightVector::from_vec(vec![0.0, 1.0]);
+/// let rows = [&a, &b];
+/// let panels = RowPanels::new(&rows);
+/// let mut norms = [0.0; 2];
+/// panels.l2_norms(&mut norms);
+/// assert_eq!(norms, [a.l2_norm(), b.l2_norm()]);
+/// ```
+pub struct RowPanels<'a> {
+    rows: &'a [&'a WeightVector],
+    /// Every panel's entries back to back.
+    entries: Vec<[f32; LANES]>,
+    /// Each panel's range in `entries`; its length is the panel's width.
+    spans: Vec<std::ops::Range<usize>>,
+}
+
+impl<'a> RowPanels<'a> {
+    /// Packs `rows`.
+    pub fn new(rows: &'a [&'a WeightVector]) -> Self {
+        let widths: Vec<usize> = rows
+            .chunks(LANES)
+            .map(|group| group.iter().map(|r| r.dim()).min().unwrap_or(0))
+            .collect();
+        let mut entries = Vec::with_capacity(widths.iter().sum());
+        let mut spans = Vec::with_capacity(widths.len());
+        for (group, width) in rows.chunks(LANES).zip(widths) {
+            let start = entries.len();
+            pack(group, width, &mut entries);
+            spans.push(start..entries.len());
+        }
+        RowPanels {
+            rows,
+            entries,
+            spans,
+        }
+    }
 
     /// Euclidean norm of every row: `out[i]` is bit-equal to
-    /// `rows[i].l2_norm()` (one chain per row; see the type docs).
+    /// `rows[i].l2_norm()`.
     ///
     /// # Panics
     ///
-    /// Panics if `out.len() != rows.len()`.
-    pub fn l2_norms(rows: &[&WeightVector], out: &mut [f64]) {
-        assert_eq!(out.len(), rows.len(), "one output per row");
-        reduce_pairs(out, |i| (rows[i].as_slice(), rows[i].as_slice()), square);
+    /// Panics unless `out` has one slot per row.
+    pub fn l2_norms(&self, out: &mut [f64]) {
+        self.check_outputs(out);
+        self.reduce(Partner::Itself, square, out);
         out.iter_mut().for_each(|s| *s = s.sqrt());
     }
 
     /// Dot product of every row with `v`: `out[i]` is bit-equal to
-    /// `rows[i].dot(v)` (one chain per row; see the type docs).
+    /// `rows[i].dot(v)`.
     ///
     /// # Panics
     ///
-    /// Panics on dimension mismatch, or if `out.len() != rows.len()`.
-    pub fn dots(rows: &[&WeightVector], v: &WeightVector, out: &mut [f64]) {
-        assert_eq!(out.len(), rows.len(), "one output per row");
-        for row in rows {
+    /// Panics on dimension mismatch, or unless `out` has one slot per row.
+    pub fn dots(&self, v: &WeightVector, out: &mut [f64]) {
+        self.check_outputs(out);
+        for row in self.rows {
             assert_eq!(row.dim(), v.dim(), "dimension mismatch in dot product");
         }
-        reduce_pairs(out, |i| (rows[i].as_slice(), v.as_slice()), product);
+        self.reduce(Partner::Shared(v.as_slice()), product, out);
     }
 
     /// Euclidean distance of every row to `v`: `out[i]` is bit-equal to
-    /// `rows[i].l2_distance(v)` (one chain per row; see the type docs).
+    /// `rows[i].l2_distance(v)`.
     ///
     /// # Panics
     ///
-    /// Panics on dimension mismatch, or if `out.len() != rows.len()`.
-    pub fn l2_distances(rows: &[&WeightVector], v: &WeightVector, out: &mut [f64]) {
-        l2_distances_by(rows, |_| v, out);
+    /// Panics on dimension mismatch, or unless `out` has one slot per row.
+    pub fn l2_distances(&self, v: &WeightVector, out: &mut [f64]) {
+        self.check_outputs(out);
+        for row in self.rows {
+            assert_eq!(row.dim(), v.dim(), "dimension mismatch in distance");
+        }
+        self.reduce(Partner::Shared(v.as_slice()), squared_difference, out);
+        out.iter_mut().for_each(|s| *s = s.sqrt());
     }
 
     /// Euclidean distance of every row to its own partner: `out[i]` is
-    /// bit-equal to `rows[i].l2_distance(others[i])` (one chain per row;
-    /// see the type docs).
+    /// bit-equal to `rows[i].l2_distance(others[i])`. The partners are
+    /// packed panel by panel as the pass reaches them.
     ///
     /// # Panics
     ///
-    /// Panics on dimension mismatch, or unless `others` and `out` are as
-    /// long as `rows`.
-    pub fn paired_l2_distances(rows: &[&WeightVector], others: &[&WeightVector], out: &mut [f64]) {
-        assert_eq!(others.len(), rows.len(), "one partner per row");
-        l2_distances_by(rows, |i| others[i], out);
+    /// Panics on dimension mismatch, or unless `others` and `out` have
+    /// one entry per row.
+    pub fn paired_l2_distances(&self, others: &[&WeightVector], out: &mut [f64]) {
+        assert_eq!(others.len(), self.rows.len(), "one partner per row");
+        self.check_outputs(out);
+        for (row, other) in self.rows.iter().zip(others) {
+            assert_eq!(row.dim(), other.dim(), "dimension mismatch in distance");
+        }
+        self.reduce(Partner::PerRow(others), squared_difference, out);
+        out.iter_mut().for_each(|s| *s = s.sqrt());
     }
 
     /// Cosine similarity of every row to `v`, given the rows' norms:
     /// `out[i]` is bit-equal to `rows[i].cosine_similarity(v)` when
     /// `norms[i]` is `rows[i].l2_norm()`.
     ///
-    /// `v`'s norm is taken once, and dot products run four rows per pass
-    /// ([`dots`](Self::dots)) only for rows whose norm product is
-    /// nonzero, exactly where `cosine_similarity` takes one.
+    /// `v`'s norm is taken once. A row whose norm product is zero scores
+    /// 0.0 without its dot product being used, exactly where
+    /// `cosine_similarity` skips one, so a zero row of another dimension
+    /// scores 0.0 here too.
     ///
     /// # Panics
     ///
     /// Panics on a dimension mismatch between `v` and a nonzero row, or
-    /// unless `norms` and `out` are as long as `rows`.
-    pub fn cosine_similarities(
-        rows: &[&WeightVector],
-        norms: &[f64],
-        v: &WeightVector,
-        out: &mut [f64],
-    ) {
-        assert_eq!(norms.len(), rows.len(), "one norm per row");
-        assert_eq!(out.len(), rows.len(), "one output per row");
+    /// unless `norms` and `out` have one entry per row.
+    pub fn cosine_similarities(&self, norms: &[f64], v: &WeightVector, out: &mut [f64]) {
+        assert_eq!(norms.len(), self.rows.len(), "one norm per row");
+        self.check_outputs(out);
         let v_norm = v.l2_norm();
-        let scored: Vec<usize> = (0..rows.len())
-            .filter(|i| norms[*i] * v_norm != 0.0)
-            .collect();
-        let scored_rows: Vec<&WeightVector> = scored.iter().map(|i| rows[*i]).collect();
-        let mut dots = vec![0.0; scored.len()];
-        WeightVector::dots(&scored_rows, v, &mut dots);
-        out.fill(0.0);
-        for (i, dot) in scored.iter().zip(&dots) {
-            out[*i] = cosine(*dot, norms[*i] * v_norm);
+        for (row, norm) in self.rows.iter().zip(norms) {
+            if norm * v_norm != 0.0 {
+                assert_eq!(row.dim(), v.dim(), "dimension mismatch in dot product");
+            }
+        }
+        self.reduce(Partner::Shared(v.as_slice()), product, out);
+        for (o, norm) in out.iter_mut().zip(norms) {
+            let denom = norm * v_norm;
+            *o = if denom == 0.0 { 0.0 } else { cosine(*o, denom) };
         }
     }
-}
 
-/// [`WeightVector::l2_distances`] against a per-row partner.
-fn l2_distances_by<'a>(
-    rows: &[&'a WeightVector],
-    other: impl Fn(usize) -> &'a WeightVector,
-    out: &mut [f64],
-) {
-    assert_eq!(out.len(), rows.len(), "one output per row");
-    for (i, row) in rows.iter().enumerate() {
-        assert_eq!(row.dim(), other(i).dim(), "dimension mismatch in distance");
+    fn check_outputs(&self, out: &[f64]) {
+        assert_eq!(out.len(), self.rows.len(), "one output per row");
     }
-    reduce_pairs(
-        out,
-        |i| (rows[i].as_slice(), other(i).as_slice()),
-        squared_difference,
-    );
-    out.iter_mut().for_each(|s| *s = s.sqrt());
+
+    /// Fills `out[i]` with row `i`'s chain of `term` against its partner,
+    /// one panel per pass. A panel runs over the elements every one of
+    /// its rows and partners has; each row then finishes alone over the
+    /// elements it and its own partner still share.
+    fn reduce(&self, partner: Partner<'_>, term: impl Fn(f32, f32) -> f64 + Copy, out: &mut [f64]) {
+        let mut partners = Vec::new();
+        let blocks = self.rows.chunks(LANES).zip(out.chunks_mut(LANES));
+        for (p, ((rows, block), span)) in blocks.zip(&self.spans).enumerate() {
+            let panel = &self.entries[span.clone()];
+            let (mut sums, done) = match partner {
+                Partner::Itself => (chains(panel, panel.iter().copied(), term), panel.len()),
+                Partner::Shared(v) => {
+                    let done = panel.len().min(v.len());
+                    let lanes = v[..done].iter().map(|x| [*x; LANES]);
+                    (chains(&panel[..done], lanes, term), done)
+                }
+                Partner::PerRow(others) => {
+                    let others = &others[p * LANES..][..rows.len()];
+                    let done = others.iter().map(|o| o.dim()).fold(panel.len(), usize::min);
+                    partners.clear();
+                    pack(others, done, &mut partners);
+                    (chains(&panel[..done], partners.iter().copied(), term), done)
+                }
+            };
+            for (j, (sum, row)) in sums.iter_mut().zip(rows).enumerate() {
+                let with = match partner {
+                    Partner::Itself => row.as_slice(),
+                    Partner::Shared(v) => v,
+                    Partner::PerRow(others) => others[p * LANES + j].as_slice(),
+                };
+                for (a, b) in row.as_slice()[done..].iter().zip(&with[done..]) {
+                    *sum += term(*a, *b);
+                }
+            }
+            block.copy_from_slice(&sums[..block.len()]);
+        }
+    }
 }
 
 #[cfg(test)]

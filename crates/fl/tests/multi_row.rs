@@ -1,20 +1,20 @@
-//! The multi-row reductions of `WeightVector` are bit-equal to the
-//! one-row methods, on every shape and on hostile values.
+//! The multi-row reductions of `RowPanels` are bit-equal to the one-row
+//! `WeightVector` methods, on every shape and on hostile values.
 //!
-//! Shapes: 0–9 rows (so four-row blocks have every remainder) × dims 0,
-//! 1, 3, 4, 5 and 4097. Values mix ordinary numbers of widely spread
-//! magnitude (so a reordered sum would show) with −0.0, subnormals, ±inf
-//! and NaNs carrying payloads. Every comparison is on `to_bits`, except
+//! Shapes: 0–17 rows (so eight-row panels have every remainder, and a
+//! second and third panel are reached) × dims 0, 1, 3, 4, 5 and 4097.
+//! Values mix ordinary numbers of widely spread magnitude (so a reordered
+//! sum would show) with −0.0, subnormals, ±inf and NaNs carrying
+//! payloads. Every comparison is on `to_bits`, except
 //! that any NaN result equals any other: Rust leaves the sign and payload
 //! of a NaN an operation produces unspecified, and the one-row methods
 //! themselves return different NaN bits in debug and release builds.
 //! No output of this repository exposes them (`Debug` prints `NaN`).
 //!
-//! `cosine_similarity`, `mean` and `scale` are themselves built on the
-//! new primitives, so they are checked against plain formulas written
-//! out here.
+//! `cosine_similarity`, `mean` and `scale` are themselves fused or
+//! blocked, so they are checked against plain formulas written out here.
 
-use flstore_fl::weights::WeightVector;
+use flstore_fl::weights::{RowPanels, WeightVector};
 use flstore_sim::rng::DetRng;
 
 const DIMS: [usize; 6] = [0, 1, 3, 4, 5, 4097];
@@ -114,24 +114,25 @@ fn check_shape(rng: &mut DetRng, rows: usize, dim: usize, specials: Specials) {
     let v = vector(rng, dim, specials);
     let shape = format!("{rows} rows x {dim} dims, {specials:?}");
 
+    let panels = RowPanels::new(&refs);
     let mut out = vec![f64::NAN; rows];
-    WeightVector::l2_norms(&refs, &mut out);
+    panels.l2_norms(&mut out);
     let norms = out.clone();
     let want: Vec<f64> = refs.iter().map(|r| r.l2_norm()).collect();
     assert_eq!(bits(&out), bits(&want), "l2_norms, {shape}");
 
-    WeightVector::dots(&refs, &v, &mut out);
+    panels.dots(&v, &mut out);
     let want: Vec<f64> = refs.iter().map(|r| r.dot(&v)).collect();
     assert_eq!(bits(&out), bits(&want), "dots, {shape}");
 
-    WeightVector::l2_distances(&refs, &v, &mut out);
+    panels.l2_distances(&v, &mut out);
     let want: Vec<f64> = refs.iter().map(|r| r.l2_distance(&v)).collect();
     assert_eq!(bits(&out), bits(&want), "l2_distances, {shape}");
 
     // Partners drawn from the rows themselves, as k-means pairs points
     // with their centroids.
     let partners: Vec<&WeightVector> = (0..rows).map(|_| refs[rng.index(rows)]).collect();
-    WeightVector::paired_l2_distances(&refs, &partners, &mut out);
+    panels.paired_l2_distances(&partners, &mut out);
     let want: Vec<f64> = refs
         .iter()
         .zip(&partners)
@@ -139,7 +140,7 @@ fn check_shape(rng: &mut DetRng, rows: usize, dim: usize, specials: Specials) {
         .collect();
     assert_eq!(bits(&out), bits(&want), "paired_l2_distances, {shape}");
 
-    WeightVector::cosine_similarities(&refs, &norms, &v, &mut out);
+    panels.cosine_similarities(&norms, &v, &mut out);
     let want: Vec<f64> = refs.iter().map(|r| reference_cosine(r, &v)).collect();
     assert_eq!(bits(&out), bits(&want), "cosine_similarities, {shape}");
     let fused: Vec<f64> = refs.iter().map(|r| r.cosine_similarity(&v)).collect();
@@ -190,7 +191,7 @@ fn check_shape(rng: &mut DetRng, rows: usize, dim: usize, specials: Specials) {
 #[test]
 fn every_primitive_is_bit_equal_to_its_one_row_reference() {
     let mut rng = DetRng::new(0x5A3E);
-    for rows in 0..=9 {
+    for rows in 0..=17 {
         for dim in DIMS {
             for (share, finite) in [(0.0, true), (0.2, true), (0.02, false), (0.3, false)] {
                 for _ in 0..3 {
@@ -204,7 +205,8 @@ fn every_primitive_is_bit_equal_to_its_one_row_reference() {
 #[test]
 fn rows_of_different_lengths_keep_their_own_norms() {
     let mut rng = DetRng::new(7);
-    let owned: Vec<WeightVector> = [5usize, 0, 4097, 3, 1, 8, 2]
+    // Two panels, each with rows shorter and longer than its neighbours.
+    let owned: Vec<WeightVector> = [5usize, 0, 4097, 3, 1, 8, 2, 4097, 9, 4096, 1, 4097, 17]
         .iter()
         .map(|d| {
             let specials = Specials {
@@ -216,7 +218,7 @@ fn rows_of_different_lengths_keep_their_own_norms() {
         .collect();
     let refs: Vec<&WeightVector> = owned.iter().collect();
     let mut out = vec![0.0; refs.len()];
-    WeightVector::l2_norms(&refs, &mut out);
+    RowPanels::new(&refs).l2_norms(&mut out);
     let want: Vec<f64> = refs.iter().map(|r| r.l2_norm()).collect();
     assert_eq!(bits(&out), bits(&want));
 }
@@ -227,14 +229,14 @@ fn negative_zero_sums_stay_negative_zero() {
     // and an empty chain both end at -0.0; the blocked chains must too.
     let zeros = WeightVector::from_vec(vec![-0.0; 9]);
     let ones = WeightVector::from_vec(vec![1.0; 9]);
-    let rows = [&zeros; 6];
+    let rows = [&zeros; 11];
     let mut out = vec![0.0; rows.len()];
-    WeightVector::dots(&rows, &ones, &mut out);
+    RowPanels::new(&rows).dots(&ones, &mut out);
     assert!(out.iter().all(|d| d.to_bits() == (-0.0f64).to_bits()));
     assert_eq!(zeros.dot(&ones).to_bits(), (-0.0f64).to_bits());
 
     let empty = WeightVector::zeros(0);
-    WeightVector::l2_norms(&[&empty; 6], &mut out);
+    RowPanels::new(&[&empty; 11]).l2_norms(&mut out);
     assert!(out.iter().all(|n| n.to_bits() == empty.l2_norm().to_bits()));
     assert_eq!(empty.l2_norm().to_bits(), (-0.0f64).to_bits());
 }
@@ -245,7 +247,7 @@ fn a_zero_row_of_another_dimension_scores_zero_like_the_one_row_method() {
     let v = WeightVector::from_vec(vec![1.0, 2.0]);
     assert_eq!(zero.cosine_similarity(&v), 0.0);
     let mut out = [f64::NAN];
-    WeightVector::cosine_similarities(&[&zero], &[zero.l2_norm()], &v, &mut out);
+    RowPanels::new(&[&zero]).cosine_similarities(&[zero.l2_norm()], &v, &mut out);
     assert_eq!(out[0].to_bits(), 0.0f64.to_bits());
 }
 
@@ -261,8 +263,8 @@ fn pair_with_short_row() -> (WeightVector, WeightVector, WeightVector) {
 #[should_panic(expected = "dimension mismatch")]
 fn dots_reject_a_short_row_instead_of_truncating() {
     let (a, short, v) = pair_with_short_row();
-    let mut out = [0.0; 5];
-    WeightVector::dots(&[&a, &a, &a, &a, &short], &v, &mut out);
+    let mut out = [0.0; 10];
+    RowPanels::new(&[&a, &a, &a, &a, &a, &a, &a, &a, &a, &short]).dots(&v, &mut out);
 }
 
 #[test]
@@ -270,7 +272,7 @@ fn dots_reject_a_short_row_instead_of_truncating() {
 fn l2_distances_reject_a_short_row_instead_of_truncating() {
     let (a, short, v) = pair_with_short_row();
     let mut out = [0.0; 2];
-    WeightVector::l2_distances(&[&short, &a], &v, &mut out);
+    RowPanels::new(&[&short, &a]).l2_distances(&v, &mut out);
 }
 
 #[test]
@@ -278,7 +280,7 @@ fn l2_distances_reject_a_short_row_instead_of_truncating() {
 fn paired_l2_distances_reject_a_short_partner_instead_of_truncating() {
     let (a, short, _) = pair_with_short_row();
     let mut out = [0.0; 1];
-    WeightVector::paired_l2_distances(&[&a], &[&short], &mut out);
+    RowPanels::new(&[&a]).paired_l2_distances(&[&short], &mut out);
 }
 
 #[test]
@@ -286,7 +288,11 @@ fn paired_l2_distances_reject_a_short_partner_instead_of_truncating() {
 fn cosine_similarities_reject_a_nonzero_short_row() {
     let (a, short, v) = pair_with_short_row();
     let mut out = [0.0; 2];
-    WeightVector::cosine_similarities(&[&a, &short], &[a.l2_norm(), short.l2_norm()], &v, &mut out);
+    RowPanels::new(&[&a, &short]).cosine_similarities(
+        &[a.l2_norm(), short.l2_norm()],
+        &v,
+        &mut out,
+    );
 }
 
 #[test]

@@ -26,12 +26,18 @@
 //!   ordered-merge discipline as the sharded executor) and writes
 //!   frames.
 //!
-//! The hot path is channels and atomics only. The lone lock — the
-//! connection registry, touched at connect/disconnect — is a
-//! `parking_lot` *named* mutex, so the `lock-order` deadlock smoke
-//! covers this plane too. Admission against both caps uses
-//! compare-and-swap loops: the check and the commit are one atomic
-//! operation, never a check-then-act race.
+//! A connection's registry entry (the socket clone `shutdown` uses to
+//! unblock it) is removed once both of its threads are done, and the
+//! accept loop joins finished connection threads as it admits new ones,
+//! so a long-running server holds descriptors and threads only for live
+//! connections.
+//!
+//! The hot path is channels and atomics only. The two locks — the
+//! connection registry and the thread-handle list, touched at
+//! connect/disconnect — are `parking_lot` *named* mutexes, so the
+//! `lock-order` deadlock smoke covers this plane too. Admission against
+//! both caps uses compare-and-swap loops: the check and the commit are
+//! one atomic operation, never a check-then-act race.
 
 use std::collections::BTreeMap;
 use std::io::{BufReader, BufWriter, Read, Write};
@@ -40,6 +46,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 use flstore_core::api::{ApiError, Request, Response, Service};
 use flstore_sim::time::{SimDuration, SimTime};
@@ -108,6 +115,27 @@ fn try_acquire(counter: &AtomicUsize, cap: usize) -> bool {
     }
 }
 
+/// Live connections' socket clones by connection id, so `stop()` can
+/// unblock their threads.
+type Registry = Arc<Mutex<BTreeMap<u64, TcpStream>>>;
+
+/// How long the accept loop waits after a failed `accept` (for example
+/// at the descriptor limit) before trying again.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
+
+/// A connection's registry entry, shared by its reader and writer and
+/// removed when the last of them drops it.
+struct Registered {
+    id: u64,
+    registry: Registry,
+}
+
+impl Drop for Registered {
+    fn drop(&mut self) {
+        self.registry.lock().remove(&self.id);
+    }
+}
+
 /// One decoded envelope in flight from a reader to the engine.
 struct Job {
     seq: u64,
@@ -121,7 +149,7 @@ struct Job {
 pub struct NetServer {
     addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
-    registry: Arc<Mutex<Vec<TcpStream>>>,
+    registry: Registry,
     handles: Arc<Mutex<Vec<JoinHandle<()>>>>,
     accept: Option<JoinHandle<()>>,
     engine: Option<JoinHandle<()>>,
@@ -165,7 +193,7 @@ impl NetServer {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
-        let registry = Arc::new(Mutex::named(Vec::new(), "net.conn_registry"));
+        let registry = Arc::new(Mutex::named(BTreeMap::new(), "net.conn_registry"));
         let handles = Arc::new(Mutex::named(Vec::new(), "net.conn_handles"));
         let inflight = Arc::new(AtomicUsize::new(0));
         let connections = Arc::new(AtomicUsize::new(0));
@@ -238,7 +266,8 @@ impl NetServer {
         }
         // Unblock every connection reader; readers exiting drop the last
         // engine senders, which stops the engine in turn.
-        for stream in self.registry.lock().drain(..) {
+        let live = std::mem::take(&mut *self.registry.lock());
+        for stream in live.values() {
             let _ = stream.shutdown(Shutdown::Both);
         }
         let joins: Vec<_> = self.handles.lock().drain(..).collect();
@@ -263,19 +292,24 @@ fn accept_loop(
     engine_tx: mpsc::Sender<Job>,
     config: ServerConfig,
     shutdown: Arc<AtomicBool>,
-    registry: Arc<Mutex<Vec<TcpStream>>>,
+    registry: Registry,
     handles: Arc<Mutex<Vec<JoinHandle<()>>>>,
     connections: Arc<AtomicUsize>,
     inflight: Arc<AtomicUsize>,
 ) {
-    for stream in listener.incoming() {
+    for (id, stream) in (0u64..).zip(listener.incoming()) {
         // Acquire pairs with the Release half of the shutdown swap: once
         // the flag reads true, everything `stop()` did before setting it
         // is visible here.
         if shutdown.load(Ordering::Acquire) {
             return;
         }
-        let Ok(stream) = stream else { continue };
+        let Ok(stream) = stream else {
+            // Back off instead of spinning on a persistent failure such as
+            // running out of descriptors.
+            std::thread::sleep(ACCEPT_BACKOFF);
+            continue;
+        };
         if !try_acquire(&connections, config.max_connections.max(1)) {
             reject_connection(stream, config.retry_after_hint);
             continue;
@@ -291,12 +325,22 @@ fn accept_loop(
             connections.fetch_sub(1, Ordering::Relaxed);
             continue;
         };
-        registry.lock().push(registered);
+        registry.lock().insert(id, registered);
+        let entry = Arc::new(Registered {
+            id,
+            registry: registry.clone(),
+        });
 
         let (writer_tx, writer_rx) = mpsc::channel::<(u64, Response)>();
         let writer = std::thread::Builder::new()
             .name("net-writer".into())
-            .spawn(move || writer_loop(stream, writer_rx));
+            .spawn({
+                let entry = entry.clone();
+                move || {
+                    writer_loop(stream, writer_rx);
+                    drop(entry);
+                }
+            });
         let reader = std::thread::Builder::new()
             .name("net-reader".into())
             .spawn({
@@ -309,9 +353,16 @@ fn accept_loop(
                     // Relaxed: slot release only; the reader's work is
                     // already synchronized through the engine channel.
                     connections.fetch_sub(1, Ordering::Relaxed);
+                    drop(entry);
                 }
             });
         let mut handles = handles.lock();
+        // Reap connection threads that have already finished.
+        let (finished, running) = handles.drain(..).partition(|h| h.is_finished());
+        *handles = running;
+        for h in finished {
+            let _ = h.join();
+        }
         if let Ok(h) = writer {
             handles.push(h);
         }
@@ -408,8 +459,7 @@ fn writer_loop(stream: TcpStream, rx: mpsc::Receiver<(u64, Response)>) {
     // Channel closed: the reader saw EOF (or an error) and the engine has
     // replied to everything it admitted. Flush and half-close our write
     // side so a client that half-closed after pipelining sees a clean EOF
-    // (the connection-registry clone would otherwise hold the socket open
-    // until server shutdown).
+    // now, not when the connection's registry clone is released.
     let _ = writer.flush();
     let _ = writer.get_ref().shutdown(Shutdown::Write);
 }

@@ -169,3 +169,47 @@ fn connection_limit_rejects_cleanly() {
     drop(admitted);
     server.shutdown();
 }
+
+/// Open descriptors of this process, or `None` where `/proc` is absent.
+fn open_fds() -> Option<usize> {
+    Some(std::fs::read_dir("/proc/self/fd").ok()?.count())
+}
+
+/// A closed connection gives back its sockets while the server keeps
+/// running: 200 sequential connect → `Stats` → close cycles leave the
+/// process's descriptor count where it started, within what the tests
+/// running beside this one may hold open.
+#[test]
+fn closed_connections_release_their_descriptors() {
+    const CYCLES: usize = 200;
+    const SLACK: usize = 40;
+    let server =
+        NetServer::bind(Box::new(store(1)), ServerConfig::default()).expect("bind loopback");
+    let addr = server.local_addr().to_string();
+    let Some(before) = open_fds() else {
+        return;
+    };
+    for cycle in 0..CYCLES {
+        let mut client = NetClient::connect(&addr).expect("connect");
+        match client.call(SimTime::ZERO, &Request::Stats) {
+            Ok(Response::Stats(_)) => {}
+            other => panic!("cycle {cycle}: expected Stats, got {other:?}"),
+        }
+    }
+    // The server closes its side once both connection threads finish,
+    // which may trail the client's close by a moment.
+    let mut after = open_fds().expect("/proc/self/fd");
+    for _ in 0..500 {
+        if after <= before + SLACK {
+            break;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        after = open_fds().expect("/proc/self/fd");
+    }
+    assert!(
+        after <= before + SLACK,
+        "{CYCLES} closed connections left {} descriptors open ({before} before, {after} after)",
+        after - before
+    );
+    server.shutdown();
+}

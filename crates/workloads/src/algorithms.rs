@@ -4,7 +4,7 @@
 //! weight vectors — small, dependency-free implementations with tests
 //! against known structure.
 
-use flstore_fl::weights::WeightVector;
+use flstore_fl::weights::{RowPanels, WeightVector};
 use flstore_sim::rng::DetRng;
 
 /// Result of a k-means run.
@@ -25,10 +25,12 @@ pub struct KMeansResult {
 /// Returns `None` when `vectors` is empty or `k == 0`; if `k` exceeds the
 /// number of vectors it is clamped.
 ///
-/// Every distance is one f64 chain computed four rows at a time
-/// ([`WeightVector::l2_distances`]), each centroid is the f32 mean of its
-/// members in input order, a centroid left without members keeps its
-/// position, and ties go to the lowest centroid index.
+/// `vectors` are packed once into [`RowPanels`], and k-means++ seeding,
+/// every assignment pass and the final inertia pass run on those panels:
+/// every distance is one f64 chain, eight rows per pass. Each centroid
+/// is the f32 mean of its members in input order, a centroid left
+/// without members keeps its position, and ties go to the lowest
+/// centroid index.
 ///
 /// # Panics
 ///
@@ -48,6 +50,7 @@ pub fn kmeans(
     let n = vectors.len();
     let k = k.min(n);
     let mut rng = DetRng::stream(seed, "kmeans");
+    let panels = RowPanels::new(vectors);
 
     // k-means++ seeding: first centroid uniform, then proportional to
     // squared distance from the nearest chosen centroid. `nearest` keeps
@@ -60,7 +63,7 @@ pub fn kmeans(
     while centroids.len() < k {
         let newest = centroids.last().expect("seeded");
         let d = &mut dist[..n];
-        WeightVector::l2_distances(vectors, newest, d);
+        panels.l2_distances(newest, d);
         for (d2, d) in nearest.iter_mut().zip(d.iter()) {
             *d2 = d2.min(d * d);
         }
@@ -81,7 +84,7 @@ pub fn kmeans(
         // Assignment step: `dist[j * n + i]` is point i's distance to
         // centroid j.
         for (c, d) in centroids.iter().zip(dist.chunks_exact_mut(n)) {
-            WeightVector::l2_distances(vectors, c, d);
+            panels.l2_distances(c, d);
         }
         let mut changed = false;
         for (i, assigned) in assignments.iter_mut().enumerate() {
@@ -114,7 +117,7 @@ pub fn kmeans(
 
     let partners: Vec<&WeightVector> = assignments.iter().map(|a| &centroids[*a]).collect();
     let d = &mut dist[..n];
-    WeightVector::paired_l2_distances(vectors, &partners, d);
+    panels.paired_l2_distances(&partners, d);
     let inertia = d.iter().map(|d| d * d).sum();
 
     Some(KMeansResult {

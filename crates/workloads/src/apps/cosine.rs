@@ -6,7 +6,7 @@
 
 use flstore_fl::aggregate::AggregateModel;
 use flstore_fl::update::ModelUpdate;
-use flstore_fl::weights::WeightVector;
+use flstore_fl::weights::{RowPanels, WeightVector};
 
 use crate::outputs::CosineOutput;
 
@@ -18,10 +18,11 @@ pub fn run(updates: &[&ModelUpdate], aggregate: &AggregateModel) -> Option<Cosin
         return None;
     }
     let vectors: Vec<&WeightVector> = updates.iter().map(|u| &u.weights).collect();
+    let panels = RowPanels::new(&vectors);
     let mut norms = vec![0.0; vectors.len()];
-    WeightVector::l2_norms(&vectors, &mut norms);
+    panels.l2_norms(&mut norms);
     let mut similarities = vec![0.0; vectors.len()];
-    WeightVector::cosine_similarities(&vectors, &norms, &aggregate.weights, &mut similarities);
+    panels.cosine_similarities(&norms, &aggregate.weights, &mut similarities);
     let per_client: Vec<_> = updates
         .iter()
         .zip(similarities)

@@ -6,7 +6,7 @@
 //! consensus, the signature this filter scores.
 
 use flstore_fl::update::ModelUpdate;
-use flstore_fl::weights::WeightVector;
+use flstore_fl::weights::{RowPanels, WeightVector};
 
 use crate::algorithms::robust_z_scores;
 use crate::outputs::FilteringOutput;
@@ -26,10 +26,11 @@ pub fn run(updates: &[&ModelUpdate]) -> Option<FilteringOutput> {
     }
     let vectors: Vec<&WeightVector> = updates.iter().map(|u| &u.weights).collect();
     let mean = WeightVector::mean(&vectors)?;
+    let panels = RowPanels::new(&vectors);
     let mut norms = vec![0.0; vectors.len()];
-    WeightVector::l2_norms(&vectors, &mut norms);
+    panels.l2_norms(&mut norms);
     let mut cosines = vec![0.0; vectors.len()];
-    WeightVector::cosine_similarities(&vectors, &norms, &mean, &mut cosines);
+    panels.cosine_similarities(&norms, &mean, &mut cosines);
     let z_norm = robust_z_scores(&norms);
     let z_cos = robust_z_scores(&cosines);
     let scores: Vec<(_, f64)> = updates

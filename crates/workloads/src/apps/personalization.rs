@@ -5,7 +5,7 @@
 //! (Tan et al. 2022/2023 class of systems).
 
 use flstore_fl::update::ModelUpdate;
-use flstore_fl::weights::WeightVector;
+use flstore_fl::weights::{RowPanels, WeightVector};
 
 use crate::algorithms::kmeans;
 use crate::outputs::PersonalizationOutput;
@@ -23,7 +23,7 @@ pub fn run(updates: &[&ModelUpdate], k: usize, seed: u64) -> Option<Personalizat
     // how well it fits local data.
     let weights: Vec<&WeightVector> = updates.iter().map(|u| &u.weights).collect();
     let mut norms = vec![0.0; updates.len()];
-    WeightVector::l2_norms(&weights, &mut norms);
+    RowPanels::new(&weights).l2_norms(&mut norms);
     let features: Vec<WeightVector> = updates
         .iter()
         .zip(&norms)

@@ -6,8 +6,10 @@
 //!
 //! * the benchmark's heavy round, 48 clients × 4096 dims;
 //! * a ragged round, 7 clients × 1027 dims, so multi-row reductions see
-//!   row-block remainders and a dimension that is not a multiple of 4
-//!   (clustering still runs at its default k = 5).
+//!   a short last panel and a dimension that is not a multiple of 4
+//!   (clustering still runs at its default k = 5);
+//! * a mid round, 16 clients × 1024 dims, the shape the durable-ingest
+//!   and cluster-failover benchmark workloads serve.
 //!
 //! `Debug` prints every f64 in its shortest round-trip form, so a digest
 //! moves when any result bit moves. A kernel rewrite must keep all of
@@ -153,6 +155,25 @@ fn ragged_round_outcomes_are_pinned() {
             (WorkloadKind::Debugging, 0xfb7c_d298_4321_98e4),
             (WorkloadKind::ReputationCalc, 0x7c1d_f2d2_50fa_1842),
             (WorkloadKind::SchedulingPerf, 0xa99d_8a08_a748_6b48),
+        ],
+    );
+}
+
+#[test]
+fn mid_round_outcomes_are_pinned() {
+    check(
+        &round(16, 1024, 4, 0.2, 0x16D0),
+        &[
+            (WorkloadKind::Inference, 0x3a7f_42e0_3214_403d),
+            (WorkloadKind::Personalized, 0x5479_10f8_5ccf_05f0),
+            (WorkloadKind::Clustering, 0x4045_e5e4_3fd7_26b3),
+            (WorkloadKind::MaliciousFiltering, 0x0630_56eb_a538_f323),
+            (WorkloadKind::CosineSimilarity, 0x4919_e62f_b20e_5120),
+            (WorkloadKind::SchedulingCluster, 0x5cef_3bdf_bc83_32c9),
+            (WorkloadKind::Incentives, 0x845a_b927_28b0_cabd),
+            (WorkloadKind::Debugging, 0x9a5d_ca5d_69a8_1b1d),
+            (WorkloadKind::ReputationCalc, 0x7eab_cdd2_6cff_ae9f),
+            (WorkloadKind::SchedulingPerf, 0x0605_a8db_615c_661a),
         ],
     );
 }

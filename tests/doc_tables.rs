@@ -6,6 +6,10 @@
 //! row: cells trimmed, the first cell's backticks dropped. A row added,
 //! removed, reordered or reworded on either side fails here, naming the
 //! document, the marker and the first row that differs.
+//!
+//! README's per-kernel time table is checked the same way against
+//! measured data instead of an in-code inventory: the newest committed
+//! `BENCH_<n>.json` that has a traced heavy_serve section.
 
 use std::path::Path;
 
@@ -60,6 +64,60 @@ fn assert_table(doc: &str, marker: &str, inventory: Vec<String>) {
             c.map_or("(no row)", String::as_str),
         );
     }
+}
+
+/// The newest `BENCH_<n>.json` at the repository root (by `n`) that
+/// has a `traced.heavy_serve` section, with its file name.
+fn newest_traced_bench() -> (String, serde_json::Value) {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut benches: Vec<(u32, String)> = std::fs::read_dir(root)
+        .expect("read the repository root")
+        .filter_map(|entry| {
+            let name = entry.ok()?.file_name().into_string().ok()?;
+            let n = name
+                .strip_prefix("BENCH_")?
+                .strip_suffix(".json")?
+                .parse()
+                .ok()?;
+            Some((n, name))
+        })
+        .collect();
+    benches.sort();
+    benches
+        .into_iter()
+        .rev()
+        .find_map(|(_, name)| {
+            let text = std::fs::read_to_string(root.join(&name)).ok()?;
+            let bench: serde_json::Value =
+                serde_json::from_str(&text).unwrap_or_else(|e| panic!("parse {name}: {e}"));
+            (!bench["traced"]["heavy_serve"].is_null()).then_some((name, bench))
+        })
+        .expect("a BENCH_<n>.json with a traced.heavy_serve section")
+}
+
+#[test]
+fn readme_kernel_times_match_the_newest_traced_bench() {
+    let (name, bench) = newest_traced_bench();
+    let traced = &bench["traced"]["heavy_serve"];
+    let parent = traced["parent"].as_object().expect("traced parent side");
+    let inventory: Vec<String> = parent
+        .iter()
+        .filter_map(|(probe, before)| {
+            let kernel = probe
+                .strip_prefix("workloads.kernel.")?
+                .strip_suffix("_us")?;
+            let before = before.as_f64().expect("a number");
+            let after = traced["change"][probe.as_str()]
+                .as_f64()
+                .unwrap_or_else(|| panic!("{name}: no change-side {probe}"));
+            Some(format!(
+                "{kernel}\t{before:.0}\t{after:.0}\t×{:.1}",
+                before / after
+            ))
+        })
+        .collect();
+    assert!(!inventory.is_empty(), "{name} traces no kernel");
+    assert_table("README.md", "kernel-times", inventory);
 }
 
 #[test]
