@@ -15,7 +15,15 @@
 //! Anything the heuristics cannot see is handled by per-site
 //! `// flstore: allow(<rule>, <reason>)` annotations — the lint prefers a
 //! visible, justified suppression over silent cleverness.
+//!
+//! `dead_pub` is the one cross-file rule: [`lint_workspace`] indexes the
+//! identifiers of every file first, then reports a bare `pub fn`,
+//! `pub const` or `pub static` under `crates/*/src` that no other file
+//! names. It matches by name only, so an unused method that shares its
+//! name with a used one (`new`, `len`, ...) is not caught; rustc's own
+//! `dead_code` lint covers whatever is private.
 
+use std::collections::BTreeMap;
 use std::path::Path;
 
 use serde::Serialize;
@@ -27,7 +35,7 @@ use crate::tokenizer::{tokenize, Tok, TokKind};
 /// One finding, in both human and JSON output.
 #[derive(Debug, Clone, Serialize)]
 pub struct Diagnostic {
-    /// Rule id (see [`rules::RULES`]).
+    /// Rule id (see [`rules::inventory`]).
     pub rule: String,
     /// Workspace-relative path.
     pub file: String,
@@ -104,17 +112,118 @@ const DETERMINISM_PREFIXES: &[&str] = &[
     "crates/cluster/src/",
 ];
 
+/// Roots whose `.rs` files are linted.
+const LINTED_ROOTS: &[&str] = &["src", "crates"];
+
+/// Roots read only to learn which names other code uses (`dead_pub`).
+const INDEXED_ROOTS: &[&str] = &["tests", "examples", "benchmark/src"];
+
 /// True when `rel` falls under a determinism-critical crate's `src/`.
-pub fn is_determinism_path(rel: &str) -> bool {
+fn is_determinism_path(rel: &str) -> bool {
     DETERMINISM_PREFIXES.iter().any(|p| rel.starts_with(p))
 }
 
+/// True when `rel` lies in some `crates/<name>/src/` tree.
+fn is_crate_src_path(rel: &str) -> bool {
+    rel.strip_prefix("crates/")
+        .and_then(|rest| rest.split_once('/'))
+        .is_some_and(|(_, rest)| rest.starts_with("src/"))
+}
+
+/// Which files name each identifier: built over every indexed file from
+/// code tokens outside `pub use …;` statements, so comments, strings and
+/// re-exports never count as a use.
+#[derive(Default)]
+struct NameIndex {
+    files: BTreeMap<String, Vec<usize>>,
+}
+
+impl NameIndex {
+    fn add_file(&mut self, file: usize, toks: &[Tok]) {
+        let code: Vec<&Tok> = toks.iter().filter(|t| t.kind != TokKind::Comment).collect();
+        let mut i = 0;
+        while i < code.len() {
+            let t = code[i];
+            if t.text == "pub" && code.get(i + 1).is_some_and(|n| n.text == "use") {
+                while i < code.len() && code[i].text != ";" {
+                    i += 1;
+                }
+                continue;
+            }
+            if t.kind == TokKind::Ident {
+                let files = self.files.entry(t.text.clone()).or_default();
+                if files.last() != Some(&file) {
+                    files.push(file);
+                }
+            }
+            i += 1;
+        }
+    }
+
+    /// True when a file other than `file` names `name`.
+    fn named_outside(&self, name: &str, file: usize) -> bool {
+        self.files
+            .get(name)
+            .is_some_and(|files| files.iter().any(|&f| f != file))
+    }
+}
+
+/// Bare-`pub` `fn`/`const`/`static` declarations: `(line, name)` each.
+/// `pub(crate)`-style visibilities are skipped.
+fn pub_items(code: &[&Tok]) -> Vec<(u32, String)> {
+    let mut items = Vec::new();
+    for (i, t) in code.iter().enumerate() {
+        if t.kind != TokKind::Ident || t.text != "pub" {
+            continue;
+        }
+        let mut j = i + 1;
+        let name_at = loop {
+            let Some(u) = code.get(j) else { break None };
+            match u.text.as_str() {
+                "async" | "unsafe" => j += 1,
+                "extern" => {
+                    j += 1;
+                    if code.get(j).is_some_and(|a| a.kind == TokKind::Literal) {
+                        j += 1;
+                    }
+                }
+                "const" => match code.get(j + 1).map(|n| n.text.as_str()) {
+                    Some("fn" | "unsafe" | "async" | "extern") => j += 1,
+                    _ => break Some(j + 1),
+                },
+                "static" if code.get(j + 1).is_some_and(|n| n.text == "mut") => break Some(j + 2),
+                "fn" | "static" => break Some(j + 1),
+                _ => break None,
+            }
+        };
+        if let Some(name) = name_at.and_then(|k| code.get(k)) {
+            if name.kind == TokKind::Ident && name.text != "_" {
+                items.push((name.line, name.text.clone()));
+            }
+        }
+    }
+    items
+}
+
 /// Lints one file. `rel` is the workspace-relative path used in
-/// diagnostics and allowlist matching.
+/// diagnostics and allowlist matching. `dead_pub` needs the rest of the
+/// workspace, so only [`lint_workspace`] runs it.
 pub fn lint_file(rel: &str, src: &str, allowlist: &Allowlist) -> Vec<Diagnostic> {
-    let toks = tokenize(src);
-    let (allows, bad) = allow::collect_inline_allows(&toks);
+    lint_tokens(rel, &tokenize(src), allowlist, None)
+}
+
+/// [`lint_file`] over a token stream; `uses` is the workspace name index
+/// and this file's slot in it, which turns on `dead_pub`.
+fn lint_tokens(
+    rel: &str,
+    toks: &[Tok],
+    allowlist: &Allowlist,
+    uses: Option<(&NameIndex, usize)>,
+) -> Vec<Diagnostic> {
+    let (allows, bad) = allow::collect_inline_allows(toks);
     let code: Vec<&Tok> = toks.iter().filter(|t| t.kind != TokKind::Comment).collect();
+    let test_ranges = cfg_test_ranges(&code);
+    let in_test = |line: u32| test_ranges.iter().any(|&(a, b)| line >= a && line <= b);
 
     let mut out = Vec::new();
     for b in &bad {
@@ -127,8 +236,6 @@ pub fn lint_file(rel: &str, src: &str, allowlist: &Allowlist) -> Vec<Diagnostic>
     }
 
     if is_determinism_path(rel) {
-        let test_ranges = cfg_test_ranges(&code);
-        let in_test = |line: u32| test_ranges.iter().any(|&(a, b)| line >= a && line <= b);
         let names = hash_binding_names(&code);
         if !names.is_empty() {
             for (line, name, rule) in unordered_iteration_sites(&code, &names) {
@@ -201,6 +308,23 @@ pub fn lint_file(rel: &str, src: &str, allowlist: &Allowlist) -> Vec<Diagnostic>
                  cannot poison; take the guard directly"
             ),
         });
+    }
+
+    if let Some((index, file)) = uses.filter(|_| is_crate_src_path(rel)) {
+        for (line, name) in pub_items(&code) {
+            if in_test(line) || index.named_outside(&name, file) {
+                continue;
+            }
+            out.push(Diagnostic {
+                rule: rules::DEAD_PUB.to_string(),
+                file: rel.to_string(),
+                line,
+                message: format!(
+                    "`pub {name}` is named by no other file — delete it, make it private, or \
+                     annotate `// flstore: allow(dead_pub, <reason>)`"
+                ),
+            });
+        }
     }
 
     // Apply both allow layers, then dedup (a `for (k, v) in m.iter()` site
@@ -658,7 +782,8 @@ fn collect_rs_files(root: &Path, dir: &Path, out: &mut Vec<String>) -> std::io::
 /// Lints the whole workspace rooted at `root`: every `.rs` file under
 /// `src/` and `crates/` (vendor/, target/, fixture corpora excluded),
 /// with the allowlist read from `<root>/analyze-allowlist.txt` when
-/// present.
+/// present. `tests/`, `examples/` and `benchmark/src/` are read too, but
+/// only so `dead_pub` sees the names they use.
 pub fn lint_workspace(root: &Path) -> std::io::Result<LintReport> {
     let allowlist = match std::fs::read_to_string(root.join("analyze-allowlist.txt")) {
         Ok(text) => Allowlist::parse(&text).map_err(std::io::Error::other)?,
@@ -666,20 +791,35 @@ pub fn lint_workspace(root: &Path) -> std::io::Result<LintReport> {
         Err(e) => return Err(e),
     };
 
-    let mut files = Vec::new();
-    for top in ["src", "crates"] {
-        let dir = root.join(top);
-        if dir.is_dir() {
-            collect_rs_files(root, &dir, &mut files)?;
+    let mut linted = Vec::new();
+    let mut indexed = Vec::new();
+    for (tops, files) in [(LINTED_ROOTS, &mut linted), (INDEXED_ROOTS, &mut indexed)] {
+        for top in tops {
+            let dir = root.join(top);
+            if dir.is_dir() {
+                collect_rs_files(root, &dir, files)?;
+            }
         }
     }
-    files.sort_unstable();
+    linted.sort_unstable();
+
+    let mut index = NameIndex::default();
+    let mut sources = Vec::new();
+    for (file, rel) in linted.iter().chain(&indexed).enumerate() {
+        let toks = tokenize(&std::fs::read_to_string(root.join(rel))?);
+        index.add_file(file, &toks);
+        sources.push(toks);
+    }
 
     let mut diagnostics = Vec::new();
-    let files_scanned = files.len();
-    for rel in files {
-        let src = std::fs::read_to_string(root.join(&rel))?;
-        diagnostics.extend(lint_file(&rel, &src, &allowlist));
+    let files_scanned = linted.len();
+    for (file, rel) in linted.iter().enumerate() {
+        diagnostics.extend(lint_tokens(
+            rel,
+            &sources[file],
+            &allowlist,
+            Some((&index, file)),
+        ));
     }
     diagnostics.sort_by(|a, b| (&a.file, a.line, &a.rule).cmp(&(&b.file, b.line, &b.rule)));
     Ok(LintReport {

@@ -10,6 +10,9 @@ pub enum Scope {
     DeterminismCrates,
     /// Every linted file in the workspace (vendor/ excluded).
     Workspace,
+    /// Declarations in the `crates/*/src` trees, skipping `#[cfg(test)]`
+    /// modules; uses are looked for in every other file.
+    CrateSources,
 }
 
 impl Scope {
@@ -18,6 +21,7 @@ impl Scope {
         match self {
             Scope::DeterminismCrates => "determinism-crates",
             Scope::Workspace => "workspace",
+            Scope::CrateSources => "crate-sources",
         }
     }
 }
@@ -45,11 +49,13 @@ pub const AMBIENT_ENTROPY: &str = "ambient_entropy";
 pub const STD_SYNC_LOCK: &str = "std_sync_lock";
 /// `.lock().unwrap()`-style poison handling on a lock guard.
 pub const LOCK_POISON: &str = "lock_poison";
+/// A bare `pub` fn/const/static that no other file names.
+pub const DEAD_PUB: &str = "dead_pub";
 /// Malformed `flstore: allow(...)` annotation (unknown rule / no reason).
 pub const BAD_ANNOTATION: &str = "bad_annotation";
 
 /// Every rule the linter knows, in reporting order.
-pub const RULES: &[Rule] = &[
+const RULES: &[Rule] = &[
     Rule {
         id: UNORDERED_ITER,
         scope: Scope::DeterminismCrates,
@@ -84,6 +90,13 @@ pub const RULES: &[Rule] = &[
         scope: Scope::Workspace,
         summary: ".lock()/.read()/.write() followed by .unwrap()/.expect() — \
                   poison handling that parking_lot makes unrepresentable",
+    },
+    Rule {
+        id: DEAD_PUB,
+        scope: Scope::CrateSources,
+        summary: "bare pub fn / pub const / pub static that no other .rs file under src/, \
+                  crates/, tests/, examples/ or benchmark/src/ names (comments, strings and \
+                  pub use re-exports do not count)",
     },
     Rule {
         id: BAD_ANNOTATION,

@@ -120,6 +120,44 @@ fn diagnostics_serialize_for_the_json_mode() {
     assert!(json.contains("crates/trace/src/fixture.rs"), "{json}");
 }
 
+#[test]
+fn dead_pub_needs_a_use_in_another_file() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/dead_pub");
+    let report = lint_workspace(&root).expect("fixture scan");
+    let found: Vec<(String, String, u32)> = report
+        .diagnostics
+        .into_iter()
+        .map(|d| (d.file, d.rule, d.line))
+        .collect();
+    let at = |rule: &str, line: u32| {
+        (
+            "crates/alpha/src/lib.rs".to_string(),
+            rule.to_string(),
+            line,
+        )
+    };
+    // Flagged: no other file names them (5, 7, 9), only a comment or a
+    // string does (15, 17), only a `pub use` does (19), or the annotation
+    // lacks its reason (30, 31). Silent: used by a sibling (13), by
+    // `benchmark/src` (21) or by `tests/` (23), `pub(crate)` (25),
+    // annotated (28), `#[cfg(test)]` (35). The benchmark file itself is
+    // read for names only, so its `Instant::now()` is never linted.
+    assert_eq!(
+        found,
+        vec![
+            at("dead_pub", 5),
+            at("dead_pub", 7),
+            at("dead_pub", 9),
+            at("dead_pub", 15),
+            at("dead_pub", 17),
+            at("dead_pub", 19),
+            at("bad_annotation", 30),
+            at("dead_pub", 31),
+        ]
+    );
+    assert_eq!(report.files_scanned, 3);
+}
+
 /// The meta-test: the workspace itself must be clean under its own lint —
 /// with the checked-in allowlist, through the exact code path the CI
 /// `analyze` step runs.

@@ -134,7 +134,6 @@ pub struct AggregatorBaseline {
     decoded: DecodedCache,
     catalog: JobCatalog,
     ledger: ServiceLedger,
-    launched: SimTime,
 }
 
 impl AggregatorBaseline {
@@ -156,7 +155,6 @@ impl AggregatorBaseline {
             decoded: DecodedCache::new(),
             catalog: JobCatalog::new(job, model),
             ledger: ServiceLedger::new(),
-            launched: now,
             cfg,
         }
     }
@@ -164,11 +162,6 @@ impl AggregatorBaseline {
     /// The baseline's label ("ObjStore-Agg" / "Cache-Agg").
     pub fn label(&self) -> &'static str {
         self.cfg.data_plane.label()
-    }
-
-    /// Which data plane backs this baseline.
-    pub fn data_plane(&self) -> DataPlaneKind {
-        self.cfg.data_plane
     }
 
     /// The serving ledger.
@@ -184,11 +177,6 @@ impl AggregatorBaseline {
     /// The aggregator VM.
     pub fn vm(&self) -> &VmInstance {
         &self.vm
-    }
-
-    /// Cache statistics (Cache-Agg only).
-    pub fn cache_stats(&self) -> Option<flstore_cloud::memcache::MemCacheStats> {
-        self.cache.as_ref().map(|c| c.stats())
     }
 
     /// Decoded-value layer statistics: how often the aggregator re-parsed
@@ -378,11 +366,6 @@ impl AggregatorBaseline {
         };
         self.ledger.outcomes.push(measured);
         Ok((outcome, measured))
-    }
-
-    /// Window length since launch.
-    pub fn uptime(&self, now: SimTime) -> SimDuration {
-        now.duration_since(self.launched)
     }
 }
 

@@ -88,11 +88,6 @@ impl Blob {
     pub fn payload(&self) -> &Bytes {
         &self.payload
     }
-
-    /// Consumes the blob, returning its payload.
-    pub fn into_payload(self) -> Bytes {
-        self.payload
-    }
 }
 
 /// Latency and cost receipt for one storage/cache/function operation.
@@ -105,12 +100,6 @@ pub struct OpReceipt {
 }
 
 impl OpReceipt {
-    /// A free, instantaneous receipt.
-    pub const FREE: OpReceipt = OpReceipt {
-        latency: SimDuration::ZERO,
-        cost: CostBreakdown::ZERO,
-    };
-
     /// Combines two receipts that happened sequentially.
     pub fn then(self, next: OpReceipt) -> OpReceipt {
         OpReceipt {
@@ -158,7 +147,6 @@ mod tests {
 
         let with = Blob::with_payload(Bytes::from_static(b"abc"), ByteSize::from_mb(1));
         assert_eq!(with.payload().len(), 3);
-        assert_eq!(with.into_payload(), Bytes::from_static(b"abc"));
     }
 
     #[test]

@@ -18,9 +18,9 @@ use flstore_sim::time::SimDuration;
 /// use flstore_cloud::compute::{ComputeProfile, WorkUnits};
 ///
 /// let clustering = WorkUnits::from_ref_seconds(6.0);
-/// let on_function = clustering.duration_on(ComputeProfile::FUNCTION_2CORE);
-/// let on_vm = clustering.duration_on(ComputeProfile::VM_16CORE);
-/// assert!(on_vm < on_function); // the big VM is somewhat faster
+/// let on_2core = clustering.duration_on(ComputeProfile::FUNCTION_2CORE);
+/// let on_1core = clustering.duration_on(ComputeProfile::FUNCTION_1CORE);
+/// assert!(on_2core < on_1core); // the bigger function is somewhat faster
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
 pub struct WorkUnits(f64);
@@ -45,11 +45,6 @@ impl WorkUnits {
     /// The demand in reference seconds.
     pub fn as_ref_seconds(self) -> f64 {
         self.0
-    }
-
-    /// Adds two demands.
-    pub fn plus(self, other: WorkUnits) -> WorkUnits {
-        WorkUnits(self.0 + other.0)
     }
 
     /// Scales the demand (e.g. by item count or model-size ratio).
@@ -89,10 +84,6 @@ impl ComputeProfile {
     /// memory-bound, so halving cores does not halve speed.
     pub const FUNCTION_1CORE: ComputeProfile = ComputeProfile { speed_factor: 0.7 };
 
-    /// The ml.m5.4xlarge aggregator (16 vCPU). The kernels parallelize only
-    /// moderately, so the big VM is ~1.5x the reference, not 8x.
-    pub const VM_16CORE: ComputeProfile = ComputeProfile { speed_factor: 1.5 };
-
     /// Creates a custom profile.
     ///
     /// # Panics
@@ -124,18 +115,16 @@ mod tests {
     fn slower_profile_takes_longer() {
         let w = WorkUnits::from_ref_seconds(1.0);
         let slow = w.duration_on(ComputeProfile::FUNCTION_1CORE);
-        let fast = w.duration_on(ComputeProfile::VM_16CORE);
+        let fast = w.duration_on(ComputeProfile::FUNCTION_2CORE);
         assert!(slow > fast);
         // SimDuration rounds to whole microseconds.
         assert!((slow.as_secs_f64() - 1.0 / 0.7).abs() < 1e-6);
     }
 
     #[test]
-    fn scaling_and_addition() {
-        let w = WorkUnits::from_ref_seconds(2.0)
-            .scaled(3.0)
-            .plus(WorkUnits::from_ref_seconds(1.0));
-        assert!((w.as_ref_seconds() - 7.0).abs() < 1e-12);
+    fn scaling_multiplies_the_demand() {
+        let w = WorkUnits::from_ref_seconds(2.0).scaled(3.0);
+        assert!((w.as_ref_seconds() - 6.0).abs() < 1e-12);
     }
 
     #[test]

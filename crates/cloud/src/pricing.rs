@@ -21,7 +21,7 @@ use flstore_sim::cost::Cost;
 use flstore_sim::time::SimDuration;
 
 /// Seconds per billing month used by cloud providers (730 h).
-pub const SECONDS_PER_MONTH: f64 = 730.0 * 3600.0;
+const SECONDS_PER_MONTH: f64 = 730.0 * 3600.0;
 
 /// Serverless function pricing (AWS Lambda-class).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -83,12 +83,6 @@ pub struct CacheNodePricing {
 }
 
 impl CacheNodePricing {
-    /// cache.r6g.xlarge: ~26 GB usable, $0.411/h.
-    pub const R6G_XLARGE: CacheNodePricing = CacheNodePricing {
-        capacity: ByteSize::from_gb(26),
-        per_node_hour: 0.411,
-    };
-
     /// cache.r6g.4xlarge: ~105 GB usable, $1.56/h.
     pub const R6G_4XLARGE: CacheNodePricing = CacheNodePricing {
         capacity: ByteSize::from_gb(105),
@@ -145,9 +139,6 @@ impl TransferPricing {
     /// Internet/egress-class rate ($0.09/GB) used for plane-crossing bytes.
     pub const INTER_PLANE: TransferPricing = TransferPricing { per_gb: 0.09 };
 
-    /// Same-place transfer (FLStore's unified planes): free.
-    pub const CO_LOCATED: TransferPricing = TransferPricing { per_gb: 0.0 };
-
     /// Cost of moving `bytes`.
     pub fn transfer(&self, bytes: ByteSize) -> Cost {
         Cost::from_dollars(bytes.as_gb_f64() * self.per_gb)
@@ -199,6 +190,5 @@ mod tests {
     fn transfer_rates() {
         let gb = ByteSize::from_gb(1);
         assert!((TransferPricing::INTER_PLANE.transfer(gb).as_dollars() - 0.09).abs() < 1e-12);
-        assert!(TransferPricing::CO_LOCATED.transfer(gb).is_zero());
     }
 }

@@ -66,7 +66,7 @@ impl VmType {
 
 /// A running, always-on VM that executes work requests.
 ///
-/// Tracks busy time (for per-request cost attribution) and uptime (for
+/// Prices busy time (for per-request cost attribution) and uptime (for
 /// total-window infrastructure cost). Work items queue FIFO on a small pool
 /// of worker slots.
 ///
@@ -86,7 +86,6 @@ pub struct VmInstance {
     vm_type: VmType,
     workers: ServerPool,
     launched_at: SimTime,
-    busy: SimDuration,
 }
 
 impl VmInstance {
@@ -102,19 +101,12 @@ impl VmInstance {
             vm_type,
             workers: ServerPool::new(worker_slots),
             launched_at: now,
-            busy: SimDuration::ZERO,
         }
-    }
-
-    /// The instance type.
-    pub fn vm_type(&self) -> &VmType {
-        &self.vm_type
     }
 
     /// Queues `work` arriving at `now`; returns the queueing assignment.
     pub fn execute(&mut self, now: SimTime, work: WorkUnits) -> Assignment {
         let service = work.duration_on(self.vm_type.compute_profile());
-        self.busy += service;
         self.workers.assign(now, service)
     }
 
@@ -124,26 +116,11 @@ impl VmInstance {
         self.vm_type.pricing().duration(service)
     }
 
-    /// Cumulative busy time so far.
-    pub fn busy_time(&self) -> SimDuration {
-        self.busy
-    }
-
     /// Total always-on cost from launch to `now` (busy or not).
     pub fn uptime_cost(&self, now: SimTime) -> Cost {
         self.vm_type
             .pricing()
             .duration(now.duration_since(self.launched_at))
-    }
-
-    /// Utilization in `[0, 1]` over the window from launch to `now`.
-    pub fn utilization(&self, now: SimTime) -> f64 {
-        let up = now.duration_since(self.launched_at).as_secs_f64();
-        if up == 0.0 {
-            0.0
-        } else {
-            (self.busy.as_secs_f64() / up).min(1.0)
-        }
     }
 }
 
@@ -167,7 +144,6 @@ mod tests {
         let b = vm.execute(SimTime::ZERO, w);
         assert!(a.queue_wait.is_zero());
         assert_eq!(b.queue_wait, SimDuration::from_secs(1));
-        assert_eq!(vm.busy_time(), SimDuration::from_secs(2));
     }
 
     #[test]
@@ -175,10 +151,6 @@ mod tests {
         let vm = VmInstance::launch(VmType::ML_M5_4XLARGE, SimTime::ZERO, 1);
         let cost = vm.uptime_cost(SimTime::ZERO + SimDuration::from_hours(50));
         assert!((cost.as_dollars() - 0.922 * 50.0).abs() < 1e-9);
-        assert_eq!(
-            vm.utilization(SimTime::ZERO + SimDuration::from_hours(50)),
-            0.0
-        );
     }
 
     #[test]

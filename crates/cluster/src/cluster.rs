@@ -304,7 +304,7 @@ impl ClusterStore {
     /// # Panics
     ///
     /// Panics if the event names a node the cluster does not have.
-    pub fn inject(&mut self, event: FailureEvent) {
+    fn inject(&mut self, event: FailureEvent) {
         assert!(
             event.node < self.cfg.nodes,
             "node {} out of range (cluster has {})",

@@ -1,15 +1,12 @@
-//! Deterministic failure injection: seeded, virtual-clock driven.
+//! Deterministic failure injection: virtual-clock driven.
 //!
-//! A failure plan is data — a sorted list of `(SimTime, node, kind)`
-//! triples — not a background thread. The cluster drains due events
+//! A failure plan is data — a list of `(SimTime, node, kind)` triples —
+//! not a background thread. The cluster drains due events
 //! from its virtual-clock event queue at each submit, so the same plan
 //! against the same request schedule produces bit-identical results on
-//! every run and every thread count. Randomized churn comes from
-//! [`FailurePlan::seeded_churn`], which derives everything from an
-//! explicit [`DetRng`] seed; there is no ambient entropy anywhere in
-//! this crate (the determinism lint enforces it).
+//! every run and every thread count; there is no ambient entropy
+//! anywhere in this crate (the determinism lint enforces it).
 
-use flstore_sim::rng::DetRng;
 use flstore_sim::time::{SimDuration, SimTime};
 
 /// What happens to a node. [`FAILURE_EVENTS`] is the machine-checked
@@ -77,8 +74,8 @@ pub struct FailureEvent {
     pub kind: FailureKind,
 }
 
-/// A deterministic failure schedule: events sorted by time (ties in
-/// insertion order, preserved by the stable sort).
+/// A deterministic failure schedule. The cluster's virtual-clock queue
+/// fires its events by time, ties in insertion order.
 #[derive(Debug, Clone, Default)]
 pub struct FailurePlan {
     events: Vec<FailureEvent>,
@@ -103,52 +100,15 @@ impl FailurePlan {
             .with(back, node, FailureKind::Rejoin)
     }
 
-    /// Random churn over `horizon`: `kills` kill/rejoin pairs spread
-    /// across distinct nodes and times, all derived from `seed` via a
-    /// labelled [`DetRng`] stream. Nodes stay down between one eighth
-    /// and one quarter of the horizon, so the plan always exercises
-    /// both the failover window and the rejoin catch-up.
-    pub fn seeded_churn(seed: u64, nodes: usize, kills: usize, horizon: SimDuration) -> Self {
-        assert!(nodes > 1, "churn needs a survivor to fail over to");
-        let mut rng = DetRng::stream(seed, "cluster-churn");
-        let mut plan = Self::none();
-        for _ in 0..kills {
-            let node = rng.index(nodes);
-            let half = (horizon.as_micros() / 2).max(1) as usize;
-            let eighth = (horizon.as_micros() / 8).max(1) as usize;
-            let at = SimTime::ZERO + SimDuration::from_micros(rng.index(half) as u64);
-            let down = SimDuration::from_micros(eighth as u64 + rng.index(eighth) as u64);
-            plan = plan.kill_and_rejoin(node, at, at + down);
-        }
-        plan.into_sorted()
-    }
-
-    /// The events in firing order.
+    /// The events in insertion order.
     pub fn events(&self) -> &[FailureEvent] {
         &self.events
-    }
-
-    fn into_sorted(mut self) -> Self {
-        self.events.sort_by_key(|e| e.at);
-        self
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn seeded_churn_is_reproducible_and_sorted() {
-        let a = FailurePlan::seeded_churn(7, 3, 4, SimDuration::from_secs(3600));
-        let b = FailurePlan::seeded_churn(7, 3, 4, SimDuration::from_secs(3600));
-        assert_eq!(a.events(), b.events());
-        assert!(a.events().windows(2).all(|w| w[0].at <= w[1].at));
-        assert_eq!(a.events().len(), 8); // 4 kills + 4 rejoins
-
-        let c = FailurePlan::seeded_churn(8, 3, 4, SimDuration::from_secs(3600));
-        assert_ne!(a.events(), c.events(), "seed must matter");
-    }
 
     #[test]
     fn builder_preserves_kill_rejoin_pairing() {

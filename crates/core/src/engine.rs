@@ -18,7 +18,7 @@
 //! # Key-sharding
 //!
 //! The engine partitions `locations`/`meta`/decoded residency into K
-//! *key-shards* by [`key_shard_of`] — the same splitmix64 discipline the
+//! *key-shards* by `key_shard_of` — the same splitmix64 discipline the
 //! executor uses to route jobs to workers, applied to the `MetaKey`
 //! *within* a job. Each shard consolidates all three layers for its keys
 //! in one exclusively-owned struct (no split `data`/`access_order`-style
@@ -73,7 +73,7 @@ pub fn default_key_shards() -> usize {
 /// the executor's job router, so placement is uniform and stable across
 /// runs, platforms, and shard counts (the map `key → shard` depends only
 /// on `(key, shards)`).
-pub fn key_shard_of(key: &MetaKey, shards: usize) -> usize {
+fn key_shard_of(key: &MetaKey, shards: usize) -> usize {
     debug_assert!(shards > 0, "engine always has at least one key-shard");
     let kind_tag: u64 = match key.kind {
         MetaKind::ClientUpdate => 1,
@@ -281,11 +281,6 @@ impl CacheEngine {
     /// Decoded-layer residency across all key-shards.
     pub fn decoded_resident_bytes(&self) -> ByteSize {
         self.shards.iter().map(|s| s.decoded.resident_bytes()).sum()
-    }
-
-    /// Number of decoded handles held across all key-shards.
-    pub fn decoded_len(&self) -> usize {
-        self.shards.iter().map(|s| s.decoded.len()).sum()
     }
 
     /// Decoded-layer operation counters, summed across key-shards — each

@@ -319,11 +319,6 @@ impl ReactivePolicy {
             rng: DetRng::stream(seed, "reactive-policy"),
         }
     }
-
-    /// The discipline in use.
-    pub fn discipline(&self) -> EvictionDiscipline {
-        self.discipline
-    }
 }
 
 impl CachingPolicy for ReactivePolicy {

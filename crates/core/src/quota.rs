@@ -96,7 +96,7 @@ impl QuotaUsage {
     /// How far an *elastic* tenant is over its budget (`ZERO` for strict,
     /// unquota'd, or within-budget tenants) — the quantity the pressure
     /// plan ranks tenants by.
-    pub fn elastic_overage(&self) -> ByteSize {
+    fn elastic_overage(&self) -> ByteSize {
         match self.quota {
             Some(q) if q.policy == QuotaPolicy::Elastic => self.resident.saturating_sub(q.bytes),
             _ => ByteSize::ZERO,

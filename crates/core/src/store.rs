@@ -108,7 +108,7 @@ impl FlStoreConfig {
 
     /// The engine key-shard count this config resolves to: its own
     /// `key_shards` if set, else the process-wide default.
-    pub fn resolved_key_shards(&self) -> usize {
+    fn resolved_key_shards(&self) -> usize {
         if self.key_shards == 0 {
             crate::engine::default_key_shards()
         } else {
@@ -715,7 +715,9 @@ impl FlStore {
         }
     }
 
-    /// Serves one non-training request with locality-aware execution.
+    /// Serves one non-training request with locality-aware execution: a
+    /// batch of one through [`FlStore::serve_batch`], so both paths log,
+    /// serve and seal the ledger identically.
     ///
     /// # Errors
     ///
@@ -729,22 +731,9 @@ impl FlStore {
         now: SimTime,
         request: &WorkloadRequest,
     ) -> Result<ServedRequest, FlStoreError> {
-        self.log_event(LedgerEvent::Serve { now, request });
-        self.advance(now);
-        let needs = self.catalog.data_needs(request);
-        if needs.is_empty() {
-            return Err(FlStoreError::NoData {
-                request: request.id,
-            });
-        }
-        let referenced = self.referenced_functions(std::iter::once(needs.as_slice()));
-        let recovered = self.liveness_pass(now, &referenced, &[needs.as_slice()]);
-        let result = self.serve_resolved(now, request, &needs, recovered[0]);
-        // Runs on the error exits too: a failed serve may still have grown
-        // the decoded layer past a strict budget before it bailed.
-        self.enforce_strict_budget();
-        self.seal_if_due();
-        result
+        self.serve_batch(now, std::slice::from_ref(request))
+            .pop()
+            .expect("a batch of one has one slot")
     }
 
     /// Serves a batch of requests that share one arrival instant,
@@ -753,8 +742,7 @@ impl FlStore {
     /// once over the *union* of functions the batch references instead of
     /// once per request. Requests are then resolved in order, so cache
     /// mutations (miss-caching, prefetch, eviction) flow between batch
-    /// members exactly as they would under sequential serving — a batch of
-    /// one is bit-for-bit identical to [`FlStore::serve`].
+    /// members exactly as they would under sequential serving.
     ///
     /// Fault attribution is batch-scoped: a replica found reclaimed during
     /// the shared pass marks `recovered_from_fault` on every request in
@@ -790,10 +778,10 @@ impl FlStore {
         now: SimTime,
         requests: &[WorkloadRequest],
     ) -> Vec<Result<PendingServe, FlStoreError>> {
-        // A batch of one logs the same record `serve` would: the Service
-        // contract makes singleton batches identical to single submits,
-        // and the ledger must not betray which path carried the envelope
-        // (the sequential-vs-threaded byte-diff gate covers ledger files).
+        // A batch of one logs a plain `Serve` record: `serve` is a batch
+        // of one, and the ledger must not betray which path carried the
+        // envelope (the sequential-vs-threaded byte-diff gate covers
+        // ledger files).
         match requests {
             [request] => self.log_event(LedgerEvent::Serve { now, request }),
             _ => self.log_event(LedgerEvent::ServeBatch { now, requests }),
@@ -1124,19 +1112,6 @@ impl FlStore {
         };
         self.ledger.outcomes.push(measured);
         Ok(PendingServe { measured, task })
-    }
-
-    /// [`serve_resolved_deferred`](Self::serve_resolved_deferred) plus an
-    /// inline kernel finish — the sequential serve body.
-    fn serve_resolved(
-        &mut self,
-        now: SimTime,
-        request: &WorkloadRequest,
-        needs: &[MetaKey],
-        recovered_from_fault: bool,
-    ) -> Result<ServedRequest, FlStoreError> {
-        self.serve_resolved_deferred(now, request, needs, recovered_from_fault)
-            .map(PendingServe::finish)
     }
 }
 

@@ -122,19 +122,6 @@ impl MultiTenantStore {
         self.register_job_configured(job, model, Box::new(TailoredPolicy::new()), quota)
     }
 
-    /// Registers a tenant with a custom caching policy — each tenant may
-    /// tune caching to its own workloads (paper Appendix A). The quota
-    /// follows the template.
-    pub fn register_job_with_policy(
-        &mut self,
-        job: JobId,
-        model: ModelArch,
-        policy: Box<dyn CachingPolicy>,
-    ) -> bool {
-        let quota = self.template.quota;
-        self.register_job_configured(job, model, policy, quota)
-    }
-
     /// Registers a tenant with its own memory budget (overriding the
     /// template's; `None` leaves the tenant unbounded) and the default
     /// tailored policy.
@@ -149,7 +136,7 @@ impl MultiTenantStore {
 
     /// Full-control registration: custom caching policy and per-tenant
     /// quota.
-    pub fn register_job_configured(
+    fn register_job_configured(
         &mut self,
         job: JobId,
         model: ModelArch,

@@ -40,9 +40,9 @@ pub struct RequestEntry {
 /// let tracker = RequestTracker::new();
 /// let id = RequestId::new(1);
 /// tracker.dispatch(id, vec![FunctionId::from_raw(0)]);
-/// assert!(!tracker.is_done(id).unwrap());
+/// assert!(!tracker.entry(id).unwrap().done);
 /// tracker.complete(id);
-/// assert!(tracker.is_done(id).unwrap());
+/// assert!(tracker.entry(id).unwrap().done);
 /// ```
 #[derive(Debug)]
 pub struct RequestTracker {
@@ -87,21 +87,6 @@ impl RequestTracker {
         }
     }
 
-    /// Adds a function to an existing dispatch (failover re-routing).
-    /// Returns false if the request is unknown.
-    pub fn reroute(&self, request: RequestId, function: FunctionId) -> bool {
-        let mut entries = self.entries.write();
-        match entries.get_mut(&request) {
-            Some(entry) => {
-                if !entry.functions.contains(&function) {
-                    entry.functions.push(function);
-                }
-                true
-            }
-            None => false,
-        }
-    }
-
     /// Marks a request complete. Returns false if unknown.
     pub fn complete(&self, request: RequestId) -> bool {
         let mut entries = self.entries.write();
@@ -116,11 +101,6 @@ impl RequestTracker {
             }
             None => false,
         }
-    }
-
-    /// Completion status (`None` for unknown requests).
-    pub fn is_done(&self, request: RequestId) -> Option<bool> {
-        self.entries.read().get(&request).map(|e| e.done)
     }
 
     /// Routing record of a request.
@@ -194,18 +174,7 @@ mod tests {
         assert!(t.forget(r));
         assert!(t.is_empty());
         assert!(!t.complete(r));
-        assert_eq!(t.is_done(r), None);
-    }
-
-    #[test]
-    fn reroute_appends_unique() {
-        let t = RequestTracker::new();
-        let r = RequestId::new(1);
-        t.dispatch(r, vec![fid(1)]);
-        assert!(t.reroute(r, fid(2)));
-        assert!(t.reroute(r, fid(2))); // idempotent
-        assert_eq!(t.entry(r).expect("known").functions, vec![fid(1), fid(2)]);
-        assert!(!t.reroute(RequestId::new(9), fid(3)));
+        assert!(t.entry(r).is_none());
     }
 
     #[test]

@@ -325,27 +325,7 @@ fn assert_key_sharded_durability_bytes_identical(seed: u64, len: usize) {
             "api-batch-keyshard-wal",
             seed ^ ((len as u64) << 40) ^ ((key_shards as u64) << 56),
         );
-        let job = job_config();
-        let cfg = FlStoreConfig {
-            key_shards,
-            platform: PlatformConfig {
-                reclaim: ReclaimModel::DISABLED,
-                ..PlatformConfig::default()
-            },
-            durability: flstore_core::durable::DurabilityConfig {
-                flush_every: 1,
-                snapshot_every: 8,
-                ..flstore_core::durable::DurabilityConfig::DISABLED
-            },
-            ..FlStoreConfig::for_model(&job.model)
-        };
-        let mut durable = FlStore::new(cfg, Box::new(TailoredPolicy::new()), job.job, job.model);
-        flstore_durability::recover::attach(&mut durable, dir.path()).expect("attach");
-        let mut at = SimTime::ZERO;
-        for r in &records[..records.len() - 1] {
-            durable.ingest_round(at, r);
-            at += SimDuration::from_secs(60);
-        }
+        let durable = durable_store(dir.path(), key_shards, 8, &records);
         let mut exec = ShardedExecutor::new(vec![durable], 4);
         let responses = exec.submit_batch(now, &mix);
         assert_eq!(
@@ -353,24 +333,7 @@ fn assert_key_sharded_durability_bytes_identical(seed: u64, len: usize) {
             "durable responses @{key_shards} key shards"
         );
         drop(exec); // close the ledger writer before reading its files
-
-        let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir.path())
-            .expect("durable dir")
-            .map(|e| e.expect("dir entry"))
-            .filter(|e| e.file_name() != flstore_durability::recover::MANIFEST)
-            .map(|e| {
-                (
-                    e.file_name().to_string_lossy().into_owned(),
-                    std::fs::read(e.path()).expect("persisted file"),
-                )
-            })
-            .collect();
-        files.sort();
-        assert!(
-            !files.is_empty(),
-            "the durable run persisted nothing to compare"
-        );
-        persisted.push(files);
+        persisted.push(persisted_files(dir.path()));
         let manifest =
             std::fs::read_to_string(dir.path().join(flstore_durability::recover::MANIFEST))
                 .expect("manifest");
@@ -386,6 +349,105 @@ fn assert_key_sharded_durability_bytes_identical(seed: u64, len: usize) {
     assert_eq!(
         manifests[0], manifests[1],
         "manifests differ beyond the key_shards field"
+    );
+}
+
+/// A durable deployment in `dir` (every record flushed, a snapshot every
+/// `snapshot_every` records) with all but the last of `records` ingested.
+fn durable_store(
+    dir: &std::path::Path,
+    key_shards: usize,
+    snapshot_every: u32,
+    records: &[RoundRecord],
+) -> FlStore {
+    let job = job_config();
+    let cfg = FlStoreConfig {
+        key_shards,
+        platform: PlatformConfig {
+            reclaim: ReclaimModel::DISABLED,
+            ..PlatformConfig::default()
+        },
+        durability: flstore_core::durable::DurabilityConfig {
+            flush_every: 1,
+            snapshot_every,
+            ..flstore_core::durable::DurabilityConfig::DISABLED
+        },
+        ..FlStoreConfig::for_model(&job.model)
+    };
+    let mut durable = FlStore::new(cfg, Box::new(TailoredPolicy::new()), job.job, job.model);
+    flstore_durability::recover::attach(&mut durable, dir).expect("attach");
+    let mut at = SimTime::ZERO;
+    for r in &records[..records.len() - 1] {
+        durable.ingest_round(at, r);
+        at += SimDuration::from_secs(60);
+    }
+    durable
+}
+
+/// Every file a durable deployment persisted in `dir` except the
+/// MANIFEST, by name.
+fn persisted_files(dir: &std::path::Path) -> Vec<(String, Vec<u8>)> {
+    let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
+        .expect("durable dir")
+        .map(|e| e.expect("dir entry"))
+        .filter(|e| e.file_name() != flstore_durability::recover::MANIFEST)
+        .map(|e| {
+            (
+                e.file_name().to_string_lossy().into_owned(),
+                std::fs::read(e.path()).expect("persisted file"),
+            )
+        })
+        .collect();
+    files.sort();
+    assert!(
+        !files.is_empty(),
+        "the durable run persisted nothing to compare"
+    );
+    files
+}
+
+/// `FlStore::serve` is a batch of one on disk too: the same envelopes fed
+/// through `submit` and through one-envelope `submit_batch` calls persist
+/// identical ledger segments and snapshots. Unservable rounds lead the
+/// mix, so a `NoData` serve that falls due for a seal must seal it.
+#[test]
+fn single_submits_persist_the_bytes_of_batches_of_one() {
+    let records: Vec<RoundRecord> = FlJobSim::new(job_config()).collect();
+    let unservable = (0..9).map(|i| {
+        Request::Serve(WorkloadRequest::new(
+            RequestId::new(100 + i),
+            WorkloadKind::Inference,
+            JobId::new(JOB),
+            flstore_fl::ids::Round::new(99),
+            None,
+        ))
+    });
+    let mix: Vec<Request> = unservable.chain(request_mix(3, 12, &records)).collect();
+    let now = SimTime::from_secs(7200);
+
+    let mut persisted = Vec::new();
+    for batched in [false, true] {
+        let dir = flstore_durability::testkit::DetTempDir::new(
+            "api-batch-single-wal",
+            u64::from(batched),
+        );
+        let mut durable = durable_store(dir.path(), 0, 4, &records);
+        let responses: Vec<Response> = mix
+            .iter()
+            .map(|r| match batched {
+                false => durable.submit(now, r.clone()),
+                true => durable
+                    .submit_batch(now, std::slice::from_ref(r))
+                    .pop()
+                    .expect("one response"),
+            })
+            .collect();
+        drop(durable); // close the ledger writer before reading its files
+        persisted.push((responses, persisted_files(dir.path())));
+    }
+    assert_eq!(
+        persisted[0], persisted[1],
+        "submit and one-envelope submit_batch persisted different bytes"
     );
 }
 
@@ -663,26 +725,7 @@ fn assert_recovered_store_equals_uninterrupted(seed: u64, len: usize, cut: usize
             "api-batch-recovery",
             seed ^ ((len as u64) << 40) ^ ((cut as u64) << 48) ^ ((shards as u64) << 56),
         );
-        let job = job_config();
-        let cfg = FlStoreConfig {
-            platform: PlatformConfig {
-                reclaim: ReclaimModel::DISABLED,
-                ..PlatformConfig::default()
-            },
-            durability: flstore_core::durable::DurabilityConfig {
-                flush_every: 1,
-                snapshot_every: 8,
-                ..flstore_core::durable::DurabilityConfig::DISABLED
-            },
-            ..FlStoreConfig::for_model(&job.model)
-        };
-        let mut durable = FlStore::new(cfg, Box::new(TailoredPolicy::new()), job.job, job.model);
-        flstore_durability::recover::attach(&mut durable, dir.path()).expect("attach");
-        let mut at = SimTime::ZERO;
-        for r in &records[..records.len() - 1] {
-            durable.ingest_round(at, r);
-            at += SimDuration::from_secs(60);
-        }
+        let mut durable = durable_store(dir.path(), 0, 8, &records);
         for (request, expected) in mix[..cut].iter().zip(&reference_responses) {
             let response = durable.submit(now, request.clone());
             assert_eq!(&response, expected, "pre-kill responses @{shards} shards");

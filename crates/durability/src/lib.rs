@@ -64,6 +64,6 @@ pub mod testkit;
 
 pub use ledger::{DiskLedgerSink, LedgerMedium, ACTIVE_LEDGER};
 pub use records::{parse_ledger, LedgerError, LedgerRecord, ParsedLedger, RECORDS};
-pub use recover::{attach, attach_tenants, policy_by_name, DurabilityError, Manifest};
+pub use recover::{attach, DurabilityError, Manifest};
 pub use spill::DiskSpill;
 pub use testkit::{DetTempDir, KillPointFile};

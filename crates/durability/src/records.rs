@@ -33,23 +33,23 @@ use flstore_sim::time::SimTime;
 use flstore_workloads::request::{get_workload_request, put_workload_request, WorkloadRequest};
 
 /// Ledger file magic: the first four bytes of every ledger/segment file.
-pub const LEDGER_MAGIC: [u8; 4] = *b"FLSL";
+const LEDGER_MAGIC: [u8; 4] = *b"FLSL";
 
 /// Current on-disk format version (the fifth header byte).
-pub const LEDGER_VERSION: u8 = 2;
+const LEDGER_VERSION: u8 = 2;
 
 /// `Ingest` record tag.
 pub const TAG_INGEST: u8 = 0x01;
 /// `Serve` record tag.
 pub const TAG_SERVE: u8 = 0x02;
 /// `ServeBatch` record tag.
-pub const TAG_SERVE_BATCH: u8 = 0x03;
+const TAG_SERVE_BATCH: u8 = 0x03;
 /// `Evict` record tag.
 pub const TAG_EVICT: u8 = 0x04;
 /// `Reclaim` record tag.
-pub const TAG_RECLAIM: u8 = 0x05;
+const TAG_RECLAIM: u8 = 0x05;
 /// `Digest` (segment seal) record tag.
-pub const TAG_DIGEST: u8 = 0x06;
+const TAG_DIGEST: u8 = 0x06;
 
 /// The record inventory: `(tag, name, payload layout, summary)`.
 ///
@@ -142,7 +142,7 @@ pub enum LedgerError {
     /// The file is shorter than the 5-byte header or does not start with
     /// the `FLSL` magic.
     BadMagic,
-    /// The header's version byte is not [`LEDGER_VERSION`].
+    /// The header's version byte is not `LEDGER_VERSION`.
     BadVersion(u8),
     /// The file ended inside a record (torn write). `offset` is the start
     /// of the torn record — the last valid boundary.

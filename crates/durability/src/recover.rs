@@ -20,7 +20,6 @@ use serde::{Deserialize, Serialize};
 
 use flstore_core::policy::{CachingPolicy, EvictionDiscipline, ReactivePolicy, TailoredPolicy};
 use flstore_core::store::{FlStore, FlStoreConfig};
-use flstore_core::tenancy::MultiTenantStore;
 use flstore_fl::ids::JobId;
 use flstore_fl::zoo::ModelArch;
 
@@ -113,7 +112,7 @@ impl From<io::Error> for DurabilityError {
 
 /// Rebuilds a caching policy from its reported name. Returns `None` for
 /// policies whose behaviour is not a function of their name.
-pub fn policy_by_name(name: &str, seed: u64) -> Option<Box<dyn CachingPolicy>> {
+fn policy_by_name(name: &str, seed: u64) -> Option<Box<dyn CachingPolicy>> {
     match name {
         "FLStore" => Some(Box::new(TailoredPolicy::new())),
         "FLStore-LRU" => Some(Box::new(ReactivePolicy::new(EvictionDiscipline::Lru, seed))),
@@ -167,17 +166,6 @@ pub fn write_manifest(store: &FlStore, dir: &Path) -> Result<(), DurabilityError
     };
     let json = serde_json::to_string(&manifest).expect("manifest serializes infallibly");
     fs::write(dir.join(MANIFEST), json)?;
-    Ok(())
-}
-
-/// Attaches every tenant of a multi-tenant front end under
-/// `root/job-<id>` — one independent ledger writer per tenant, so the
-/// sharded executor keeps one writer per worker-owned shard for free.
-pub fn attach_tenants(front: &mut MultiTenantStore, root: &Path) -> Result<(), DurabilityError> {
-    for store in front.tenants_mut() {
-        let dir = root.join(format!("job-{}", store.catalog().job().as_u32()));
-        attach(store, &dir)?;
-    }
     Ok(())
 }
 

@@ -682,16 +682,6 @@ impl<U: ShardUnit + 'static> ShardedExecutor<U> {
         }
     }
 
-    /// Number of worker shards (including idle ones owning no unit).
-    pub fn shard_count(&self) -> usize {
-        self.workers.len()
-    }
-
-    /// Number of serving units (tenants) distributed across the shards.
-    pub fn unit_count(&self) -> usize {
-        self.tenants
-    }
-
     /// The shard a job's envelopes route to, or `None` for foreign jobs.
     pub fn shard_of(&self, job: JobId) -> Option<usize> {
         self.route.get(&job).copied()
@@ -1147,7 +1137,6 @@ mod tests {
     fn into_units_returns_everything_in_job_order() {
         let (front, _) = loaded_front(&[3, 1, 2]);
         let exec = ShardedExecutor::from_tenants(front, 2);
-        assert_eq!(exec.unit_count(), 3);
         let units = exec.into_units();
         let jobs: Vec<u32> = units.iter().map(|u| u.owned_job().as_u32()).collect();
         assert_eq!(jobs, vec![1, 2, 3]);

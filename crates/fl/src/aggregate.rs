@@ -56,30 +56,6 @@ pub fn fedavg(job: JobId, round: Round, updates: &[ModelUpdate]) -> Option<Aggre
     })
 }
 
-/// Unweighted mean aggregate, used as the robust-aggregation baseline in
-/// filtering workloads.
-pub fn mean_aggregate(job: JobId, round: Round, updates: &[ModelUpdate]) -> Option<AggregateModel> {
-    let first = updates.first()?;
-    let mut weights = WeightVector::zeros(first.weights.dim());
-    for u in updates {
-        weights.axpy(1.0 / updates.len() as f64, &u.weights);
-    }
-    let loss = updates.iter().map(|u| u.metrics.local_loss).sum::<f64>() / updates.len() as f64;
-    let accuracy = updates
-        .iter()
-        .map(|u| u.metrics.local_accuracy)
-        .sum::<f64>()
-        / updates.len() as f64;
-    Some(AggregateModel {
-        job,
-        round,
-        weights,
-        loss,
-        accuracy,
-        num_clients: updates.len() as u32,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -118,19 +94,7 @@ mod tests {
     }
 
     #[test]
-    fn mean_aggregate_is_unweighted() {
-        let updates = vec![
-            update(0, 300, vec![1.0, 0.0], 1.0),
-            update(1, 100, vec![0.0, 1.0], 2.0),
-        ];
-        let agg = mean_aggregate(JobId::new(0), Round::new(0), &updates).expect("non-empty");
-        assert!((agg.weights.as_slice()[0] - 0.5).abs() < 1e-6);
-        assert!((agg.loss - 1.5).abs() < 1e-9);
-    }
-
-    #[test]
     fn empty_round_returns_none() {
         assert!(fedavg(JobId::new(0), Round::new(0), &[]).is_none());
-        assert!(mean_aggregate(JobId::new(0), Round::new(0), &[]).is_none());
     }
 }

@@ -424,7 +424,7 @@ pub fn put_hyperparams(buf: &mut Vec<u8>, h: &HyperParams) {
 }
 
 /// Reads one round's hyperparameters.
-pub fn get_hyperparams(r: &mut Reader<'_>) -> Result<HyperParams, DecodeError> {
+fn get_hyperparams(r: &mut Reader<'_>) -> Result<HyperParams, DecodeError> {
     Ok(HyperParams {
         round: get_round(r)?,
         learning_rate: get_f64(r)?,
@@ -453,7 +453,7 @@ pub fn put_update(buf: &mut Vec<u8>, u: &ModelUpdate) {
 }
 
 /// Reads one client's model update.
-pub fn get_update(r: &mut Reader<'_>) -> Result<ModelUpdate, DecodeError> {
+fn get_update(r: &mut Reader<'_>) -> Result<ModelUpdate, DecodeError> {
     Ok(ModelUpdate {
         job: get_job(r)?,
         client: get_client(r)?,
@@ -482,7 +482,7 @@ pub fn put_aggregate(buf: &mut Vec<u8>, a: &AggregateModel) {
 }
 
 /// Reads one round's aggregated model.
-pub fn get_aggregate(r: &mut Reader<'_>) -> Result<AggregateModel, DecodeError> {
+fn get_aggregate(r: &mut Reader<'_>) -> Result<AggregateModel, DecodeError> {
     Ok(AggregateModel {
         job: get_job(r)?,
         round: get_round(r)?,
@@ -531,7 +531,7 @@ pub fn put_round_metrics(buf: &mut Vec<u8>, m: &RoundMetrics) {
 }
 
 /// Reads one round's operational metrics.
-pub fn get_round_metrics(r: &mut Reader<'_>) -> Result<RoundMetrics, DecodeError> {
+fn get_round_metrics(r: &mut Reader<'_>) -> Result<RoundMetrics, DecodeError> {
     Ok(RoundMetrics {
         round: get_round(r)?,
         global_loss: get_f64(r)?,

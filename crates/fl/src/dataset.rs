@@ -31,14 +31,6 @@ impl DatasetSpec {
         sample_bytes: 3_072,
     };
 
-    /// FEMNIST-like handwriting dataset (62 classes).
-    pub const FEMNIST: DatasetSpec = DatasetSpec {
-        name: "FEMNIST",
-        classes: 62,
-        train_samples: 805_263,
-        sample_bytes: 784,
-    };
-
     /// Total raw training-set volume.
     pub fn total_bytes(&self) -> ByteSize {
         ByteSize::from_bytes(self.train_samples * self.sample_bytes)
@@ -54,12 +46,5 @@ mod tests {
         let d = DatasetSpec::CIFAR10;
         assert_eq!(d.classes, 10);
         assert!((d.total_bytes().as_mb_f64() - 153.6).abs() < 0.1);
-    }
-
-    #[test]
-    // The operands are consts, but the point is to guard the catalog data.
-    #[allow(clippy::assertions_on_constants)]
-    fn femnist_has_more_classes() {
-        assert!(DatasetSpec::FEMNIST.classes > DatasetSpec::CIFAR10.classes);
     }
 }

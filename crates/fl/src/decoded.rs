@@ -14,7 +14,7 @@
 //! * every validated read ([`DecodedCache::get_or_decode`]) checks that
 //!   the presented blob is *the same bytes in memory* as the ones the
 //!   cached value was decoded from (same slice address and length — see
-//!   [`same_bytes`], which uses only upstream `bytes` API). The entry pins
+//!   `same_bytes`, which uses only upstream `bytes` API). The entry pins
 //!   a refcounted clone of those bytes, so the backing buffer can never be
 //!   freed and its address reused while the entry lives — a pointer match
 //!   therefore guarantees the decode is current, and an overwritten blob
@@ -43,7 +43,7 @@ const ENTRY_OVERHEAD: ByteSize = ByteSize::from_bytes(112);
 ///
 /// Empty slices are never considered identical: all empty views share one
 /// dangling address, so an address match proves nothing about provenance.
-pub fn same_bytes(a: &Bytes, b: &Bytes) -> bool {
+fn same_bytes(a: &Bytes, b: &Bytes) -> bool {
     !a.is_empty() && a.len() == b.len() && a.as_ptr() == b.as_ptr()
 }
 
@@ -196,7 +196,7 @@ impl DecodedCache {
     /// Payload-less blobs are ignored: all empty `Bytes` views alias one
     /// address, so a pointer comparison cannot distinguish them and a
     /// seeded entry could match a logically different empty blob later.
-    /// (Such blobs carry nothing decodable anyway; [`same_bytes`] also
+    /// (Such blobs carry nothing decodable anyway; `same_bytes` also
     /// refuses empty slices as a second line of defense.)
     pub fn seed(&mut self, key: MetaKey, blob: &Blob, value: SharedValue) {
         if blob.payload().is_empty() {

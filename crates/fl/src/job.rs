@@ -204,11 +204,6 @@ impl FlJobSim {
         &self.cfg
     }
 
-    /// The client pool.
-    pub fn population(&self) -> &[ClientProfile] {
-        &self.population
-    }
-
     /// Latent cluster assignment of each client (ground truth for
     /// clustering-workload tests).
     pub fn ground_truth_clusters(&self) -> &[usize] {

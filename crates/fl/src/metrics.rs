@@ -56,25 +56,6 @@ impl RoundMetrics {
     pub fn client(&self, id: ClientId) -> Option<&ClientRoundInfo> {
         self.clients.iter().find(|c| c.client == id)
     }
-
-    /// Clients that completed training this round.
-    pub fn completed_clients(&self) -> impl Iterator<Item = &ClientRoundInfo> {
-        self.clients.iter().filter(|c| c.completed)
-    }
-
-    /// Fraction of selected clients that dropped out.
-    pub fn dropout_rate(&self) -> f64 {
-        let selected = self.clients.iter().filter(|c| c.participated).count();
-        if selected == 0 {
-            return 0.0;
-        }
-        let dropped = self
-            .clients
-            .iter()
-            .filter(|c| c.participated && !c.completed)
-            .count();
-        dropped as f64 / selected as f64
-    }
 }
 
 #[cfg(test)]
@@ -97,7 +78,7 @@ mod tests {
     }
 
     #[test]
-    fn dropout_rate_counts_started_only() {
+    fn client_looks_up_by_id() {
         let m = RoundMetrics {
             round: Round::new(1),
             global_loss: 1.0,
@@ -109,21 +90,7 @@ mod tests {
                 info(2, false, false),
             ],
         };
-        assert!((m.dropout_rate() - 0.5).abs() < 1e-12);
-        assert_eq!(m.completed_clients().count(), 1);
         assert!(m.client(ClientId::new(2)).is_some());
         assert!(m.client(ClientId::new(9)).is_none());
-    }
-
-    #[test]
-    fn empty_round_has_zero_dropout() {
-        let m = RoundMetrics {
-            round: Round::ZERO,
-            global_loss: 2.3,
-            global_accuracy: 0.1,
-            training_round_secs: 0.0,
-            clients: vec![],
-        };
-        assert_eq!(m.dropout_rate(), 0.0);
     }
 }

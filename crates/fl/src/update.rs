@@ -44,51 +44,3 @@ pub struct ModelUpdate {
     /// against it.
     pub ground_truth_malicious: bool,
 }
-
-impl ModelUpdate {
-    /// Utility score used by Oort-style schedulers: statistical utility
-    /// (loss × sqrt(samples)) divided by system latency.
-    pub fn oort_utility(&self) -> f64 {
-        let stat = self.metrics.local_loss * (self.metrics.num_samples as f64).sqrt();
-        let sys = (self.metrics.train_time_s + self.metrics.upload_time_s).max(1e-3);
-        stat / sys
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn update(loss: f64, samples: u32, time: f64) -> ModelUpdate {
-        ModelUpdate {
-            job: JobId::new(0),
-            client: ClientId::new(1),
-            round: Round::new(2),
-            weights: WeightVector::zeros(4),
-            metrics: UpdateMetrics {
-                local_loss: loss,
-                local_accuracy: 0.8,
-                train_time_s: time,
-                upload_time_s: 1.0,
-                num_samples: samples,
-                staleness: 0,
-            },
-            ground_truth_malicious: false,
-        }
-    }
-
-    #[test]
-    fn oort_utility_prefers_lossy_fast_clients() {
-        let informative = update(2.0, 400, 10.0);
-        let converged = update(0.1, 400, 10.0);
-        let slow = update(2.0, 400, 100.0);
-        assert!(informative.oort_utility() > converged.oort_utility());
-        assert!(informative.oort_utility() > slow.oort_utility());
-    }
-
-    #[test]
-    fn utility_guards_against_zero_time() {
-        let u = update(1.0, 100, 0.0);
-        assert!(u.oort_utility().is_finite());
-    }
-}

@@ -83,7 +83,7 @@ pub struct LatencyStats {
 
 impl LatencyStats {
     /// Computes percentiles from raw samples (empty input returns None).
-    pub fn from_samples(mut samples: Vec<f64>) -> Option<LatencyStats> {
+    fn from_samples(mut samples: Vec<f64>) -> Option<LatencyStats> {
         if samples.is_empty() {
             return None;
         }

@@ -19,7 +19,6 @@ use serde::{Deserialize, Serialize};
 use flstore_cloud::blob::{Blob, ObjectKey, OpReceipt};
 use flstore_cloud::compute::WorkUnits;
 use flstore_cloud::pricing::FunctionPricing;
-use flstore_sim::bytes::ByteSize;
 use flstore_sim::cost::{Cost, CostBreakdown};
 use flstore_sim::rng::DetRng;
 use flstore_sim::time::{SimDuration, SimTime};
@@ -84,7 +83,7 @@ impl ReclaimModel {
 
     /// Lifetimes observed for AWS Lambda-class platforms: most sandboxes
     /// survive several hours, a heavy tail survives much longer.
-    pub const LAMBDA_MEASURED: ReclaimModel = ReclaimModel {
+    const LAMBDA_MEASURED: ReclaimModel = ReclaimModel {
         enabled: true,
         min_lifetime_hours: 6.0,
         alpha: 1.1,
@@ -286,11 +285,6 @@ impl Platform {
         self.instances.get(&id)
     }
 
-    /// Total bytes cached across all instances.
-    pub fn total_cached(&self) -> ByteSize {
-        self.instances.values().map(|i| i.mem_used()).sum()
-    }
-
     /// Cumulative billing.
     pub fn billing(&self) -> PlatformBilling {
         self.billing
@@ -422,7 +416,7 @@ impl Platform {
     ///
     /// Instances whose forced-reclamation deadline has passed are reclaimed
     /// instead of refreshed; their ids are returned.
-    pub fn keepalive_tick(&mut self, now: SimTime) -> Vec<FunctionId> {
+    fn keepalive_tick(&mut self, now: SimTime) -> Vec<FunctionId> {
         let ids: Vec<FunctionId> = self.spawn_order.clone();
         let mut reclaimed = Vec::new();
         for id in ids {
@@ -463,6 +457,7 @@ impl Platform {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flstore_sim::bytes::ByteSize;
 
     fn quiet_platform() -> Platform {
         Platform::new(

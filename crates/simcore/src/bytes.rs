@@ -31,13 +31,13 @@ use serde::{Deserialize, Serialize};
 pub struct ByteSize(u64);
 
 /// Bytes per decimal kilobyte.
-pub const KB: u64 = 1_000;
+const KB: u64 = 1_000;
 /// Bytes per decimal megabyte.
-pub const MB: u64 = 1_000_000;
+const MB: u64 = 1_000_000;
 /// Bytes per decimal gigabyte.
-pub const GB: u64 = 1_000_000_000;
+const GB: u64 = 1_000_000_000;
 /// Bytes per decimal terabyte.
-pub const TB: u64 = 1_000_000_000_000;
+const TB: u64 = 1_000_000_000_000;
 
 impl ByteSize {
     /// Zero bytes.

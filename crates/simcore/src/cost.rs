@@ -53,12 +53,6 @@ impl Cost {
         self.0
     }
 
-    /// The amount in cents.
-    #[inline]
-    pub fn as_cents(self) -> f64 {
-        self.0 * 100.0
-    }
-
     /// True if the cost is exactly zero.
     #[inline]
     pub fn is_zero(self) -> bool {
@@ -277,7 +271,6 @@ mod tests {
         assert_eq!((b - a), Cost::ZERO); // saturates
         assert_eq!((a * 2.0).as_dollars(), 1.0);
         assert_eq!(a.max(b), a);
-        assert!((a.as_cents() - 50.0).abs() < 1e-12);
     }
 
     #[test]

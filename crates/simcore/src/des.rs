@@ -102,7 +102,7 @@ impl<E> EventQueue<E> {
     }
 
     /// Time of the earliest event without removing it.
-    pub fn peek_time(&self) -> Option<SimTime> {
+    fn peek_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|s| s.at)
     }
 

@@ -45,14 +45,6 @@ impl LatencyBreakdown {
         }
     }
 
-    /// A breakdown with only communication filled in.
-    pub fn comm_only(d: SimDuration) -> Self {
-        LatencyBreakdown {
-            communication: d,
-            ..LatencyBreakdown::ZERO
-        }
-    }
-
     /// End-to-end latency.
     pub fn total(&self) -> SimDuration {
         self.routing + self.queueing + self.communication + self.computation
@@ -132,7 +124,10 @@ mod tests {
 
     #[test]
     fn add_accumulates_fieldwise() {
-        let a = LatencyBreakdown::comm_only(SimDuration::from_secs(1));
+        let a = LatencyBreakdown {
+            communication: SimDuration::from_secs(1),
+            ..LatencyBreakdown::ZERO
+        };
         let b = LatencyBreakdown::compute_only(SimDuration::from_secs(2));
         let c = a + b;
         assert_eq!(c.communication, SimDuration::from_secs(1));

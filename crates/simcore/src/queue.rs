@@ -89,37 +89,8 @@ impl ServerPool {
         }
     }
 
-    /// Assigns a job to a *specific* server (used when data locality pins a
-    /// request to the instance holding its inputs).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `server` is out of range.
-    pub fn assign_to(&mut self, server: usize, now: SimTime, service: SimDuration) -> Assignment {
-        assert!(server < self.busy_until.len(), "server index out of range");
-        let free_at = self.busy_until[server];
-        let start = now.max(free_at);
-        let end = start + service;
-        self.busy_until[server] = end;
-        Assignment {
-            server,
-            start,
-            end,
-            queue_wait: start.duration_since(now),
-        }
-    }
-
-    /// When the given server next becomes free.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `server` is out of range.
-    pub fn free_at(&self, server: usize) -> SimTime {
-        self.busy_until[server]
-    }
-
     /// The server that frees up earliest and its free time.
-    pub fn earliest(&self) -> (usize, SimTime) {
+    fn earliest(&self) -> (usize, SimTime) {
         let mut best = 0;
         let mut best_time = self.busy_until[0];
         for (i, t) in self.busy_until.iter().enumerate().skip(1) {
@@ -131,11 +102,6 @@ impl ServerPool {
         (best, best_time)
     }
 
-    /// Number of servers idle at `now`.
-    pub fn idle_at(&self, now: SimTime) -> usize {
-        self.busy_until.iter().filter(|t| **t <= now).count()
-    }
-
     /// Grows or shrinks the pool. New servers start idle; shrinking drops the
     /// busiest servers last (it removes from the end).
     ///
@@ -145,13 +111,6 @@ impl ServerPool {
     pub fn resize(&mut self, servers: usize) {
         assert!(servers > 0, "a server pool needs at least one server");
         self.busy_until.resize(servers, SimTime::ZERO);
-    }
-
-    /// Marks every server idle again (new experiment window).
-    pub fn reset(&mut self) {
-        for t in &mut self.busy_until {
-            *t = SimTime::ZERO;
-        }
     }
 }
 
@@ -196,26 +155,13 @@ mod tests {
     }
 
     #[test]
-    fn assign_to_pins_server() {
-        let mut pool = ServerPool::new(3);
-        let a = pool.assign_to(1, SimTime::ZERO, secs(5));
-        assert_eq!(a.server, 1);
-        let b = pool.assign_to(1, SimTime::ZERO, secs(5));
-        assert_eq!(b.start, SimTime::from_secs(5));
-        assert_eq!(b.queue_wait, secs(5));
-        // Other servers stayed idle.
-        assert_eq!(pool.idle_at(SimTime::ZERO), 2);
-    }
-
-    #[test]
-    fn resize_and_reset() {
+    fn resize_adds_idle_servers() {
         let mut pool = ServerPool::new(1);
         pool.assign(SimTime::ZERO, secs(100));
         pool.resize(3);
         assert_eq!(pool.len(), 3);
-        assert_eq!(pool.idle_at(SimTime::ZERO), 2);
-        pool.reset();
-        assert_eq!(pool.idle_at(SimTime::ZERO), 3);
+        assert!(pool.assign(SimTime::ZERO, secs(1)).queue_wait.is_zero());
+        assert!(pool.assign(SimTime::ZERO, secs(1)).queue_wait.is_zero());
     }
 
     #[test]

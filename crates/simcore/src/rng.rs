@@ -68,11 +68,6 @@ impl DetRng {
         DetRng::new(splitmix64(seed ^ h))
     }
 
-    /// Splits off a child generator, advancing this one.
-    pub fn fork(&mut self) -> DetRng {
-        DetRng::new(self.inner.gen::<u64>())
-    }
-
     /// Next raw 64-bit value.
     pub fn next_u64(&mut self) -> u64 {
         self.inner.next_u64()
@@ -154,7 +149,7 @@ impl DetRng {
     }
 
     /// Standard normal draw via the Box–Muller transform.
-    pub fn standard_normal(&mut self) -> f64 {
+    fn standard_normal(&mut self) -> f64 {
         // Avoid u == 0 which would send ln to -inf.
         let u1 = (1.0 - self.u01()).max(f64::MIN_POSITIVE);
         let u2 = self.u01();

@@ -248,7 +248,7 @@ impl SimDuration {
 
     /// The span in fractional milliseconds.
     #[inline]
-    pub fn as_millis_f64(self) -> f64 {
+    fn as_millis_f64(self) -> f64 {
         self.0 as f64 / MICROS_PER_MILLI as f64
     }
 

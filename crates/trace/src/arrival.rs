@@ -3,17 +3,6 @@
 use flstore_sim::rng::DetRng;
 use flstore_sim::time::{SimDuration, SimTime};
 
-/// `n` arrivals evenly spaced over `[start, start + window)`.
-pub fn uniform_arrivals(start: SimTime, window: SimDuration, n: usize) -> Vec<SimTime> {
-    if n == 0 {
-        return Vec::new();
-    }
-    let step = window.as_micros() / n as u64;
-    (0..n)
-        .map(|i| start + SimDuration::from_micros(step * i as u64))
-        .collect()
-}
-
 /// `n` Poisson arrivals over `[start, start + window)` (exponential
 /// inter-arrival times rescaled to land exactly `n` arrivals inside the
 /// window), sorted ascending.
@@ -37,26 +26,9 @@ pub fn poisson_arrivals(seed: u64, start: SimTime, window: SimDuration, n: usize
     arrivals
 }
 
-/// `n` simultaneous arrivals at `at` (the scalability experiment's burst).
-pub fn burst_arrivals(at: SimTime, n: usize) -> Vec<SimTime> {
-    vec![at; n]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn uniform_is_evenly_spaced() {
-        let arrivals = uniform_arrivals(SimTime::ZERO, SimDuration::from_secs(100), 10);
-        assert_eq!(arrivals.len(), 10);
-        assert_eq!(arrivals[0], SimTime::ZERO);
-        let gap = arrivals[1] - arrivals[0];
-        for pair in arrivals.windows(2) {
-            assert_eq!(pair[1] - pair[0], gap);
-        }
-        assert!(arrivals[9] < SimTime::from_secs(100));
-    }
 
     #[test]
     fn poisson_is_sorted_and_in_window() {
@@ -81,8 +53,6 @@ mod tests {
 
     #[test]
     fn empty_traces() {
-        assert!(uniform_arrivals(SimTime::ZERO, SimDuration::from_secs(1), 0).is_empty());
         assert!(poisson_arrivals(1, SimTime::ZERO, SimDuration::from_secs(1), 0).is_empty());
-        assert_eq!(burst_arrivals(SimTime::from_secs(5), 3).len(), 3);
     }
 }

@@ -100,18 +100,6 @@ pub struct TraceConfig {
 }
 
 impl TraceConfig {
-    /// The paper's main trace: 3000 requests over 50 hours across the ten
-    /// workloads (§5.2).
-    pub fn paper_50h(seed: u64) -> Self {
-        TraceConfig {
-            seed,
-            requests: 3000,
-            window: SimDuration::from_hours(50),
-            kinds: WorkloadKind::ALL.to_vec(),
-            events: None,
-        }
-    }
-
     /// A small trace for tests.
     pub fn smoke(seed: u64) -> Self {
         TraceConfig {
@@ -132,8 +120,9 @@ impl TraceConfig {
     /// # Errors
     ///
     /// [`TraceError::Io`] when the reader fails, [`TraceError::Parse`]
-    /// for an invalid line (bad JSON, unknown workload, non-finite or
-    /// negative time), [`TraceError::Empty`] when no events remain.
+    /// for an invalid line (bad JSON, unknown workload, or a time that is
+    /// negative, not a number, or past the virtual clock's range),
+    /// [`TraceError::Empty`] when no events remain.
     pub fn from_jsonl<R: std::io::BufRead>(reader: R) -> Result<Self, TraceError> {
         let mut events: Vec<TraceEvent> = Vec::new();
         for (i, line) in reader.lines().enumerate() {
@@ -146,10 +135,13 @@ impl TraceConfig {
                 line: i + 1,
                 message: e.to_string(),
             })?;
-            if !event.t.is_finite() || event.t < 0.0 {
+            if !(0.0..=SimDuration::MAX.as_secs_f64()).contains(&event.t) {
                 return Err(TraceError::Parse {
                     line: i + 1,
-                    message: format!("arrival time {} is not a non-negative number", event.t),
+                    message: format!(
+                        "arrival time {} is not a non-negative number the virtual clock can hold",
+                        event.t
+                    ),
                 });
             }
             events.push(event);
@@ -595,10 +587,12 @@ mod tests {
             TraceConfig::from_jsonl(bad_kind.as_bytes()),
             Err(TraceError::Parse { line: 1, .. })
         ));
-        let bad_time = "{\"t\": -3.0, \"workload\": \"Inference\"}";
-        assert!(matches!(
-            TraceConfig::from_jsonl(bad_time.as_bytes()),
-            Err(TraceError::Parse { line: 1, .. })
-        ));
+        for bad_time in ["-3.0", "1e300"] {
+            let line = format!("{{\"t\": {bad_time}, \"workload\": \"Inference\"}}");
+            assert!(matches!(
+                TraceConfig::from_jsonl(line.as_bytes()),
+                Err(TraceError::Parse { line: 1, .. })
+            ));
+        }
     }
 }

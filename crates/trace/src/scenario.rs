@@ -15,8 +15,6 @@ use flstore_serverless::platform::{PlatformConfig, ReclaimModel};
 use flstore_sim::bytes::ByteSize;
 use flstore_sim::time::SimTime;
 
-use crate::driver::TraceConfig;
-
 /// Which FLStore policy variant to deploy (Fig. 11 / Table 2 / Fig. 18).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PolicyVariant {
@@ -143,11 +141,6 @@ pub fn cache_agg(job: &FlJobConfig) -> AggregatorBaseline {
         job.model,
         SimTime::ZERO,
     )
-}
-
-/// The paper's 50-hour, 3000-request trace.
-pub fn paper_trace(seed: u64) -> TraceConfig {
-    TraceConfig::paper_50h(seed)
 }
 
 #[cfg(test)]

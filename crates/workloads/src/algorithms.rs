@@ -145,7 +145,7 @@ pub fn median(values: &[f64]) -> Option<f64> {
 
 /// Median absolute deviation scaled to be consistent with the standard
 /// deviation for Gaussian data (×1.4826). `None` when empty.
-pub fn mad(values: &[f64]) -> Option<f64> {
+fn mad(values: &[f64]) -> Option<f64> {
     let m = median(values)?;
     let deviations: Vec<f64> = values.iter().map(|v| (v - m).abs()).collect();
     median(&deviations).map(|d| d * 1.4826)

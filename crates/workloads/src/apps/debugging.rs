@@ -16,7 +16,7 @@ use crate::algorithms::median;
 use crate::outputs::DebuggingOutput;
 
 /// Median influence above which a client is diagnosed faulty.
-pub const FAULT_THRESHOLD: f64 = 0.8;
+const FAULT_THRESHOLD: f64 = 0.8;
 
 /// Traces `client` across the supplied rounds.
 ///

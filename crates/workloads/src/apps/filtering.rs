@@ -12,7 +12,7 @@ use crate::algorithms::robust_z_scores;
 use crate::outputs::FilteringOutput;
 
 /// Robust z-score threshold above which a client is flagged.
-pub const FLAG_THRESHOLD: f64 = 3.0;
+const FLAG_THRESHOLD: f64 = 3.0;
 
 /// Scores one round's updates and flags outliers.
 ///

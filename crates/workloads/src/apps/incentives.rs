@@ -14,7 +14,7 @@ use flstore_fl::weights::WeightVector;
 use crate::outputs::IncentivesOutput;
 
 /// Credit budget distributed per round.
-pub const ROUND_BUDGET: f64 = 10.0;
+const ROUND_BUDGET: f64 = 10.0;
 
 /// Distributes the round budget over participants by marginal contribution.
 ///

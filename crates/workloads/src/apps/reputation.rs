@@ -16,7 +16,7 @@ use crate::algorithms::ewma;
 use crate::outputs::ReputationOutput;
 
 /// EWMA smoothing for reputation.
-pub const ALPHA: f64 = 0.4;
+const ALPHA: f64 = 0.4;
 
 /// Computes the reputation trace of `client` from its updates across rounds
 /// and the matching aggregates.

@@ -9,7 +9,7 @@ use flstore_fl::update::ModelUpdate;
 use crate::outputs::SchedClusterOutput;
 
 /// Number of latency tiers.
-pub const TIERS: usize = 3;
+const TIERS: usize = 3;
 
 /// Tiers one round's participants by latency and selects the fastest tier
 /// for the next round.

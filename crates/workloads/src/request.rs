@@ -45,13 +45,13 @@ impl fmt::Display for RequestId {
 }
 
 /// Default history window for P3 (across-round) requests.
-pub const DEFAULT_P3_WINDOW: u32 = 4;
+const DEFAULT_P3_WINDOW: u32 = 4;
 /// Rounds of metadata a P4 request *reads*: the latest round's records
 /// (which carry cumulative per-client state). The paper's tunable `R`
 /// (default 10) governs how many rounds the tailored policy *retains*,
 /// not how many one request consumes — see `TailoredPolicy::p4_window`
 /// in `flstore-core`.
-pub const DEFAULT_P4_READ_WINDOW: u32 = 1;
+const DEFAULT_P4_READ_WINDOW: u32 = 1;
 
 /// One non-training request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -106,7 +106,7 @@ impl WorkloadRequest {
     }
 
     /// The rounds this request's history window covers (ending at `round`).
-    pub fn window_rounds(&self) -> Vec<Round> {
+    fn window_rounds(&self) -> Vec<Round> {
         let end = self.round.as_u32();
         let start = end.saturating_sub(self.window.saturating_sub(1));
         (start..=end).map(Round::new).collect()
@@ -187,7 +187,8 @@ pub fn get_workload_request(r: &mut Reader<'_>) -> Result<WorkloadRequest, Decod
 /// # Examples
 ///
 /// ```
-/// use flstore_workloads::request::JobCatalog;
+/// use flstore_workloads::request::{JobCatalog, RequestId, WorkloadRequest};
+/// use flstore_workloads::taxonomy::WorkloadKind;
 /// use flstore_fl::job::{FlJobConfig, FlJobSim};
 /// use flstore_fl::ids::JobId;
 ///
@@ -196,14 +197,14 @@ pub fn get_workload_request(r: &mut Reader<'_>) -> Result<WorkloadRequest, Decod
 /// let mut catalog = JobCatalog::new(cfg.job, cfg.model);
 /// let record = sim.next().expect("rounds");
 /// catalog.observe_round(&record);
-/// assert_eq!(catalog.rounds_seen(), 1);
+/// let inference = WorkloadRequest::new(RequestId::new(1), WorkloadKind::Inference, cfg.job, record.round, None);
+/// assert_eq!(catalog.data_needs(&inference).len(), 1); // the round's aggregate
 /// ```
 #[derive(Debug, Clone)]
 pub struct JobCatalog {
     job: JobId,
     model: ModelArch,
     participants: HashMap<Round, Vec<ClientId>>,
-    latest: Option<Round>,
 }
 
 impl JobCatalog {
@@ -213,7 +214,6 @@ impl JobCatalog {
             job,
             model,
             participants: HashMap::new(),
-            latest: None,
         }
     }
 
@@ -231,24 +231,10 @@ impl JobCatalog {
     pub fn observe_round(&mut self, record: &RoundRecord) {
         let clients: Vec<ClientId> = record.updates.iter().map(|u| u.client).collect();
         self.participants.insert(record.round, clients);
-        self.latest = Some(match self.latest {
-            Some(latest) if latest >= record.round => latest,
-            _ => record.round,
-        });
-    }
-
-    /// Number of rounds observed.
-    pub fn rounds_seen(&self) -> usize {
-        self.participants.len()
-    }
-
-    /// The most recent observed round.
-    pub fn latest_round(&self) -> Option<Round> {
-        self.latest
     }
 
     /// Clients that completed `round`, if observed.
-    pub fn participants(&self, round: Round) -> Option<&[ClientId]> {
+    fn participants(&self, round: Round) -> Option<&[ClientId]> {
         self.participants.get(&round).map(|v| v.as_slice())
     }
 
@@ -444,12 +430,5 @@ mod tests {
             Round::new(5),
             None,
         );
-    }
-
-    #[test]
-    fn latest_round_tracks_maximum() {
-        let (catalog, records) = catalog_with_rounds(5);
-        assert_eq!(catalog.latest_round(), Some(records[4].round));
-        assert_eq!(catalog.rounds_seen(), 5);
     }
 }

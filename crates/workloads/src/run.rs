@@ -23,7 +23,7 @@ use crate::request::WorkloadRequest;
 use crate::taxonomy::WorkloadKind;
 
 /// Number of participants selected by scheduling workloads.
-pub const SCHEDULE_K: usize = 10;
+const SCHEDULE_K: usize = 10;
 
 /// Failures while executing a workload.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -105,22 +105,6 @@ impl ServiceLedger {
         self.request_cost() + self.background_cost
     }
 
-    /// Per-request latency totals in seconds (for summaries/percentiles).
-    pub fn latency_secs(&self) -> Vec<f64> {
-        self.outcomes
-            .iter()
-            .map(|o| o.latency.total().as_secs_f64())
-            .collect()
-    }
-
-    /// Per-request cost totals in dollars.
-    pub fn cost_dollars(&self) -> Vec<f64> {
-        self.outcomes
-            .iter()
-            .map(|o| o.cost.total().as_dollars())
-            .collect()
-    }
-
     /// Outcomes of one workload kind.
     pub fn by_kind(&self, kind: WorkloadKind) -> impl Iterator<Item = &RequestOutcome> {
         self.outcomes.iter().filter(move |o| o.kind == kind)
@@ -171,7 +155,6 @@ mod tests {
         assert!((ledger.request_cost().total().as_dollars() - 0.003).abs() < 1e-12);
         assert!((ledger.total_cost().total().as_dollars() - 0.013).abs() < 1e-12);
         assert_eq!(ledger.by_kind(WorkloadKind::Inference).count(), 1);
-        assert_eq!(ledger.latency_secs(), vec![1.0, 6.0]);
     }
 
     #[test]

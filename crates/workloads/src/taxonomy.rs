@@ -129,7 +129,7 @@ impl WorkloadKind {
     /// ≈ 2.8 s; Fig. 12: clustering ≈ 6.07 s, cosine ≈ 0.031 s, malicious
     /// filtering ≈ 1.05 s, cluster scheduling ≈ 1.04 s for 10-update rounds
     /// of EfficientNetV2-S).
-    pub fn ref_seconds_per_item(self) -> f64 {
+    fn ref_seconds_per_item(self) -> f64 {
         match self {
             WorkloadKind::Personalized => 0.40,
             WorkloadKind::Clustering => 0.60,

@@ -7,41 +7,45 @@
 # local verify and CI cannot drift:
 #   1. cargo build --release                   (tier1: whole workspace)
 #   2. cargo test -q                           (tier1: unit + property + integration + doctests)
-#   3. cargo clippy --all-targets -D warnings  (lint: BLOCKING, like CI)
-#   4. cargo fmt --check                       (lint: BLOCKING, like CI)
-#   5. cargo doc --no-deps -D warnings         (lint: public API stays documented)
-#   6. determinism lint (analyze: BLOCKING, like CI); the doc inventory
-#      tables are checked by tests/doc_tables.rs in step 2
-#   7. lock-order detector tests: parking_lot unit tests + the exec
+#   3. benchmark compile: scripts/check_benchmark.sh type-checks the
+#      standalone benchmark/ package against this tree (its Cargo.lock
+#      left byte-identical)
+#   4. cargo clippy --all-targets -D warnings  (lint: BLOCKING, like CI)
+#   5. cargo fmt --check                       (lint: BLOCKING, like CI)
+#   6. cargo doc --no-deps -D warnings         (lint: public API stays documented)
+#   7. analyze lint (BLOCKING, like CI): the determinism rules plus
+#      dead_pub; the doc inventory tables are checked by
+#      tests/doc_tables.rs in step 2
+#   8. lock-order detector tests: parking_lot unit tests + the exec
 #      stress/rendezvous/seeded-inversion suite + the net socket suite,
 #      all --features lock-order
-#   8. figures smoke: every experiment id end-to-end at --fast scale into
+#   9. figures smoke: every experiment id end-to-end at --fast scale into
 #      results-smoke/ (so full-scale results/ are never clobbered), its
 #      stdout captured as results-smoke/stdout.txt, then
 #      scripts/check_figures_outputs.sh — the same check CI runs — and
 #      `sha256sum -c FIGURES.sha256`: every result byte is committed.
-#   9. parallel determinism: the same sweep again with --threads 4 (built
+#  10. parallel determinism: the same sweep again with --threads 4 (built
 #      with the lock-order detector armed) into results-smoke-threads4/,
 #      compared with the sequential run by a plain `diff -r` — every JSON
 #      file and the captured stdout, no normalization: the sharded
 #      executor must be bit-for-bit sequential.
-#  10. intra-job determinism: the sweep a third time with --threads 4
+#  11. intra-job determinism: the sweep a third time with --threads 4
 #      --key-shards 4 (MetaKey-sharded cache engines, work-stealing
 #      serves, lock-order armed) into results-smoke-keyshards4/, plain
 #      `diff -r` against the sequential run — the key-shard layout must
 #      be unobservable in every result byte.
-#  11. net smoke: the real server binary + load generator over loopback
+#  12. net smoke: the real server binary + load generator over loopback
 #      via scripts/smoke.sh net — closed-loop reports byte-diffed across
 #      shard counts, overload asserted typed (zero transport errors),
 #      paced arrivals asserted result-transparent.
-#  12. recovery smoke: a durable server SIGKILL'd mid-life and recovered
+#  13. recovery smoke: a durable server SIGKILL'd mid-life and recovered
 #      from its write-ahead ledger via scripts/smoke.sh recovery —
 #      served responses byte-diffed against an uninterrupted run.
-#  13. cluster smoke: the net server fronting a 3-node rf=2 cluster with
+#  14. cluster smoke: the net server fronting a 3-node rf=2 cluster with
 #      a node killed mid-run via scripts/smoke.sh cluster — zero failed
 #      requests after retries, post-failover pass byte-diffed against a
 #      churn-free twin.
-#      Skip 8–13 with --skip-smoke for a quick edit-compile loop.
+#      Skip 9–14 with --skip-smoke for a quick edit-compile loop.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -79,15 +83,16 @@ figures_leg() {
 
 run cargo build --release
 run cargo test -q
+run scripts/check_benchmark.sh
 run cargo clippy -q --all-targets -- -D warnings
 run cargo fmt --check
 echo
 echo "==> RUSTDOCFLAGS='-D warnings' cargo doc --no-deps"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps
 
-# Correctness tooling (blocking, like CI's analyze job): the determinism
-# lint over the workspace sources and the lock-order deadlock detector
-# suites.
+# Correctness tooling (blocking, like CI's analyze job): the analyze lint
+# (determinism rules and dead_pub) over the workspace sources and the
+# lock-order deadlock detector suites.
 run cargo run -q -p flstore-analyze -- lint
 run cargo test -q -p parking_lot --features lock-order
 run cargo test -q -p flstore-exec --features lock-order
