@@ -58,14 +58,11 @@ fn main() {
     let scale = if fast { Scale::Fast } else { Scale::Full };
 
     // `--threads N`: serve every experiment through an N-shard concurrent
-    // executor; `--threads 0` resolves to every available core. Outputs
-    // are byte-identical to a sequential run for ANY shard count (the
-    // executor is bit-for-bit equivalent; CI diffs both runs to prove it).
+    // executor over N-way key-sharded cache engines; `--threads 0`
+    // resolves to every available core. Outputs are byte-identical to a
+    // sequential run for ANY shard count (the executor and the key-shard
+    // layout are bit-for-bit equivalent; CI diffs both runs to prove it).
     let mut threads = 1usize;
-    // `--key-shards K`: partition every cache engine's MetaKey state into
-    // K shards (the process-wide default; serialized configs keep the
-    // field at 0, so ledger bytes are identical across settings).
-    let mut key_shards: Option<usize> = None;
     let mut targets: Vec<&str> = Vec::new();
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
@@ -86,20 +83,6 @@ fn main() {
             });
             continue;
         }
-        if arg == "--key-shards" {
-            key_shards = Some(iter.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                eprintln!("--key-shards needs a positive shard count");
-                std::process::exit(2);
-            }));
-            continue;
-        }
-        if let Some(v) = arg.strip_prefix("--key-shards=") {
-            key_shards = Some(v.parse().ok().unwrap_or_else(|| {
-                eprintln!("--key-shards needs a positive shard count");
-                std::process::exit(2);
-            }));
-            continue;
-        }
         targets.push(arg.as_str());
     }
     if threads == 0 {
@@ -109,9 +92,6 @@ fn main() {
         eprintln!("--threads 0: resolved to {threads} available core(s)");
     }
     flstore_bench::util::set_serving_threads(threads);
-    if let Some(shards) = key_shards {
-        flstore_bench::util::set_key_shards(shards);
-    }
 
     let resolve = |name: &str| -> Option<&'static str> {
         if let Some((n, _, _)) = EXPERIMENTS.iter().find(|(n, _, _)| *n == name) {
@@ -155,12 +135,12 @@ fn main() {
         if fast { "fast" } else { "paper" }
     );
     // The run configuration goes to stderr: stdout is a result, and the
-    // gate diffs it across thread and key-shard counts.
+    // gate diffs it across thread counts.
     if threads > 1 {
-        eprintln!("serving plane: sharded executor, {threads} worker threads");
-    }
-    if let Some(shards) = key_shards {
-        eprintln!("cache engines: {shards} MetaKey shard(s) per job");
+        eprintln!(
+            "serving plane: sharded executor, {threads} worker threads, \
+             {threads} MetaKey shards per cache engine"
+        );
     }
     #[cfg(feature = "lock-order")]
     eprintln!(

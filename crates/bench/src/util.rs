@@ -15,25 +15,20 @@ use serde_json::Value;
 /// parallel plane existed.
 static SERVING_THREADS: AtomicUsize = AtomicUsize::new(1);
 
-/// Sets the shard count every subsequent drive uses (clamped to ≥ 1).
+/// Sets the shard count every subsequent drive uses (clamped to ≥ 1), and
+/// makes it the default MetaKey shard count of every cache engine built
+/// from a `key_shards: 0` config. Neither layout is observable — responses,
+/// ledgers and window costs are byte-identical at any count (CI diffs a
+/// `--threads 4` sweep against sequential) — and serialized configs keep
+/// `key_shards` at 0, so ledger bytes never encode the knob.
 pub fn set_serving_threads(n: usize) {
     SERVING_THREADS.store(n.max(1), Ordering::Relaxed);
+    flstore_core::engine::set_default_key_shards(n);
 }
 
 /// The configured shard count.
 pub fn serving_threads() -> usize {
     SERVING_THREADS.load(Ordering::Relaxed)
-}
-
-/// Sets the process-wide default MetaKey shard count every cache engine
-/// built from a `key_shards: 0` config uses (`figures -- --key-shards K`).
-/// The engine's state split is unobservable by construction — responses,
-/// ledgers, and window costs are byte-identical at any K (CI-enforced by
-/// diffing a `--threads 4 --key-shards 4` sweep against sequential) —
-/// and serialized configs keep the field at 0, so ledger bytes never
-/// encode the knob.
-pub fn set_key_shards(n: usize) {
-    flstore_core::engine::set_default_key_shards(n);
 }
 
 /// Drives a serving system through the trace, honouring the `--threads`

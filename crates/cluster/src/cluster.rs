@@ -151,23 +151,6 @@ pub struct ClusterStats {
     pub failover_delays: Vec<SimDuration>,
 }
 
-/// One replayable history entry, preserving the batch grouping the
-/// original submission used so catch-up replay is bit-identical.
-#[derive(Debug, Clone)]
-enum HistEntry {
-    One(Request),
-    Run(Vec<Request>),
-}
-
-impl HistEntry {
-    fn envelopes(&self) -> u64 {
-        match self {
-            HistEntry::One(_) => 1,
-            HistEntry::Run(run) => run.len() as u64,
-        }
-    }
-}
-
 /// Internal failure-plane operations on the virtual-clock queue.
 #[derive(Debug, Clone, Copy)]
 enum Op {
@@ -216,9 +199,11 @@ pub struct ClusterStore {
     routes: BTreeMap<JobId, Vec<usize>>,
     /// Job → model, kept for re-registration at repair and rejoin.
     models: BTreeMap<JobId, ModelArch>,
-    /// Job → every state-touching entry ever applied, with its stamp —
-    /// the replay source for catch-up and re-replication.
-    history: BTreeMap<JobId, Vec<(SimTime, HistEntry)>>,
+    /// Job → every state-touching run of envelopes ever applied, with its
+    /// stamp — the replay source for catch-up and re-replication. Each
+    /// entry keeps the batch grouping the original submission used, so
+    /// catch-up replay is bit-identical.
+    history: BTreeMap<JobId, Vec<(SimTime, Vec<Request>)>>,
     ops: EventQueue<Op>,
     stats: ClusterStats,
 }
@@ -540,7 +525,7 @@ impl ClusterStore {
     /// left.
     fn catch_up_job(&mut self, n: usize, job: JobId) {
         let done = self.nodes[n].applied.get(&job).copied().unwrap_or(0);
-        let entries: Vec<(SimTime, HistEntry)> = self
+        let entries: Vec<(SimTime, Vec<Request>)> = self
             .history
             .get(&job)
             .map(|h| h[done..].to_vec())
@@ -552,16 +537,9 @@ impl ClusterStore {
             .expect("catch-up on a live node");
         let store = tenants.tenant_mut(job).expect("hosted job is registered");
         let mut replayed = 0u64;
-        for (stamp, entry) in &entries {
-            replayed += entry.envelopes();
-            match entry {
-                HistEntry::One(request) => {
-                    let _ = store.submit(*stamp, request.clone());
-                }
-                HistEntry::Run(run) => {
-                    let _ = store.submit_batch(*stamp, run);
-                }
-            }
+        for (stamp, run) in &entries {
+            replayed += run.len() as u64;
+            let _ = store.submit_batch(*stamp, run);
         }
         self.nodes[n].applied.insert(job, total);
         self.stats.catchup_entries += replayed;
@@ -653,34 +631,15 @@ impl ClusterStore {
         }
     }
 
-    fn submit_inner(&mut self, now: SimTime, request: Request) -> Response {
-        let Some(job) = request.job() else {
-            return self.stats_response(now);
-        };
-        if !self.routes.contains_key(&job) {
-            return Response::Rejected(ApiError::UnknownJob { job });
-        }
-        let Some(primary) = self.primary_of(job) else {
-            return self.redirect(job);
-        };
-        self.history
-            .entry(job)
-            .or_default()
-            .push((now, HistEntry::One(request.clone())));
-        self.replicate_entry(now, job, primary, &HistEntry::One(request))
-            .pop()
-            .expect("primary is reachable")
-    }
-
-    /// Applies one history entry to every reachable route member (the
+    /// Applies one run of envelopes to every reachable route member (the
     /// state-machine replication step) and returns the acting primary's
     /// responses.
-    fn replicate_entry(
+    fn replicate_run(
         &mut self,
         now: SimTime,
         job: JobId,
         primary: usize,
-        entry: &HistEntry,
+        run: &[Request],
     ) -> Vec<Response> {
         let entry_count = self.history.get(&job).map_or(0, |h| h.len());
         let members = self.routes.get(&job).cloned().unwrap_or_default();
@@ -694,10 +653,7 @@ impl ClusterStore {
                 .as_mut()
                 .expect("reachable node has stores");
             let store = tenants.tenant_mut(job).expect("route member hosts the job");
-            let r = match entry {
-                HistEntry::One(request) => vec![store.submit(now, request.clone())],
-                HistEntry::Run(run) => store.submit_batch(now, run),
-            };
+            let r = store.submit_batch(now, run);
             self.nodes[member].applied.insert(job, entry_count);
             if member == primary {
                 responses = r;
@@ -737,43 +693,38 @@ impl ClusterStore {
         ))
     }
 
-    /// Submits a run of consecutive serves. `run_job` is the run's
-    /// registered job (unregistered serves ride along and are rejected
-    /// inline by the tenant store, exactly like a bare store batch);
-    /// `None` means every serve in the run targets an unregistered job.
-    fn submit_run(
-        &mut self,
-        now: SimTime,
-        run_job: Option<JobId>,
-        run: Vec<Request>,
-    ) -> Vec<Response> {
-        let Some(job) = run_job else {
+    /// Submits one run: a lone `Stats`, a lone envelope, or consecutive
+    /// serves. The run's registered job routes it (unregistered serves
+    /// ride along and are rejected inline by the tenant store, exactly
+    /// like a bare store batch); a run with no registered job is rejected
+    /// whole.
+    fn submit_run(&mut self, now: SimTime, run: &[Request]) -> Vec<Response> {
+        if let [Request::Stats] = run {
+            return vec![self.stats_response(now)];
+        }
+        let routed = run
+            .iter()
+            .filter_map(Request::job)
+            .find(|job| self.routes.contains_key(job))
+            .and_then(|job| Some((job, self.primary_of(job)?)));
+        let Some((job, primary)) = routed else {
             return run
                 .iter()
                 .map(|request| {
-                    let job = request.job().expect("serves route by job");
-                    Response::Rejected(ApiError::UnknownJob { job })
+                    let job = request.job().expect("only Stats is system-wide");
+                    if self.routes.contains_key(&job) {
+                        self.redirect(job)
+                    } else {
+                        Response::Rejected(ApiError::UnknownJob { job })
+                    }
                 })
                 .collect();
         };
-        let Some(primary) = self.primary_of(job) else {
-            let mut responses = Vec::with_capacity(run.len());
-            for request in &run {
-                let j = request.job().expect("serves route by job");
-                responses.push(if self.routes.contains_key(&j) {
-                    self.redirect(j)
-                } else {
-                    Response::Rejected(ApiError::UnknownJob { job: j })
-                });
-            }
-            return responses;
-        };
-        let entry = HistEntry::Run(run);
         self.history
             .entry(job)
             .or_default()
-            .push((now, entry.clone()));
-        self.replicate_entry(now, job, primary, &entry)
+            .push((now, run.to_vec()));
+        self.replicate_run(now, job, primary, run)
     }
 }
 
@@ -786,40 +737,39 @@ impl Service for ClusterStore {
     }
 
     fn submit(&mut self, now: SimTime, request: Request) -> Response {
-        self.drain_failures(now);
-        self.submit_inner(now, request)
+        self.submit_batch(now, std::slice::from_ref(&request))
+            .pop()
+            .expect("one envelope yields one response")
     }
 
     /// Groups maximal runs of consecutive `Serve` envelopes whose
     /// registered jobs all match (unregistered serves ride along inside
     /// a run and are rejected inline by the tenant store), so a
     /// 1-node rf=1 cluster decomposes a batch **exactly** like a bare
-    /// [`FlStore`] does. Non-serve envelopes break runs and are
-    /// submitted singly.
+    /// [`FlStore`] does. Any other envelope is a run of one. The
+    /// ride-along rule looks past unregistered serves, so it is no rule
+    /// on adjacent pairs and the split stays a loop.
     fn submit_batch(&mut self, now: SimTime, requests: &[Request]) -> Vec<Response> {
         self.drain_failures(now);
         let mut responses: Vec<Response> = Vec::with_capacity(requests.len());
-        let mut i = 0;
-        while i < requests.len() {
-            if !matches!(requests[i], Request::Serve(_)) {
-                responses.push(self.submit_inner(now, requests[i].clone()));
-                i += 1;
-                continue;
-            }
-            let mut run: Vec<Request> = Vec::new();
-            let mut run_job: Option<JobId> = None;
-            while let Some(Request::Serve(serve)) = requests.get(i) {
-                if self.routes.contains_key(&serve.job) {
-                    match run_job {
-                        None => run_job = Some(serve.job),
-                        Some(j) if j != serve.job => break,
-                        Some(_) => {}
+        let mut start = 0;
+        while start < requests.len() {
+            let mut end = start + 1;
+            if let Request::Serve(first) = &requests[start] {
+                let mut run_job = Some(first.job).filter(|job| self.routes.contains_key(job));
+                while let Some(Request::Serve(serve)) = requests.get(end) {
+                    if self.routes.contains_key(&serve.job) {
+                        match run_job {
+                            None => run_job = Some(serve.job),
+                            Some(job) if job != serve.job => break,
+                            Some(_) => {}
+                        }
                     }
+                    end += 1;
                 }
-                run.push(Request::Serve(*serve));
-                i += 1;
             }
-            responses.extend(self.submit_run(now, run_job, run));
+            responses.extend(self.submit_run(now, &requests[start..end]));
+            start = end;
         }
         responses
     }

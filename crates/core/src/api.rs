@@ -291,7 +291,6 @@ impl Error for ApiError {
 impl From<FlStoreError> for ApiError {
     fn from(e: FlStoreError) -> Self {
         match e {
-            FlStoreError::UnknownJob { job } => ApiError::UnknownJob { job },
             FlStoreError::NoData { request } => ApiError::NoData { request },
             FlStoreError::Store(e) => ApiError::Store(e),
             FlStoreError::Workload(e) => ApiError::Workload(e),
@@ -472,41 +471,42 @@ impl FlStore {
         requests: &[Request],
     ) -> Vec<DeferredResponse> {
         let own = self.catalog().job();
-        let mut responses: Vec<Option<DeferredResponse>> = Vec::new();
-        responses.resize_with(requests.len(), || None);
-        let mut i = 0;
-        while i < requests.len() {
-            // Collect the run of consecutive Serve envelopes starting here.
-            let mut run: Vec<WorkloadRequest> = Vec::new();
-            let mut slots: Vec<usize> = Vec::new();
-            while let Some(Request::Serve(request)) = requests.get(i) {
-                if request.job == own {
-                    run.push(*request);
-                    slots.push(i);
-                } else {
-                    responses[i] = Some(DeferredResponse::Ready(Response::Rejected(
-                        ApiError::UnknownJob { job: request.job },
-                    )));
-                }
-                i += 1;
+        let mut responses = Vec::with_capacity(requests.len());
+        let both_serve =
+            |a: &Request, b: &Request| matches!((a, b), (Request::Serve(_), Request::Serve(_)));
+        for chunk in requests.chunk_by(both_serve) {
+            if !matches!(chunk[0], Request::Serve(_)) {
+                responses.push(DeferredResponse::Ready(self.submit(now, chunk[0].clone())));
+                continue;
             }
-            if !run.is_empty() {
-                for (slot, result) in slots.into_iter().zip(self.serve_batch_deferred(now, &run)) {
-                    responses[slot] = Some(match result {
+            // Foreign-job serves are rejected inline and do not break the
+            // run; an all-foreign run must not log an empty `ServeBatch`.
+            let admitted: Vec<WorkloadRequest> = chunk
+                .iter()
+                .filter_map(|request| match request {
+                    Request::Serve(w) if w.job == own => Some(*w),
+                    _ => None,
+                })
+                .collect();
+            let mut served = if admitted.is_empty() {
+                Vec::new()
+            } else {
+                self.serve_batch_deferred(now, &admitted)
+            }
+            .into_iter();
+            for request in chunk {
+                let job = request.job().expect("serves are job-addressed");
+                responses.push(if job == own {
+                    match served.next().expect("one result per admitted serve") {
                         Ok(pending) => DeferredResponse::Pending(pending),
                         Err(e) => DeferredResponse::Ready(Response::Rejected(e.into())),
-                    });
-                }
-            }
-            if let Some(request) = requests.get(i) {
-                responses[i] = Some(DeferredResponse::Ready(self.submit(now, request.clone())));
-                i += 1;
+                    }
+                } else {
+                    DeferredResponse::Ready(Response::Rejected(ApiError::UnknownJob { job }))
+                });
             }
         }
         responses
-            .into_iter()
-            .map(|r| r.expect("every envelope slot is filled"))
-            .collect()
     }
 }
 
@@ -581,51 +581,36 @@ impl Service for MultiTenantStore {
     }
 
     fn submit(&mut self, now: SimTime, request: Request) -> Response {
-        match request.job() {
-            Some(job) => match self.tenant_mut(job) {
-                Some(store) => store.submit(now, request),
-                None => Response::Rejected(ApiError::UnknownJob { job }),
-            },
-            // System-wide envelopes aggregate over every tenant. They are
-            // also the pressure plane's deterministic trigger point: when a
-            // global budget is set, over-budget elastic tenants shed their
-            // policy victims here, before occupancy is reported — the same
-            // barrier semantics the sharded executor gives Stats envelopes,
-            // so both planes stay bit-for-bit equivalent.
-            None => {
-                self.pressure_pass();
-                Response::Stats(self.stats_report())
-            }
-        }
+        self.submit_batch(now, std::slice::from_ref(&request))
+            .pop()
+            .expect("one envelope yields one response")
     }
 
-    /// Runs of consecutive `Serve` envelopes bound for the *same tenant*
-    /// are forwarded as one sub-batch, so per-tenant executors amortize
-    /// across them; everything else routes envelope by envelope.
+    /// Each maximal run of envelopes bound for the *same tenant* goes
+    /// whole to that tenant's `submit_batch`, which splits it into serve
+    /// runs and single envelopes exactly as a bare store would.
     fn submit_batch(&mut self, now: SimTime, requests: &[Request]) -> Vec<Response> {
         let mut responses: Vec<Response> = Vec::with_capacity(requests.len());
-        let mut i = 0;
-        while i < requests.len() {
-            let Request::Serve(first) = &requests[i] else {
-                responses.push(self.submit(now, requests[i].clone()));
-                i += 1;
-                continue;
-            };
-            let job = first.job;
-            let mut run: Vec<Request> = Vec::new();
-            while let Some(Request::Serve(request)) = requests.get(i) {
-                if request.job != job {
-                    break;
+        for run in requests.chunk_by(|a, b| a.job().is_some() && a.job() == b.job()) {
+            match run[0].job() {
+                Some(job) => match self.tenant_mut(job) {
+                    Some(store) => responses.extend(store.submit_batch(now, run)),
+                    None => responses.extend(
+                        run.iter()
+                            .map(|_| Response::Rejected(ApiError::UnknownJob { job })),
+                    ),
+                },
+                // System-wide envelopes aggregate over every tenant. They
+                // are also the pressure plane's deterministic trigger
+                // point: when a global budget is set, over-budget elastic
+                // tenants shed their policy victims here, before occupancy
+                // is reported — the same barrier semantics the sharded
+                // executor gives Stats envelopes, so both planes stay
+                // bit-for-bit equivalent.
+                None => {
+                    self.pressure_pass();
+                    responses.push(Response::Stats(self.stats_report()));
                 }
-                run.push(Request::Serve(*request));
-                i += 1;
-            }
-            match self.tenant_mut(job) {
-                Some(store) => responses.extend(store.submit_batch(now, &run)),
-                None => responses.extend(
-                    run.iter()
-                        .map(|_| Response::Rejected(ApiError::UnknownJob { job })),
-                ),
             }
         }
         responses

@@ -1,4 +1,4 @@
-//! The Cache Engine (paper §4.2), key-sharded for intra-job parallelism.
+//! The Cache Engine (paper §4.2), with its state split into key-shards.
 //!
 //! Tracks where each metadata object lives across disaggregated function
 //! memories — the paper's dictionary
@@ -22,9 +22,10 @@
 //! executor uses to route jobs to workers, applied to the `MetaKey`
 //! *within* a job. Each shard consolidates all three layers for its keys
 //! in one exclusively-owned struct (no split `data`/`access_order`-style
-//! locking — Snippet 3's contention finding), so serve work for disjoint
-//! key-shards of a single hot tenant can proceed on different workers
-//! while ingest/evict/reclaim stay owner-serialized.
+//! locking — Snippet 3's contention finding). Every shard is touched on
+//! the owner thread under `&mut`; the executor parallelizes a hot
+//! tenant's serve kernels, not its engine shards, so K is a layout that
+//! tests sweep and no caller needs to choose.
 //!
 //! Every externally observable order is shard-count independent: `keys()`
 //! sorts at the boundary, sequence numbers come from one engine-global
@@ -50,8 +51,7 @@ use crate::quota::AdmissionGate;
 
 /// Process-wide default key-shard count, consulted by
 /// [`CacheEngine::new`] (and any config that leaves its shard count at 0).
-/// Mirrors the bench harness's serving-threads knob: CLI front ends set
-/// it once at startup.
+/// The figures harness sets it from `--threads` once at startup.
 static DEFAULT_KEY_SHARDS: AtomicUsize = AtomicUsize::new(1);
 
 /// Sets the process-wide default key-shard count (clamped to ≥ 1).

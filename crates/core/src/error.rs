@@ -4,7 +4,6 @@ use std::error::Error;
 use std::fmt;
 
 use flstore_cloud::blob::StoreError;
-use flstore_fl::ids::JobId;
 use flstore_serverless::platform::PlatformError;
 use flstore_workloads::request::RequestId;
 use flstore_workloads::run::WorkloadError;
@@ -12,13 +11,6 @@ use flstore_workloads::run::WorkloadError;
 /// Failures while serving a non-training request.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FlStoreError {
-    /// The operation named a job no deployment serves (multi-tenant
-    /// routing miss). This is an admission failure, not a data failure:
-    /// it carries the offending job, never a synthesized request id.
-    UnknownJob {
-        /// The job nobody serves.
-        job: JobId,
-    },
     /// The catalog has no data for the requested round(s) — nothing was
     /// ever ingested there.
     NoData {
@@ -36,9 +28,6 @@ pub enum FlStoreError {
 impl fmt::Display for FlStoreError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            FlStoreError::UnknownJob { job } => {
-                write!(f, "no tenant serves {job}")
-            }
             FlStoreError::NoData { request } => {
                 write!(f, "no ingested data satisfies {request}")
             }
@@ -52,7 +41,7 @@ impl fmt::Display for FlStoreError {
 impl Error for FlStoreError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
-            FlStoreError::UnknownJob { .. } | FlStoreError::NoData { .. } => None,
+            FlStoreError::NoData { .. } => None,
             FlStoreError::Store(e) => Some(e),
             FlStoreError::Workload(e) => Some(e),
             FlStoreError::Platform(e) => Some(e),
@@ -88,10 +77,6 @@ mod tests {
             request: RequestId::new(3),
         };
         assert!(e.to_string().contains("req-3"));
-        assert!(e.source().is_none());
-
-        let e = FlStoreError::UnknownJob { job: JobId::new(9) };
-        assert!(e.to_string().contains("job-9"));
         assert!(e.source().is_none());
 
         let e = FlStoreError::from(StoreError::NotFound(flstore_cloud::blob::ObjectKey::new(

@@ -104,7 +104,7 @@ pub use tracker::RequestTracker;
 
 // Thread-ownership audit: serving state crosses thread boundaries by
 // ownership transfer (whole deployments move onto executor workers), the
-// tracker is shared behind its internal `RwLock`, and envelopes travel
+// tracker is internally synchronized (`RwLock`), and envelopes travel
 // over channels. These bounds are what the sharded execution plane relies
 // on; breaking any of them (an `Rc`, a `RefCell`, a non-`Send` policy) is
 // a compile error here rather than deep inside an executor.

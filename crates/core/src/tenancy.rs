@@ -11,18 +11,15 @@
 use std::collections::BTreeMap;
 
 use flstore_fl::ids::JobId;
-use flstore_fl::job::RoundRecord;
 use flstore_fl::metadata::MetaKey;
 use flstore_fl::zoo::ModelArch;
 use flstore_sim::bytes::ByteSize;
 use flstore_sim::cost::CostBreakdown;
 use flstore_sim::time::SimTime;
-use flstore_workloads::request::WorkloadRequest;
 
-use crate::error::FlStoreError;
 use crate::policy::{CachingPolicy, TailoredPolicy};
 use crate::quota::{pressure_plan, QuotaUsage, TenantQuota};
-use crate::store::{FlStore, FlStoreConfig, IngestReceipt, ServedRequest};
+use crate::store::{FlStore, FlStoreConfig};
 
 /// A multi-tenant FLStore front end: one isolated [`FlStore`] per job.
 ///
@@ -178,44 +175,6 @@ impl MultiTenantStore {
         self.tenants.values_mut()
     }
 
-    /// Ingests a round into its job's tenant.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FlStoreError::UnknownJob`] if the round belongs to an
-    /// unregistered job — an admission failure carrying the offending job,
-    /// exactly what the typed front door reports, never a synthesized
-    /// request id.
-    pub fn ingest_round(
-        &mut self,
-        now: SimTime,
-        job: JobId,
-        record: &RoundRecord,
-    ) -> Result<IngestReceipt, FlStoreError> {
-        match self.tenants.get_mut(&job) {
-            Some(store) => Ok(store.ingest_round(now, record)),
-            None => Err(FlStoreError::UnknownJob { job }),
-        }
-    }
-
-    /// Routes a request to its job's tenant.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FlStoreError::UnknownJob`] for unregistered jobs (the
-    /// same admission semantics as the typed front door), or whatever the
-    /// tenant store returns.
-    pub fn serve(
-        &mut self,
-        now: SimTime,
-        request: &WorkloadRequest,
-    ) -> Result<ServedRequest, FlStoreError> {
-        match self.tenants.get_mut(&request.job) {
-            Some(store) => store.serve(now, request),
-            None => Err(FlStoreError::UnknownJob { job: request.job }),
-        }
-    }
-
     /// Aggregate cost across tenants over the window ending at `now`.
     pub fn total_cost(&mut self, now: SimTime) -> CostBreakdown {
         self.tenants.values_mut().map(|s| s.total_cost(now)).sum()
@@ -255,10 +214,11 @@ impl MultiTenantStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::{ApiError, Request, Response, Service};
     use flstore_fl::job::{FlJobConfig, FlJobSim};
     use flstore_serverless::platform::{PlatformConfig, ReclaimModel};
     use flstore_sim::time::SimDuration;
-    use flstore_workloads::request::RequestId;
+    use flstore_workloads::request::{RequestId, WorkloadRequest};
     use flstore_workloads::taxonomy::WorkloadKind;
 
     fn template() -> FlStoreConfig {
@@ -280,7 +240,10 @@ mod tests {
         let mut now = SimTime::ZERO;
         let mut last = flstore_fl::ids::Round::ZERO;
         for record in FlJobSim::new(cfg) {
-            front.ingest_round(now, job, &record).expect("registered");
+            front
+                .tenant_mut(job)
+                .expect("registered")
+                .ingest_round(now, &record);
             last = record.round;
             now += SimDuration::from_secs(60);
         }
@@ -302,9 +265,11 @@ mod tests {
                 round,
                 None,
             );
-            let served = front
-                .serve(SimTime::from_secs(3600), &req)
-                .expect("servable");
+            let Response::Served(served) =
+                front.submit(SimTime::from_secs(3600), Request::Serve(req))
+            else {
+                panic!("servable");
+            };
             assert_eq!(served.measured.cache_misses, 0);
         }
 
@@ -350,9 +315,11 @@ mod tests {
             last1,
             None,
         );
-        let served = rebuilt
-            .serve(SimTime::from_secs(3600), &req)
-            .expect("tenant state survived the round trip");
+        let Response::Served(served) =
+            rebuilt.submit(SimTime::from_secs(3600), Request::Serve(req))
+        else {
+            panic!("tenant state survived the round trip");
+        };
         assert_eq!(served.measured.cache_misses, 0);
 
         // Adopting a duplicate hands the deployment back untouched.
@@ -387,24 +354,19 @@ mod tests {
             flstore_fl::ids::Round::ZERO,
             None,
         );
-        assert_eq!(
-            front.serve(SimTime::ZERO, &req).unwrap_err(),
-            FlStoreError::UnknownJob {
-                job: JobId::new(42)
-            }
-        );
+        let unknown = Response::Rejected(ApiError::UnknownJob {
+            job: JobId::new(42),
+        });
+        assert_eq!(front.submit(SimTime::ZERO, Request::Serve(req)), unknown);
         // The ingest path reports the same honest admission failure — and
         // never a synthesized request id.
         let cfg = FlJobConfig::quick_test(JobId::new(42));
         let record = FlJobSim::new(cfg).next().expect("one round");
-        assert_eq!(
-            front
-                .ingest_round(SimTime::ZERO, JobId::new(42), &record)
-                .unwrap_err(),
-            FlStoreError::UnknownJob {
-                job: JobId::new(42)
-            }
-        );
+        let ingest = Request::Ingest {
+            job: JobId::new(42),
+            record: std::sync::Arc::new(record),
+        };
+        assert_eq!(front.submit(SimTime::ZERO, ingest), unknown);
     }
 
     #[test]
@@ -441,8 +403,9 @@ mod tests {
             };
             let record = FlJobSim::new(cfg).next().expect("one round");
             front
-                .ingest_round(SimTime::ZERO, job, &record)
-                .expect("registered");
+                .tenant_mut(job)
+                .expect("registered")
+                .ingest_round(SimTime::ZERO, &record);
         }
         let small = front.tenant(JobId::new(1)).expect("t1");
         let large = front.tenant(JobId::new(2)).expect("t2");

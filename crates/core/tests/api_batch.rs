@@ -31,7 +31,9 @@
 //! setup): batching is *defined* to share one liveness pass across a
 //! batch, so under fault injection a batch may attribute one fault to
 //! several batchmates — outside faults, there must be no observable
-//! difference at all.
+//! difference at all. One property turns reclamation on and compares the
+//! executor against the bare store's own `submit_batch`, which pins the
+//! batch grouping itself.
 
 use proptest::prelude::*;
 
@@ -71,11 +73,20 @@ fn loaded_store(limited: bool) -> (FlStore, Vec<RoundRecord>) {
 /// [`loaded_store`] with the cache engine partitioned into `key_shards`
 /// MetaKey shards (0 = the process-wide default, i.e. unsharded).
 fn loaded_store_keyed(limited: bool, key_shards: usize) -> (FlStore, Vec<RoundRecord>) {
+    loaded_store_reclaiming(limited, key_shards, ReclaimModel::DISABLED)
+}
+
+/// [`loaded_store_keyed`] under the given replica reclamation model.
+fn loaded_store_reclaiming(
+    limited: bool,
+    key_shards: usize,
+    reclaim: ReclaimModel,
+) -> (FlStore, Vec<RoundRecord>) {
     let job = job_config();
     let cfg = FlStoreConfig {
         key_shards,
         platform: PlatformConfig {
-            reclaim: ReclaimModel::DISABLED,
+            reclaim,
             ..PlatformConfig::default()
         },
         capacity_per_ring: limited.then(|| job.round_metadata_bytes() + ByteSize::from_mb(50)),
@@ -301,6 +312,63 @@ fn assert_key_shard_cross_product_equivalent(limited: bool, seed: u64, len: usiz
     }
 }
 
+/// Reclamation on: replicas die while the deployment idles, so serves in
+/// the mix meet faults and the liveness pass recovers them. That pass is
+/// batch-scoped (one fault may mark several batchmates
+/// `recovered_from_fault`), so the reference is a bare K=1 store's own
+/// `submit_batch`, not per-envelope submits. An executor over one store,
+/// at every worker count × key-shard count, must group the batch exactly
+/// as the bare store does: responses, ledger outcomes, window cost and
+/// cache state all match. Returns the faults the reference observed.
+fn assert_executor_equals_batch_under_reclamation(seed: u64, len: usize) -> u64 {
+    let (mut reference, records) = loaded_store_reclaiming(false, 1, ReclaimModel::FAULT_INJECTION);
+    let mix = request_mix(seed, len, &records);
+    let now = SimTime::from_secs(7200);
+    let reference_responses = reference.submit_batch(now, &mix);
+    let reference_cost = reference.total_cost(now);
+
+    for key_shards in [1usize, 4] {
+        for workers in [1usize, 2, 4] {
+            let (parallel, _) =
+                loaded_store_reclaiming(false, key_shards, ReclaimModel::FAULT_INJECTION);
+            let mut exec = ShardedExecutor::new(vec![parallel], workers);
+            let responses = exec.submit_batch(now, &mix);
+            assert_eq!(
+                responses, reference_responses,
+                "responses @K={key_shards} keys × {workers} workers, reclaiming"
+            );
+            assert_eq!(
+                Service::window_cost(&mut exec, now),
+                reference_cost,
+                "window costs @K={key_shards} keys × {workers} workers, reclaiming"
+            );
+            let store = exec.into_units().pop().expect("unit returned");
+            assert_eq!(
+                store.ledger().outcomes,
+                reference.ledger().outcomes,
+                "ledger @K={key_shards} keys × {workers} workers, reclaiming"
+            );
+            assert_eq!(
+                cache_fingerprint(&store),
+                cache_fingerprint(&reference),
+                "cache state @K={key_shards} keys × {workers} workers, reclaiming"
+            );
+            assert_eq!(store.faults_observed(), reference.faults_observed());
+        }
+    }
+    reference.faults_observed()
+}
+
+/// The reclamation property is not vacuous: across a fixed handful of
+/// seeds the reference deployment does observe faults.
+#[test]
+fn executor_equals_batch_under_reclamation_sees_faults() {
+    let faults: u64 = (0..4u64)
+        .map(|seed| assert_executor_equals_batch_under_reclamation(seed, 16))
+        .sum();
+    assert!(faults > 0, "no seed observed a reclaimed replica");
+}
+
 /// Durability × key shards: a durable deployment's persisted bytes —
 /// write-ahead ledger segments and snapshots — must be identical at every
 /// key-shard count, even when the serves run through a work-stealing
@@ -495,7 +563,10 @@ fn loaded_front_keyed(
         let records: Vec<RoundRecord> = FlJobSim::new(cfg.clone()).collect();
         let mut now = SimTime::ZERO;
         for r in &records[..records.len() - 1] {
-            front.ingest_round(now, cfg.job, r).expect("registered");
+            front
+                .tenant_mut(cfg.job)
+                .expect("registered")
+                .ingest_round(now, r);
             now += SimDuration::from_secs(60);
         }
         per_job.push(records);
@@ -659,14 +730,20 @@ fn assert_strict_quota_bounded_and_confined(seed: u64, len: usize, budget_rounds
 
     let mut now = SimTime::ZERO;
     for r in FlJobSim::new(bys_cfg) {
-        front.ingest_round(now, bystander, &r).expect("registered");
+        front
+            .tenant_mut(bystander)
+            .expect("registered")
+            .ingest_round(now, &r);
         now += SimDuration::from_secs(60);
     }
     let bystander_before = cache_fingerprint(front.tenant(bystander).expect("registered"));
 
     let records: Vec<RoundRecord> = FlJobSim::new(cfg.clone()).collect();
     for r in &records[..records.len() - 1] {
-        front.ingest_round(now, strict_job, r).expect("registered");
+        front
+            .tenant_mut(strict_job)
+            .expect("registered")
+            .ingest_round(now, r);
         now += SimDuration::from_secs(60);
         let resident = front
             .tenant(strict_job)
@@ -1027,6 +1104,11 @@ proptest! {
     #[test]
     fn key_shard_cross_product_equals_sequential_under_capacity_pressure(seed in 0u64..1_000_000, len in 1usize..8) {
         assert_key_shard_cross_product_equivalent(true, seed, len);
+    }
+
+    #[test]
+    fn executor_equals_batch_under_reclamation(seed in 0u64..1_000_000, len in 1usize..12) {
+        assert_executor_equals_batch_under_reclamation(seed, len);
     }
 
     #[test]

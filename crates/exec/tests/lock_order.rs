@@ -3,10 +3,10 @@
 //!
 //! Two directions:
 //!
-//! * the legal locking shapes the executor actually uses — the PR 4
-//!   rendezvous double-barrier (every worker dispatches a tracker marker,
-//!   meets the others, then completes it) and the client-mutex → tracker
-//!   nesting of `submit_batch` — run clean under the detector;
+//! * the legal locking shape the executor actually uses — a client mutex
+//!   held around `submit_batch` while worker threads take the steal-plane
+//!   queues and each tenant's tracker lock — runs clean under the
+//!   detector;
 //! * a deliberately seeded inversion across two real OS threads is caught:
 //!   the second thread panics with both witness stacks *instead of
 //!   deadlocking*.
@@ -50,29 +50,22 @@ fn loaded_front() -> (MultiTenantStore, flstore_fl::ids::Round) {
         for record in FlJobSim::new(cfg.clone()) {
             last = record.round;
             front
-                .ingest_round(now, cfg.job, &record)
-                .expect("registered");
+                .tenant_mut(cfg.job)
+                .expect("registered")
+                .ingest_round(now, &record);
             now += SimDuration::from_secs(60);
         }
     }
     (front, last)
 }
 
-/// The PR 4 rendezvous shape: every worker thread dispatches a tracker
-/// marker (write lock), meets the others on the first barrier while its
-/// marker is in flight, completes it (write lock), and re-joins on the
-/// second barrier before the next round begins. Under the detector, ten
-/// rounds of this — overlapping `core.tracker.entries` writes from all
-/// workers — must record no ordering inversion.
+/// A real batch over a four-worker plane: client mutex → worker threads
+/// → steal-plane queues and tenant tracker locks, the full nesting
+/// `submit_batch` exercises, must record no ordering inversion.
 #[test]
-fn rendezvous_double_barrier_shape_is_order_clean() {
+fn client_mutex_batch_shape_is_order_clean() {
     let (front, round) = loaded_front();
-    let mut exec = ShardedExecutor::from_tenants(front, SHARDS);
-    for _ in 0..10 {
-        assert_eq!(exec.rendezvous(), SHARDS);
-    }
-    // And a real batch over the same plane: client mutex → worker threads
-    // → tracker lock, the full nesting `submit_batch` exercises.
+    let exec = ShardedExecutor::from_tenants(front, SHARDS);
     let guarded = Mutex::named(exec, "exec.lock_order.client");
     let batch: Vec<Request> = (0..64u64)
         .map(|i| {
@@ -89,7 +82,8 @@ fn rendezvous_double_barrier_shape_is_order_clean() {
         .lock()
         .submit_batch(SimTime::from_secs(3600), &batch);
     assert!(responses.iter().all(Response::is_ok));
-    assert_eq!(guarded.lock().tracker().in_flight(), 0);
+    let units = guarded.into_inner().into_units();
+    assert!(units.iter().all(|unit| unit.tracker().in_flight() == 0));
     assert_eq!(order::held_depth(), 0);
 }
 

@@ -1,17 +1,9 @@
-//! True multi-thread execution stress: OS threads drive the sharded
-//! executor and the shared `RequestTracker` is exercised concurrently —
-//! not just by the (single-threaded) property harness.
+//! True multi-thread execution stress: OS client threads drive one
+//! sharded executor through a mutex while its worker threads serve eight
+//! tenants — not just the (single-threaded) property harness.
 //!
-//! Two concurrency guarantees are asserted deterministically:
-//!
-//! * [`ShardedExecutor::rendezvous`] makes every worker thread dispatch a
-//!   tracker marker, meet the others on a barrier, then complete it — so
-//!   all N `RwLock` writes provably overlap writes from the other
-//!   threads (no worker can pass the barrier until all have written).
-//! * Client threads hammer one executor through a mutex while worker
-//!   threads record dispatch/completion into the same tracker — every
-//!   serve envelope must end tracked, completed, and attributed to the
-//!   shard lane that owns its job.
+//! Every serve envelope must succeed and end tracked and completed in the
+//! request tracker of the tenant that owns its job.
 
 use std::sync::Arc;
 
@@ -24,8 +16,8 @@ use flstore_exec::ShardedExecutor;
 use flstore_fl::ids::JobId;
 use flstore_fl::job::{FlJobConfig, FlJobSim};
 use flstore_fl::zoo::ModelArch;
-use flstore_serverless::function::FunctionId;
 use flstore_serverless::platform::{PlatformConfig, ReclaimModel};
+use flstore_sim::bytes::ByteSize;
 use flstore_sim::time::{SimDuration, SimTime};
 use flstore_workloads::request::{RequestId, WorkloadRequest};
 use flstore_workloads::taxonomy::WorkloadKind;
@@ -53,8 +45,9 @@ fn loaded_front() -> (MultiTenantStore, flstore_fl::ids::Round) {
         for record in FlJobSim::new(cfg.clone()) {
             last = record.round;
             front
-                .ingest_round(now, cfg.job, &record)
-                .expect("registered");
+                .tenant_mut(cfg.job)
+                .expect("registered")
+                .ingest_round(now, &record);
             now += SimDuration::from_secs(60);
         }
     }
@@ -69,52 +62,6 @@ fn serve(id: u64, job: u32, round: flstore_fl::ids::Round) -> Request {
         round,
         None,
     ))
-}
-
-#[test]
-fn rendezvous_overlaps_tracker_writes_across_all_workers() {
-    let (front, _) = loaded_front();
-    let mut exec = ShardedExecutor::from_tenants(front, SHARDS);
-    // Every rendezvous is a full barrier: all worker threads hold a
-    // dispatched-but-incomplete tracker entry at the same instant.
-    for _ in 0..10 {
-        assert_eq!(exec.rendezvous(), SHARDS);
-    }
-    assert!(exec.tracker().is_empty(), "markers are forgotten");
-}
-
-#[test]
-fn worker_threads_track_every_serve_on_its_owning_lane() {
-    let (front, round) = loaded_front();
-    let mut exec = ShardedExecutor::from_tenants(front, SHARDS);
-    let now = SimTime::from_secs(3600);
-    let batch: Vec<Request> = (0..256u64)
-        .map(|i| serve(i + 1, JOBS[(i % JOBS.len() as u64) as usize], round))
-        .collect();
-    let responses = exec.submit_batch(now, &batch);
-    assert_eq!(responses.len(), batch.len());
-    assert!(responses.iter().all(Response::is_ok));
-
-    let tracker = exec.tracker();
-    assert_eq!(tracker.len(), batch.len());
-    assert_eq!(
-        tracker.in_flight(),
-        0,
-        "workers complete what they dispatch"
-    );
-    for (i, request) in batch.iter().enumerate() {
-        let Request::Serve(w) = request else {
-            unreachable!()
-        };
-        let entry = tracker.entry(w.id).expect("every serve is tracked");
-        assert!(entry.done);
-        let shard = exec.shard_of(w.job).expect("registered job");
-        assert_eq!(
-            entry.functions,
-            vec![FunctionId::from_raw(shard as u64)],
-            "envelope {i} tracked on the wrong worker lane"
-        );
-    }
 }
 
 #[test]
@@ -150,12 +97,21 @@ fn client_threads_drive_one_executor_concurrently() {
         handle.join().expect("client threads finish cleanly");
     }
 
-    let exec = Arc::try_unwrap(exec)
+    let units = Arc::try_unwrap(exec)
         .unwrap_or_else(|_| panic!("all clients joined"))
-        .into_inner();
+        .into_inner()
+        .into_units();
     let total = clients * batches_per_client * batch_len;
-    assert_eq!(exec.tracker().len(), total as usize);
-    assert_eq!(exec.tracker().in_flight(), 0);
+    // One entry per serve, on the tenant that owns its job.
+    let per_job = total as usize / JOBS.len();
+    for unit in &units {
+        assert_eq!(unit.tracker().len(), per_job);
+        assert_eq!(unit.tracker().in_flight(), 0);
+    }
     // Memory stays in the paper's §5.5 envelope at ~1k tracked requests.
-    assert!(exec.tracker().estimated_memory() < flstore_sim::bytes::ByteSize::from_mb(1));
+    let memory: ByteSize = units
+        .iter()
+        .map(|unit| unit.tracker().estimated_memory())
+        .sum();
+    assert!(memory < ByteSize::from_mb(1));
 }

@@ -8,10 +8,10 @@
 //! * **Byte equivalence** — responses from the stealing executor match a
 //!   sequential run of the same seeded mix on an identically loaded
 //!   deployment, for several seeds, at workers = key shards ∈ {2, 4, 8}.
-//! * **Exact attribution** — the shared `RequestTracker` records every
-//!   serve on its *owner's* lane and nothing else. Stealing moves the
-//!   kernel, never the bookkeeping: a thief must be invisible in the
-//!   tracker, in flight counts, and in entry function lists.
+//! * **Exact attribution** — the hot tenant's own `RequestTracker`
+//!   records every serve once, completed, on the functions the owner
+//!   dispatched it to. Stealing moves the kernel, never the bookkeeping:
+//!   a thief must be invisible in the tracker and its in-flight count.
 
 use std::sync::Arc;
 
@@ -23,7 +23,6 @@ use flstore_core::store::{FlStore, FlStoreConfig};
 use flstore_exec::ShardedExecutor;
 use flstore_fl::ids::JobId;
 use flstore_fl::job::{FlJobConfig, FlJobSim, RoundRecord};
-use flstore_serverless::function::FunctionId;
 use flstore_serverless::platform::{PlatformConfig, ReclaimModel};
 use flstore_sim::rng::DetRng;
 use flstore_sim::time::{SimDuration, SimTime};
@@ -113,10 +112,10 @@ fn stolen_serves_match_sequential_and_stay_attributed_to_the_owner() {
                 "stealing changed costs ({workers} workers, seed {seed:x})"
             );
 
-            // Attribution: with one tenant there is exactly one owner lane.
-            // Every other worker only ever stole — none may appear.
-            let owner = exec.shard_of(JobId::new(JOB)).expect("registered job");
-            let tracker = exec.tracker();
+            // Attribution: the owner's tracker holds one completed entry
+            // per serve, naming the functions the sequential twin named.
+            let store = exec.into_units().pop().expect("unit returned");
+            let tracker = store.tracker();
             assert_eq!(tracker.len(), mix.len());
             assert_eq!(tracker.in_flight(), 0, "every stolen serve completed");
             for request in &mix {
@@ -127,7 +126,7 @@ fn stolen_serves_match_sequential_and_stay_attributed_to_the_owner() {
                 assert!(entry.done);
                 assert_eq!(
                     entry.functions,
-                    vec![FunctionId::from_raw(owner as u64)],
+                    sequential.tracker().entry(w.id).expect("tracked").functions,
                     "a thief leaked into the tracker ({workers} workers, seed {seed:x})"
                 );
             }
@@ -173,17 +172,18 @@ fn client_threads_drive_the_steal_plane_concurrently() {
         handle.join().expect("client threads finish cleanly");
     }
 
-    let exec = Arc::try_unwrap(exec)
+    let store = Arc::try_unwrap(exec)
         .unwrap_or_else(|_| panic!("all clients joined"))
-        .into_inner();
+        .into_inner()
+        .into_units()
+        .pop()
+        .expect("unit returned");
     let total = clients * batches_per_client * batch_len as u64;
-    let owner = exec.shard_of(JobId::new(JOB)).expect("registered job");
-    let tracker = exec.tracker();
+    let tracker = store.tracker();
     assert_eq!(tracker.len(), total as usize);
     assert_eq!(tracker.in_flight(), 0);
     for id in 1..=total {
         let entry = tracker.entry(RequestId::new(id)).expect("tracked");
         assert!(entry.done);
-        assert_eq!(entry.functions, vec![FunctionId::from_raw(owner as u64)]);
     }
 }

@@ -40,7 +40,7 @@ use flstore_sim::time::{SimDuration, SimTime};
 fn usage() -> ! {
     eprintln!(
         "usage: flstore-net serve [--addr HOST:PORT] \
-         [--jobs N] [--threads N (0 = all cores)] [--key-shards K] [--max-conns N]\n       \
+         [--jobs N] [--threads N (0 = all cores)] [--max-conns N]\n       \
          [--max-inflight N]\n       \
          [--data-dir DIR] [--flush-every N] [--snapshot-every N] [--spill]\n       \
          [--cluster-nodes N] [--cluster-rf R] [--detect-ms MS] \
@@ -142,12 +142,6 @@ fn main() {
             "--addr" => addr = parse(&mut iter, "--addr"),
             "--jobs" => jobs = parse(&mut iter, "--jobs"),
             "--threads" => threads = parse(&mut iter, "--threads"),
-            // Process-wide default MetaKey shard count: unobservable in
-            // bytes (responses/ledgers identical at any K), so it is not
-            // part of the serialized config.
-            "--key-shards" => {
-                flstore_core::engine::set_default_key_shards(parse(&mut iter, "--key-shards"))
-            }
             "--max-conns" => config.max_connections = parse(&mut iter, "--max-conns"),
             "--max-inflight" => config.max_inflight = parse(&mut iter, "--max-inflight"),
             "--retry-after-us" => {

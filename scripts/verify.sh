@@ -17,35 +17,32 @@
 #      dead_pub; the doc inventory tables are checked by
 #      tests/doc_tables.rs in step 2
 #   8. lock-order detector tests: parking_lot unit tests + the exec
-#      stress/rendezvous/seeded-inversion suite + the net socket suite,
+#      stress/batch-shape/seeded-inversion suite + the net socket suite,
 #      all --features lock-order
 #   9. figures smoke: every experiment id end-to-end at --fast scale into
 #      results-smoke/ (so full-scale results/ are never clobbered), its
 #      stdout captured as results-smoke/stdout.txt, then
 #      scripts/check_figures_outputs.sh — the same check CI runs — and
 #      `sha256sum -c FIGURES.sha256`: every result byte is committed.
-#  10. parallel determinism: the same sweep again with --threads 4 (built
-#      with the lock-order detector armed) into results-smoke-threads4/,
-#      compared with the sequential run by a plain `diff -r` — every JSON
-#      file and the captured stdout, no normalization: the sharded
-#      executor must be bit-for-bit sequential.
-#  11. intra-job determinism: the sweep a third time with --threads 4
-#      --key-shards 4 (MetaKey-sharded cache engines, work-stealing
-#      serves, lock-order armed) into results-smoke-keyshards4/, plain
-#      `diff -r` against the sequential run — the key-shard layout must
-#      be unobservable in every result byte.
-#  12. net smoke: the real server binary + load generator over loopback
+#  10. parallel determinism: the same sweep again with --threads 4 (four
+#      executor workers, every cache engine split into four MetaKey
+#      shards, work-stealing serves, built with the lock-order detector
+#      armed) into results-smoke-threads4/, compared with the sequential
+#      run by a plain `diff -r` — every JSON file and the captured
+#      stdout, no normalization: neither the sharded executor nor the
+#      key-shard layout may show in a result byte.
+#  11. net smoke: the real server binary + load generator over loopback
 #      via scripts/smoke.sh net — closed-loop reports byte-diffed across
 #      shard counts, overload asserted typed (zero transport errors),
 #      paced arrivals asserted result-transparent.
-#  13. recovery smoke: a durable server SIGKILL'd mid-life and recovered
+#  12. recovery smoke: a durable server SIGKILL'd mid-life and recovered
 #      from its write-ahead ledger via scripts/smoke.sh recovery —
 #      served responses byte-diffed against an uninterrupted run.
-#  14. cluster smoke: the net server fronting a 3-node rf=2 cluster with
+#  13. cluster smoke: the net server fronting a 3-node rf=2 cluster with
 #      a node killed mid-run via scripts/smoke.sh cluster — zero failed
 #      requests after retries, post-failover pass byte-diffed against a
 #      churn-free twin.
-#      Skip 9–14 with --skip-smoke for a quick edit-compile loop.
+#      Skip 9–13 with --skip-smoke for a quick edit-compile loop.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -111,19 +108,13 @@ if [ "$skip_smoke" -eq 0 ]; then
     echo "==> (cd results-smoke && sha256sum -c ../FIGURES.sha256)"
     (cd results-smoke && sha256sum --quiet -c ../FIGURES.sha256)
 
-    # Parallel determinism gate: the sharded executor must reproduce the
-    # sequential sweep byte for byte — JSON and stdout, plain diff.
+    # Parallel determinism gate: four executor workers over 4-way
+    # MetaKey-sharded cache engines (--threads sets both) must reproduce
+    # the sequential sweep byte for byte — JSON and stdout, plain diff.
     # --features lock-order arms the deadlock detector, so an inversion
     # fails loudly instead of hanging.
     figures_leg results-smoke-threads4 run --release -p flstore-bench --features lock-order --bin figures -- all --fast --threads 4
     run diff -r results-smoke results-smoke-threads4
-
-    # Intra-job determinism gate: the same sweep with every cache engine
-    # MetaKey-sharded 4 ways — serves run through the work-stealing
-    # plane — must also reproduce the sequential bytes. The shard layout
-    # is a serve-phase fact; it may never reach a result file.
-    figures_leg results-smoke-keyshards4 run --release -p flstore-bench --features lock-order --bin figures -- all --fast --threads 4 --key-shards 4
-    run diff -r results-smoke results-smoke-keyshards4
 
     # Network plane smoke: real server binary + load generator over
     # loopback, lock-order armed; closed-loop determinism across shard

@@ -157,3 +157,35 @@ fn cluster_spec_lists_every_failure_event() {
         .collect();
     assert_table("docs/CLUSTER.md", "cluster-failure-events", inventory);
 }
+
+/// Every test README's equivalences table names exists: each
+/// `` `<file>::<fn>` `` in a row's last cell is a `#[test]` function
+/// `<fn>` in `<file>`, so a pin cannot outlive the test it names.
+#[test]
+fn readme_equivalences_name_existing_tests() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let rows = documented_rows("README.md", "equivalences");
+    assert!(!rows.is_empty(), "README's equivalences table has no rows");
+    for row in rows {
+        let pins = row.rsplit('\t').next().expect("a last cell");
+        let tests: Vec<&str> = pins.split('`').skip(1).step_by(2).collect();
+        assert!(!tests.is_empty(), "equivalence row names no test: {row}");
+        for test in tests {
+            let (file, name) = test
+                .rsplit_once("::")
+                .unwrap_or_else(|| panic!("`{test}` is not `<file>::<fn>`"));
+            let source = std::fs::read_to_string(root.join(file))
+                .unwrap_or_else(|e| panic!("{test}: read {file}: {e}"));
+            let lines: Vec<&str> = source.lines().collect();
+            let declared = lines.iter().enumerate().any(|(i, line)| {
+                line.trim_start().starts_with(&format!("fn {name}("))
+                    && i > 0
+                    && lines[i - 1].trim() == "#[test]"
+            });
+            assert!(
+                declared,
+                "README's equivalences table names {test}, but {file} has no #[test] fn {name}"
+            );
+        }
+    }
+}
