@@ -57,11 +57,11 @@ fn main() {
     let fast = args.iter().any(|a| a == "--fast");
     let scale = if fast { Scale::Fast } else { Scale::Full };
 
-    // `--threads N`: serve every experiment through an N-shard concurrent
-    // executor over N-way key-sharded cache engines; `--threads 0`
-    // resolves to every available core. Outputs are byte-identical to a
-    // sequential run for ANY shard count (the executor and the key-shard
-    // layout are bit-for-bit equivalent; CI diffs both runs to prove it).
+    // `--threads N`: serve every experiment through an executor on N
+    // kernel threads over N-way key-sharded cache engines; `--threads 0`
+    // resolves to every available core. Outputs are byte-identical for
+    // ANY count (the executor and the key-shard layout are bit-for-bit
+    // equivalent to sequential serving; CI diffs 1 against 4 to prove it).
     let mut threads = 1usize;
     let mut targets: Vec<&str> = Vec::new();
     let mut iter = args.iter();
@@ -71,14 +71,14 @@ fn main() {
         }
         if arg == "--threads" {
             threads = iter.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                eprintln!("--threads needs a shard count (0 = all available cores)");
+                eprintln!("--threads needs a thread count (0 = all available cores)");
                 std::process::exit(2);
             });
             continue;
         }
         if let Some(v) = arg.strip_prefix("--threads=") {
             threads = v.parse().ok().unwrap_or_else(|| {
-                eprintln!("--threads needs a shard count (0 = all available cores)");
+                eprintln!("--threads needs a thread count (0 = all available cores)");
                 std::process::exit(2);
             });
             continue;
@@ -136,12 +136,11 @@ fn main() {
     );
     // The run configuration goes to stderr: stdout is a result, and the
     // gate diffs it across thread counts.
-    if threads > 1 {
-        eprintln!(
-            "serving plane: sharded executor, {threads} worker threads, \
-             {threads} MetaKey shards per cache engine"
-        );
-    }
+    eprintln!(
+        "serving plane: executor on {threads} kernel thread(s) (one owner, {} helper(s)), \
+         {threads} MetaKey shard(s) per cache engine",
+        threads - 1
+    );
     #[cfg(feature = "lock-order")]
     eprintln!(
         "lock-order deadlock detector: active — every lock acquisition is \

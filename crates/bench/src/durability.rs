@@ -56,16 +56,12 @@ fn fresh_store(cfg: &FlStoreConfig, job: &FlJobConfig) -> FlStore {
     )
 }
 
-/// Wraps `store` per the `--threads` knob, like every other experiment:
-/// the sharded executor is bit-for-bit equivalent to sequential
-/// submission, so nothing in this experiment's output may move.
-fn service_of(store: FlStore) -> Box<dyn Service + Send> {
-    let threads = serving_threads();
-    if threads > 1 {
-        Box::new(ShardedExecutor::new(vec![store], threads))
-    } else {
-        Box::new(store)
-    }
+/// Wraps `store` in an executor on `--threads` kernel threads, like
+/// every other experiment: the executor is bit-for-bit equivalent to
+/// sequential submission, so nothing in this experiment's output may
+/// move.
+fn service_of(store: FlStore) -> ShardedExecutor<FlStore> {
+    ShardedExecutor::new(vec![store], serving_threads())
 }
 
 /// FNV-1a over each response's canonical wire encoding, in submission
@@ -133,19 +129,19 @@ pub fn durability(scale: Scale) -> Value {
     let mut durable = fresh_store(&cfg, &job);
     attach(&mut durable, dir.path()).expect("attach durable deployment");
     let mut durable_service = service_of(durable);
-    let first_half = drive(durable_service.as_mut(), &schedule[..kill_after]);
+    let first_half = drive(&mut durable_service, &schedule[..kill_after]);
     drop(durable_service); // the kill
 
     let (records, segments, ledger_bytes) = ledger_geometry(dir.path());
     let recovered = recover(dir.path()).expect("recover from ledger");
     let mut recovered_service = service_of(recovered);
-    let second_half = drive(recovered_service.as_mut(), &schedule[kill_after..]);
+    let second_half = drive(&mut recovered_service, &schedule[kill_after..]);
     drop(recovered_service);
 
     let (_, cfg_plain) = drill_config(DurabilityConfig::DISABLED);
     let mut twin_service = service_of(fresh_store(&cfg_plain, &job));
-    let twin_first = drive(twin_service.as_mut(), &schedule[..kill_after]);
-    let twin_second = drive(twin_service.as_mut(), &schedule[kill_after..]);
+    let twin_first = drive(&mut twin_service, &schedule[..kill_after]);
+    let twin_second = drive(&mut twin_service, &schedule[kill_after..]);
 
     assert_eq!(
         first_half, twin_first,

@@ -37,11 +37,11 @@ fn job_cfg(job: u32) -> FlJobConfig {
 /// Runs `n_jobs` tenants through training + a request mix; returns
 /// (mean per-request latency secs, total cost dollars).
 ///
-/// The tenants serve through the typed front door; with
-/// `figures -- --threads N` the front end is split across an N-shard
-/// `ShardedExecutor`, so each request wave fans out across worker
-/// threads. The executor is bit-for-bit equivalent to the sequential
-/// front end, so the figure's numbers do not depend on the thread count.
+/// The tenants serve through the typed front door of a `ShardedExecutor`
+/// split from the front end; `figures -- --threads N` gives it N kernel
+/// threads, so each request wave's kernels fan out across them. The
+/// executor is bit-for-bit equivalent to the sequential front end, so
+/// the figure's numbers do not depend on the thread count.
 fn run_tenants(n_jobs: u32) -> (f64, f64) {
     let template = FlStoreConfig {
         platform: PlatformConfig {
@@ -57,17 +57,11 @@ fn run_tenants(n_jobs: u32) -> (f64, f64) {
         front.register_job(cfg.job, cfg.model);
         sims.push((cfg.job, FlJobSim::new(cfg)));
     }
-    let threads = serving_threads();
-    if threads > 1 {
-        let mut exec = ShardedExecutor::from_tenants(front, threads);
-        run_tenant_waves(&mut exec, sims)
-    } else {
-        run_tenant_waves(&mut front, sims)
-    }
+    let mut exec = ShardedExecutor::from_tenants(front, serving_threads());
+    run_tenant_waves(&mut exec, sims)
 }
 
-/// The experiment body, generic over the serving plane (sequential
-/// front end or sharded executor).
+/// The experiment body.
 fn run_tenant_waves<S: Service>(front: &mut S, mut sims: Vec<(JobId, FlJobSim)>) -> (f64, f64) {
     let n_jobs = sims.len() as u32;
 

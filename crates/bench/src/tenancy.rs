@@ -13,9 +13,9 @@
 //! * `strict-1.0x` — every tenant gets a hard budget; ingests whose hot
 //!   set cannot be admitted surface as typed `QuotaExceeded` rejections.
 //!
-//! Like every experiment, the drive is `Service`-envelope traffic, so
-//! `figures -- --threads N` serves it through the sharded executor —
-//! byte-identical output either way (CI diffs both runs).
+//! Like every experiment, the drive is `Service`-envelope traffic served
+//! through the executor; `figures -- --threads N` sets its kernel
+//! threads — byte-identical output at any count (CI diffs 1 against 4).
 
 use std::sync::Arc;
 
@@ -60,7 +60,7 @@ fn scaled(mult: f64) -> ByteSize {
     ByteSize::from_bytes((budget_unit().as_bytes() as f64 * mult) as u64)
 }
 
-/// What one drive observed, independent of the serving plane.
+/// What one drive observed.
 struct DriveOutcome {
     stores: Vec<FlStore>,
     quota_rejections: usize,
@@ -111,9 +111,9 @@ fn drive<S: Service>(plane: &mut S, rounds_of: &[Vec<Round>]) -> f64 {
     plane.window_cost(now).total().as_dollars()
 }
 
-/// Builds, trains, and drives one quota configuration, honouring the
-/// `--threads` knob, and hands back the per-tenant deployments for
-/// inspection.
+/// Builds, trains, and drives one quota configuration through an
+/// executor on `--threads` kernel threads, and hands back the per-tenant
+/// deployments for inspection.
 fn run_config(
     quota_of: impl Fn(u32) -> Option<TenantQuota>,
     global: Option<ByteSize>,
@@ -134,52 +134,37 @@ fn run_config(
     }
     front.set_global_budget(global);
 
-    let threads = serving_threads();
-    let mut ingest_rejections = 0usize;
+    let mut exec = ShardedExecutor::from_tenants(front, serving_threads());
+    let mut quota_rejections = 0usize;
     let mut rounds_of: Vec<Vec<Round>> = vec![Vec::new(); TENANTS as usize];
 
     // Lockstep training through the front door (strict tenants may reject
     // hot sets they cannot admit — durability still happens).
-    let mut ingest =
-        |plane: &mut dyn Service, rounds_of: &mut Vec<Vec<Round>>, rejections: &mut usize| {
-            let mut now = SimTime::ZERO;
-            for _ in 0..ROUNDS {
-                for (t, (job, sim)) in sims.iter_mut().enumerate() {
-                    if let Some(record) = sim.next_round() {
-                        rounds_of[t].push(record.round);
-                        let response = plane.submit(
-                            now,
-                            Request::Ingest {
-                                job: *job,
-                                record: Arc::new(record),
-                            },
-                        );
-                        if let Response::Rejected(ApiError::QuotaExceeded { .. }) = response {
-                            *rejections += 1;
-                        }
-                    }
+    let mut now = SimTime::ZERO;
+    for _ in 0..ROUNDS {
+        for (t, (job, sim)) in sims.iter_mut().enumerate() {
+            if let Some(record) = sim.next_round() {
+                rounds_of[t].push(record.round);
+                let response = exec.submit(
+                    now,
+                    Request::Ingest {
+                        job: *job,
+                        record: Arc::new(record),
+                    },
+                );
+                if let Response::Rejected(ApiError::QuotaExceeded { .. }) = response {
+                    quota_rejections += 1;
                 }
-                now += SimDuration::from_secs(120);
             }
-        };
+        }
+        now += SimDuration::from_secs(120);
+    }
 
-    if threads > 1 {
-        let mut exec = ShardedExecutor::from_tenants(front, threads);
-        ingest(&mut exec, &mut rounds_of, &mut ingest_rejections);
-        let total_cost = drive(&mut exec, &rounds_of);
-        DriveOutcome {
-            stores: exec.into_units(),
-            quota_rejections: ingest_rejections,
-            total_cost,
-        }
-    } else {
-        ingest(&mut front, &mut rounds_of, &mut ingest_rejections);
-        let total_cost = drive(&mut front, &rounds_of);
-        DriveOutcome {
-            stores: front.into_tenants().into_iter().map(|(_, s)| s).collect(),
-            quota_rejections: ingest_rejections,
-            total_cost,
-        }
+    let total_cost = drive(&mut exec, &rounds_of);
+    DriveOutcome {
+        stores: exec.into_units(),
+        quota_rejections,
+        total_cost,
     }
 }
 

@@ -10,12 +10,11 @@ use flstore_fl::job::FlJobConfig;
 use flstore_trace::driver::{drive_parallel, DriveReport, TraceConfig};
 use serde_json::Value;
 
-/// Worker shards the experiments serve through (`figures -- --threads N`).
-/// 1 (the default) drives every system in-thread, exactly as before the
-/// parallel plane existed.
+/// Kernel threads of the executor the experiments serve through
+/// (`figures -- --threads N`); 1, the default, is the owner thread alone.
 static SERVING_THREADS: AtomicUsize = AtomicUsize::new(1);
 
-/// Sets the shard count every subsequent drive uses (clamped to ≥ 1), and
+/// Sets the thread count every subsequent drive uses (clamped to ≥ 1), and
 /// makes it the default MetaKey shard count of every cache engine built
 /// from a `key_shards: 0` config. Neither layout is observable — responses,
 /// ledgers and window costs are byte-identical at any count (CI diffs a
@@ -26,18 +25,17 @@ pub fn set_serving_threads(n: usize) {
     flstore_core::engine::set_default_key_shards(n);
 }
 
-/// The configured shard count.
+/// The configured thread count.
 pub fn serving_threads() -> usize {
     SERVING_THREADS.load(Ordering::Relaxed)
 }
 
-/// Drives a serving system through the trace, honouring the `--threads`
-/// knob: with N > 1 the system serves behind an N-shard
-/// `flstore_exec::ShardedExecutor`. The executor is bit-for-bit
-/// equivalent to sequential submission, so figure data is byte-identical
-/// either way — that equivalence is CI-enforced by diffing sequential
-/// and `--threads 4` runs. Returns the report plus the system itself for
-/// post-drive inspection.
+/// Drives a serving system through the trace behind a
+/// `flstore_exec::ShardedExecutor` on `--threads` kernel threads. The
+/// executor is bit-for-bit equivalent to sequential submission, so figure
+/// data is byte-identical at any count — CI-enforced by diffing the
+/// 1-thread and `--threads 4` runs. Returns the report plus the system
+/// itself for post-drive inspection.
 pub fn drive_unit<U: ShardUnit + 'static>(
     unit: U,
     job: &FlJobConfig,

@@ -575,6 +575,34 @@ impl Service for FlStore {
     }
 }
 
+/// The split every multi-tenant plane makes: each maximal run of
+/// envelopes bound for the same job goes whole to `serve`, which answers
+/// `None` when no tenant owns the job (the run is then rejected without
+/// side effects); each system-wide envelope is answered by `system`.
+/// [`MultiTenantStore`] and the concurrent executor both route through
+/// this one function, so they cannot group a batch differently.
+pub fn split_by_job<C>(
+    plane: &mut C,
+    requests: &[Request],
+    mut serve: impl FnMut(&mut C, JobId, &[Request]) -> Option<Vec<Response>>,
+    mut system: impl FnMut(&mut C) -> Response,
+) -> Vec<Response> {
+    let mut responses = Vec::with_capacity(requests.len());
+    for run in requests.chunk_by(|a, b| a.job().is_some() && a.job() == b.job()) {
+        match run[0].job() {
+            Some(job) => match serve(plane, job, run) {
+                Some(served) => responses.extend(served),
+                None => responses.extend(
+                    run.iter()
+                        .map(|_| Response::Rejected(ApiError::UnknownJob { job })),
+                ),
+            },
+            None => responses.push(system(plane)),
+        }
+    }
+    responses
+}
+
 impl Service for MultiTenantStore {
     fn label(&self) -> String {
         format!("FLStore-MT({})", self.tenant_count())
@@ -590,30 +618,23 @@ impl Service for MultiTenantStore {
     /// whole to that tenant's `submit_batch`, which splits it into serve
     /// runs and single envelopes exactly as a bare store would.
     fn submit_batch(&mut self, now: SimTime, requests: &[Request]) -> Vec<Response> {
-        let mut responses: Vec<Response> = Vec::with_capacity(requests.len());
-        for run in requests.chunk_by(|a, b| a.job().is_some() && a.job() == b.job()) {
-            match run[0].job() {
-                Some(job) => match self.tenant_mut(job) {
-                    Some(store) => responses.extend(store.submit_batch(now, run)),
-                    None => responses.extend(
-                        run.iter()
-                            .map(|_| Response::Rejected(ApiError::UnknownJob { job })),
-                    ),
-                },
-                // System-wide envelopes aggregate over every tenant. They
-                // are also the pressure plane's deterministic trigger
-                // point: when a global budget is set, over-budget elastic
-                // tenants shed their policy victims here, before occupancy
-                // is reported — the same barrier semantics the sharded
-                // executor gives Stats envelopes, so both planes stay
-                // bit-for-bit equivalent.
-                None => {
-                    self.pressure_pass();
-                    responses.push(Response::Stats(self.stats_report()));
-                }
-            }
-        }
-        responses
+        split_by_job(
+            self,
+            requests,
+            |front, job, run| {
+                front
+                    .tenant_mut(job)
+                    .map(|store| store.submit_batch(now, run))
+            },
+            // System-wide envelopes aggregate over every tenant. They are
+            // also the pressure plane's deterministic trigger point: when
+            // a global budget is set, over-budget elastic tenants shed
+            // their policy victims here, before occupancy is reported.
+            |front| {
+                front.pressure_pass();
+                Response::Stats(front.stats_report())
+            },
+        )
     }
 
     fn window_cost(&mut self, now: SimTime) -> CostBreakdown {

@@ -174,11 +174,6 @@ impl CacheEngine {
         self.shards.len()
     }
 
-    /// The key-shard `key` routes to.
-    pub fn shard_of(&self, key: &MetaKey) -> usize {
-        key_shard_of(key, self.shards.len())
-    }
-
     fn shard(&self, key: &MetaKey) -> &EngineShard {
         &self.shards[key_shard_of(key, self.shards.len())]
     }

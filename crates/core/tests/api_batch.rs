@@ -519,6 +519,66 @@ fn single_submits_persist_the_bytes_of_batches_of_one() {
     );
 }
 
+/// A lone deployment behind the executor groups a batch exactly as the
+/// bare store does, foreign-job envelopes included: a foreign serve
+/// between two own serves leaves them one run (one ledger record, one
+/// liveness pass), while a foreign non-serve envelope splits it. The
+/// responses and persisted bytes match the bare store at every thread
+/// count.
+#[test]
+fn executor_groups_foreign_envelopes_as_the_bare_store() {
+    let records: Vec<RoundRecord> = FlJobSim::new(job_config()).collect();
+    let round = records[records.len() - 2].round;
+    let serve = |id: u64, job: u32, kind: WorkloadKind| {
+        Request::Serve(WorkloadRequest::new(
+            RequestId::new(id),
+            kind,
+            JobId::new(job),
+            round,
+            None,
+        ))
+    };
+    let mix = vec![
+        serve(1, JOB, WorkloadKind::Inference),
+        serve(2, 77, WorkloadKind::Inference),
+        serve(3, JOB, WorkloadKind::MaliciousFiltering),
+        Request::Evict(MetaKey::aggregate(JobId::new(77), round)),
+        serve(4, JOB, WorkloadKind::Clustering),
+        serve(5, JOB, WorkloadKind::SchedulingPerf),
+    ];
+    let now = SimTime::from_secs(7200);
+
+    let mut persisted = Vec::new();
+    // Thread count 0 is the bare store itself.
+    for threads in [0usize, 1, 2, 4] {
+        let dir =
+            flstore_durability::testkit::DetTempDir::new("api-batch-foreign-wal", threads as u64);
+        let mut durable = durable_store(dir.path(), 0, 4, &records);
+        let responses = if threads == 0 {
+            let responses = durable.submit_batch(now, &mix);
+            drop(durable); // close the ledger writer before reading its files
+            responses
+        } else {
+            let mut exec = ShardedExecutor::new(vec![durable], threads);
+            let responses = exec.submit_batch(now, &mix);
+            drop(exec);
+            responses
+        };
+        persisted.push((threads, responses, persisted_files(dir.path())));
+    }
+    let (_, reference_responses, reference_files) = &persisted[0];
+    for (threads, responses, files) in &persisted[1..] {
+        assert_eq!(
+            responses, reference_responses,
+            "responses @{threads} threads vs the bare store"
+        );
+        assert_eq!(
+            files, reference_files,
+            "persisted bytes @{threads} threads vs the bare store"
+        );
+    }
+}
+
 const TENANT_JOBS: [u32; 3] = [1, 2, 5];
 
 /// A multi-tenant front end with every tenant trained up to (but not

@@ -1,52 +1,57 @@
-//! # flstore-exec — the sharded concurrent executor
+//! # flstore-exec — the concurrent executor
 //!
 //! The parallel serving plane behind the typed front door: a
-//! [`ShardedExecutor`] implements [`Service`] by partitioning envelopes by
-//! [`JobId`] hash across N worker threads and deterministically merging
-//! the responses back into submission order. Submitting a batch through
-//! the executor is **bit-for-bit equivalent** to submitting the same
-//! envelopes sequentially to the systems it wraps — the property harness
-//! in `flstore-core` (`tests/api_batch.rs`) holds that line — so every
+//! [`ShardedExecutor`] implements [`Service`] over one *owner* thread that
+//! holds every serving unit, plus `threads − 1` *helper* threads that only
+//! run workload kernels. Submitting a batch through the executor is
+//! **bit-for-bit equivalent** to submitting the same envelopes
+//! sequentially to the systems it wraps — the property harness in
+//! `flstore-core` (`tests/api_batch.rs`) holds that line — so every
 //! figure, report, and ledger stays byte-identical while the wall-clock
 //! cost of serving scales with cores.
 //!
-//! ## Ownership model (shard-per-core, route-by-key)
+//! ## Ownership model (one owner, kernel helpers)
 //!
-//! Each worker thread *owns* its slice of serving state outright: whole
-//! [`ShardUnit`] deployments (an [`FlStore`], a baseline) move onto the
-//! worker at construction and never migrate. A shard mutates only what it
-//! owns, and the merge is plain message passing. An [`FlStore`] unit
-//! keeps its own request tracker (the paper's §4.3 dictionary), recording
-//! every serve with its real function ids. Workers share nothing but the
-//! per-flush steal plane below.
+//! Every [`ShardUnit`] deployment (an [`FlStore`], a baseline) moves onto
+//! the owner thread at construction and never migrates. The caller talks
+//! to the owner by sending it one closure per call (`submit_batch`,
+//! `window_cost`, `infra_cost`, `into_units`) and waiting for the answer.
+//! An [`FlStore`] unit keeps its own request tracker (the paper's §4.3
+//! dictionary), recording every serve with its real function ids.
 //!
 //! ## Work stealing (intra-job parallelism)
 //!
-//! Job-hash routing alone caps a *single hot tenant* at one core: every
-//! envelope for that job lands on its owner shard while the other workers
-//! idle. The executor therefore splits each serve into its two halves —
-//! the owner-serialized bookkeeping (cache lookups, ledger, placement) and
-//! the *pure* workload kernel — via
-//! [`ShardUnit::submit_batch_deferred`]. The owner runs the bookkeeping in
-//! submission order, then publishes the deferred kernels onto a per-flush
-//! `StealPlane`: one deque per worker behind one consolidated
-//! (lock-order-named) mutex each, never nested. Idle workers receive an
-//! `Assist` command and steal kernels across shard boundaries; owners help
-//! drain the plane before blocking on their own results. Kernels are pure
-//! functions over `Arc`-captured values, so where or when they run cannot
-//! change a byte of any response, ledger entry, or window cost — the
-//! responses are merged back by submission index exactly as before.
+//! The owner splits each serve into its two halves — the owner-serialized
+//! bookkeeping (cache lookups, ledger, placement) and the *pure* workload
+//! kernel — via [`ShardUnit::submit_batch_deferred`]. It runs the
+//! bookkeeping of a same-job run in submission order, then publishes the
+//! run's deferred kernels onto one FIFO `StealPlane` behind one
+//! (lock-order-named) mutex. The helpers are woken at the run's first
+//! kernel and steal until the plane closes; the owner help-drains the
+//! plane, then waits for the kernels still running on helpers. Kernels
+//! are pure functions over `Arc`-captured values, so where or when they
+//! run cannot change a byte of any response, ledger entry, or window
+//! cost — the responses are merged back by index exactly as before.
+//!
+//! ## Failure
+//!
+//! A panicking kernel cannot hang the plane. The owner closes each plane
+//! in a drop guard, so helpers stop spinning on every exit path,
+//! unwinding included. A kernel that panics on a helper drops its reply
+//! channel, and the owner panics with a message instead of waiting; an
+//! owner that dies drops the caller's reply channel, and the caller
+//! panics in turn. Typed errors for bad input belong to the kernels.
 //!
 //! ## Determinism
 //!
-//! * Envelopes routed to the same job are executed in submission order on
-//!   one shard; different jobs share no state, so any cross-shard
-//!   interleaving yields the same per-unit results.
-//! * Responses carry their submission index and are merged back in order.
+//! * Runs of consecutive same-job envelopes are served in submission
+//!   order on the owner — the same `chunk_by` split
+//!   [`MultiTenantStore`] makes. A lone unit built with
+//!   [`ShardedExecutor::new`] takes each batch whole, as the bare system
+//!   would.
 //! * System-wide envelopes ([`Request::Stats`]) are barriers: every prior
-//!   envelope completes on every shard first, then the aggregate is
-//!   computed in job order — the same observation point a sequential
-//!   submission would see.
+//!   envelope has completed, then the pressure pass and the aggregate run
+//!   in job order — the observation point a sequential submission sees.
 //! * Costs aggregate by folding per-job values in sorted job order, so
 //!   floating-point summation order matches the sequential
 //!   [`MultiTenantStore`] exactly.
@@ -85,30 +90,27 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{self, Receiver, Sender};
+use std::collections::VecDeque;
+use std::sync::mpsc::{self, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use parking_lot::Mutex;
 
 use flstore_baselines::agg::AggregatorBaseline;
-use flstore_core::api::{ApiError, DeferredResponse, Request, Response, Service, StatsReport};
+use flstore_core::api::{split_by_job, DeferredResponse, Request, Response, Service, StatsReport};
 use flstore_core::quota::{pressure_plan, QuotaUsage};
 use flstore_core::store::FlStore;
 use flstore_core::tenancy::MultiTenantStore;
 use flstore_fl::ids::JobId;
 use flstore_sim::bytes::ByteSize;
 use flstore_sim::cost::{Cost, CostBreakdown};
-use flstore_sim::rng::splitmix64;
 use flstore_sim::time::SimTime;
 
-/// A serving system the executor can own on one shard: it serves exactly
-/// one job's traffic, so routing that job's envelopes to its shard routes
-/// *all* state the envelope can touch.
+/// A serving system the executor can own: it serves exactly one job's
+/// traffic, so a run of that job's envelopes touches no other unit.
 ///
-/// Multi-job systems shard by decomposition instead:
+/// Multi-job systems decompose instead:
 /// [`MultiTenantStore::into_tenants`] splits the front end into its
 /// isolated per-job deployments, each of which is a `ShardUnit`.
 pub trait ShardUnit: Service + Send {
@@ -180,16 +182,9 @@ impl ShardUnit for AggregatorBaseline {
     }
 }
 
-/// Deterministic shard assignment: splitmix64 over the job id. The same
-/// job always lands on the same shard for a given shard count, on every
-/// run and every machine.
-fn shard_of_job(job: JobId, shards: usize) -> usize {
-    (splitmix64(u64::from(job.as_u32())) % shards as u64) as usize
-}
-
-/// One deferred workload kernel published for any worker to finish. The
-/// reply slot is the kernel's index *within its owning run*; the result
-/// flows back to the owner, who merges it into submission order.
+/// One deferred workload kernel published for any thread to finish. The
+/// reply slot is the kernel's index *within its run*; the result flows
+/// back to the owner, who merges it into submission order.
 struct StealTask {
     slot: usize,
     work: DeferredResponse,
@@ -204,305 +199,63 @@ impl StealTask {
     }
 }
 
-/// The per-flush work-stealing plane: one task deque per worker, each
-/// behind one consolidated mutex (no split locks), plus the count of
-/// workers still able to publish. Locks are never nested — a task is
-/// popped under its queue's lock and *finished after the guard drops* —
-/// and each mutex is named so the lock-order detector can identify it in
-/// witness stacks.
+/// One run's work-stealing plane: a FIFO of kernels plus the flag that
+/// says whether the owner may still publish more, both behind one
+/// lock-order-named mutex. The lock is never held across a kernel: a
+/// task is popped under it and finished after the guard drops.
 struct StealPlane {
-    queues: Vec<Mutex<VecDeque<StealTask>>>,
-    /// Workers still executing a `Batch` segment (and thus still able to
-    /// push tasks). Assist workers exit only once this hits zero *and*
-    /// every queue is empty.
-    producers: AtomicUsize,
+    queue: Mutex<(VecDeque<StealTask>, bool)>,
 }
 
 impl StealPlane {
-    fn new(workers: usize, producers: usize) -> Self {
-        StealPlane {
-            queues: (0..workers)
-                .map(|_| Mutex::named(VecDeque::new(), "exec.steal.queue"))
-                .collect(),
-            producers: AtomicUsize::new(producers),
-        }
+    fn push(&self, task: StealTask) {
+        self.queue.lock().0.push_back(task);
     }
 
-    /// Publishes one task onto `owner`'s deque.
-    fn push(&self, owner: usize, task: StealTask) {
-        self.queues[owner].lock().push_back(task);
+    /// Takes the oldest kernel, so the owner's help-drain resolves in
+    /// submission order.
+    fn pop(&self) -> Option<StealTask> {
+        self.queue.lock().0.pop_front()
     }
 
-    /// Takes the next task: `self_id`'s own deque first (oldest first, so
-    /// local work resolves in submission order), then steals round-robin
-    /// from the other workers' deques.
-    fn grab(&self, self_id: usize) -> Option<StealTask> {
-        if let Some(task) = self.queues[self_id].lock().pop_front() {
-            return Some(task);
-        }
-        let n = self.queues.len();
-        for step in 1..n {
-            let victim = (self_id + step) % n;
-            if let Some(task) = self.queues[victim].lock().pop_front() {
-                return Some(task);
-            }
-        }
-        None
-    }
-
-    /// A producer finished its segment and will publish no more tasks.
-    /// Release: every push this worker made happens-before any thread that
-    /// observes the decrement (the Acquire load in [`StealPlane::idle`]),
-    /// so a zero count proves no task can appear afterwards.
-    fn retire(&self) {
-        self.producers.fetch_sub(1, Ordering::Release);
-    }
-
-    /// True once no task exists and none can ever appear. The producer
-    /// count must be checked *before* the queues: with zero producers
-    /// (Acquire, pairing with the Release in [`StealPlane::retire`]) every
-    /// push is already visible, so empty queues are conclusive. Checking
-    /// in the opposite order could miss a task pushed between the two
-    /// reads.
-    fn idle(&self) -> bool {
-        if self.producers.load(Ordering::Acquire) != 0 {
-            return false;
-        }
-        self.queues.iter().all(|q| q.lock().is_empty())
-    }
-}
-
-/// Work and control messages a shard worker understands.
-enum Command<U> {
-    /// Execute this shard's slice of one submission segment. `items` pairs
-    /// each envelope with its submission index; the reply carries the same
-    /// indices so the caller can merge responses into submission order.
-    /// This worker defers its serve kernels onto the steal plane and
-    /// retires as a producer when done.
-    Batch {
-        now: SimTime,
-        items: Vec<(usize, Request)>,
-        plane: Arc<StealPlane>,
-        reply: Sender<Vec<(usize, Response)>>,
-    },
-    /// Steal deferred kernels from busy workers until the plane drains,
-    /// then reply with an (empty) merge chunk so the caller's accounting
-    /// is uniform across commands.
-    Assist {
-        plane: Arc<StealPlane>,
-        reply: Sender<Vec<(usize, Response)>>,
-    },
-    /// Report each owned unit's stats response (for barrier aggregation).
-    Stats {
-        now: SimTime,
-        reply: Sender<Vec<(JobId, Response)>>,
-    },
-    /// Report each owned unit's quota occupancy (the pressure plane's
-    /// input at a Stats barrier).
-    QuotaUsage {
-        reply: Sender<Vec<(JobId, QuotaUsage)>>,
-    },
-    /// Shed the planned bytes from each named owned unit (the pressure
-    /// plane's reclamation step), in plan order.
-    Reclaim {
-        needs: Vec<(JobId, ByteSize)>,
-        reply: Sender<()>,
-    },
-    /// Report each owned unit's window cost.
-    WindowCost {
-        now: SimTime,
-        reply: Sender<Vec<(JobId, CostBreakdown)>>,
-    },
-    /// Report each owned unit's always-on infrastructure cost.
-    InfraCost {
-        now: SimTime,
-        reply: Sender<Vec<(JobId, Cost)>>,
-    },
-    /// Hand every owned unit back to the caller.
-    IntoUnits { reply: Sender<Vec<(JobId, U)>> },
-}
-
-/// One worker thread's owned state.
-struct Shard<U> {
-    id: usize,
-    units: Vec<(JobId, U)>,
-    index: HashMap<JobId, usize>,
-}
-
-impl<U: ShardUnit> Shard<U> {
-    fn run(mut self, rx: Receiver<Command<U>>) {
-        while let Ok(cmd) = rx.recv() {
-            match cmd {
-                Command::Batch {
-                    now,
-                    items,
-                    plane,
-                    reply,
-                } => {
-                    let out = self.execute(now, items, &plane);
-                    plane.retire();
-                    let _ = reply.send(out);
-                }
-                Command::Assist { plane, reply } => {
-                    loop {
-                        if let Some(task) = plane.grab(self.id) {
-                            task.finish();
-                            continue;
-                        }
-                        if plane.idle() {
-                            break;
-                        }
-                        std::thread::yield_now();
-                    }
-                    let _ = reply.send(Vec::new());
-                }
-                Command::Stats { now, reply } => {
-                    let out = self
-                        .units
-                        .iter_mut()
-                        .map(|(job, unit)| (*job, unit.submit(now, Request::Stats)))
-                        .collect();
-                    let _ = reply.send(out);
-                }
-                Command::QuotaUsage { reply } => {
-                    let out = self
-                        .units
-                        .iter()
-                        .map(|(job, unit)| (*job, unit.quota_usage()))
-                        .collect();
-                    let _ = reply.send(out);
-                }
-                Command::Reclaim { needs, reply } => {
-                    for (job, need) in needs {
-                        if let Some(&ix) = self.index.get(&job) {
-                            self.units[ix].1.reclaim(need);
-                        }
-                    }
-                    let _ = reply.send(());
-                }
-                Command::WindowCost { now, reply } => {
-                    let out = self
-                        .units
-                        .iter_mut()
-                        .map(|(job, unit)| (*job, unit.window_cost(now)))
-                        .collect();
-                    let _ = reply.send(out);
-                }
-                Command::InfraCost { now, reply } => {
-                    let out = self
-                        .units
-                        .iter_mut()
-                        .map(|(job, unit)| (*job, unit.infra_cost(now)))
-                        .collect();
-                    let _ = reply.send(out);
-                }
-                Command::IntoUnits { reply } => {
-                    let _ = reply.send(std::mem::take(&mut self.units));
-                }
+    /// A helper's share of the run: steal until the plane is empty *and*
+    /// closed. Both are read under one lock, so a closed, empty plane is
+    /// conclusive — no task can appear afterwards.
+    fn assist(&self) {
+        loop {
+            let (task, open) = {
+                let mut queue = self.queue.lock();
+                (queue.0.pop_front(), queue.1)
+            };
+            match task {
+                Some(task) => task.finish(),
+                None if open => std::thread::yield_now(),
+                None => return,
             }
         }
     }
+}
 
-    /// Executes this shard's slice in submission order, grouping runs of
-    /// consecutive same-job envelopes into one batch call so the unit
-    /// amortizes its fixed per-request work across the run.
-    fn execute(
-        &mut self,
-        now: SimTime,
-        items: Vec<(usize, Request)>,
-        plane: &StealPlane,
-    ) -> Vec<(usize, Response)> {
-        let (slots, requests): (Vec<usize>, Vec<Request>) = items.into_iter().unzip();
-        let mut responses = Vec::with_capacity(requests.len());
-        for run in requests.chunk_by(|a, b| a.job().is_some() && a.job() == b.job()) {
-            let job = run[0]
-                .job()
-                .expect("the executor routes only job-addressed envelopes to shards");
-            responses.extend(self.serve_run(now, job, run, plane));
-        }
-        slots.into_iter().zip(responses).collect()
-    }
+/// An open plane, closed when this guard drops — on every exit path of
+/// the owner's run, unwinding included — so no helper spins on a plane
+/// whose owner has gone.
+struct OpenPlane(Arc<StealPlane>);
 
-    /// Serves one same-job run through the owning unit: its bookkeeping
-    /// runs deferred ([`ShardUnit::submit_batch_deferred`]) and the pure
-    /// kernels fan out across workers through the steal plane. Kernels are
-    /// pure and results merge back by index within the run, so the
-    /// responses are bit-identical to the unit's own `submit_batch`.
-    fn serve_run(
-        &mut self,
-        now: SimTime,
-        job: JobId,
-        run: &[Request],
-        plane: &StealPlane,
-    ) -> Vec<Response> {
-        let unit_ix = *self
-            .index
-            .get(&job)
-            .expect("routed job is owned by this shard");
-        let deferred = self.units[unit_ix].1.submit_batch_deferred(now, run);
-        debug_assert_eq!(deferred.len(), run.len());
-        let mut resolved: Vec<Option<Response>> = Vec::new();
-        resolved.resize_with(deferred.len(), || None);
-        let (tx, rx) = mpsc::channel();
-        let mut outstanding = 0usize;
-        for (i, response) in deferred.into_iter().enumerate() {
-            match response {
-                DeferredResponse::Ready(response) => resolved[i] = Some(response),
-                pending => {
-                    outstanding += 1;
-                    plane.push(
-                        self.id,
-                        StealTask {
-                            slot: i,
-                            work: pending,
-                            reply: tx.clone(),
-                        },
-                    );
-                }
-            }
-        }
-        // Drop the publishing handle so only in-flight tasks keep the
-        // channel open: a thief dying mid-kernel closes it and the recv
-        // below reports the loss instead of hanging.
-        drop(tx);
-        // Help first — own deque in submission order, then steal from the
-        // other workers — and only then block for results still computing
-        // on thieves.
-        while let Some(task) = plane.grab(self.id) {
-            task.finish();
-        }
-        for _ in 0..outstanding {
-            let (i, response) = rx.recv().expect("a shard worker died mid-serve");
-            resolved[i] = Some(response);
-        }
-        resolved
-            .into_iter()
-            .map(|r| r.expect("every deferred slot resolves"))
-            .collect()
+impl Drop for OpenPlane {
+    fn drop(&mut self) {
+        self.0.queue.lock().1 = false;
     }
 }
 
-/// A handle to one worker thread.
-struct Worker<U> {
-    sender: Option<Sender<Command<U>>>,
-    handle: Option<JoinHandle<()>>,
-}
-
-/// The sharded concurrent executor: N worker threads, each owning a
-/// disjoint set of per-job serving units, behind one [`Service`] facade.
-///
-/// See the crate docs for the ownership and determinism model. Construct
-/// with [`ShardedExecutor::new`] (explicit units) or
-/// [`ShardedExecutor::from_tenants`] (split a multi-tenant front end).
-pub struct ShardedExecutor<U: ShardUnit + 'static> {
-    workers: Vec<Worker<U>>,
-    route: HashMap<JobId, usize>,
-    /// All owned jobs, sorted — the deterministic aggregation order.
+/// Everything the owner thread holds: every serving unit, sorted by job
+/// (the deterministic aggregation order), and the helpers' wake channels.
+struct Units<U> {
+    units: Vec<U>,
     jobs: Vec<JobId>,
+    helpers: Vec<Sender<Arc<StealPlane>>>,
     label: String,
-    tenants: usize,
-    /// Whether this plane presents as a multi-tenant front end (label and
-    /// aggregated Stats), even with one tenant — true for
+    /// Whether this plane presents as a multi-tenant front end (same-job
+    /// split, label and aggregated Stats), even with one tenant — true for
     /// [`ShardedExecutor::from_tenants`], so wrapping a 1-tenant front is
     /// still bit-for-bit identical to it.
     tenancy: bool,
@@ -512,49 +265,185 @@ pub struct ShardedExecutor<U: ShardUnit + 'static> {
     global_budget: Option<ByteSize>,
 }
 
+/// One call's worth of owner work.
+type OwnerCall<U> = Box<dyn FnOnce(&mut Units<U>) + Send>;
+
+impl<U: ShardUnit> Units<U> {
+    /// A lone unit that is not a tenant front end takes the whole batch,
+    /// so it groups serves and rejects foreign jobs exactly as the bare
+    /// system does. Otherwise the batch takes [`split_by_job`], the split
+    /// [`MultiTenantStore`] makes.
+    fn submit_batch(&mut self, now: SimTime, requests: &[Request]) -> Vec<Response> {
+        if !self.tenancy {
+            return self.serve_run(now, 0, requests);
+        }
+        split_by_job(
+            self,
+            requests,
+            |owned, job, run| {
+                let ix = owned.jobs.binary_search(&job).ok()?;
+                Some(owned.serve_run(now, ix, run))
+            },
+            |owned| owned.stats(now),
+        )
+    }
+
+    /// Serves one run on unit `ix`: the unit's bookkeeping runs deferred
+    /// ([`ShardUnit::submit_batch_deferred`]) and the pure kernels fan out
+    /// to the helpers through one steal plane. The owner help-drains the
+    /// plane, then waits for the kernels still running on helpers, so
+    /// the run is complete before the next one starts.
+    fn serve_run(&mut self, now: SimTime, ix: usize, run: &[Request]) -> Vec<Response> {
+        let deferred = self.units[ix].submit_batch_deferred(now, run);
+        debug_assert_eq!(deferred.len(), run.len());
+        let mut resolved: Vec<Option<Response>> = Vec::with_capacity(deferred.len());
+        let (tx, rx) = mpsc::channel();
+        let mut plane: Option<OpenPlane> = None;
+        let mut outstanding = 0usize;
+        for (slot, response) in deferred.into_iter().enumerate() {
+            match response {
+                DeferredResponse::Ready(response) => resolved.push(Some(response)),
+                work => {
+                    resolved.push(None);
+                    outstanding += 1;
+                    let task = StealTask {
+                        slot,
+                        work,
+                        reply: tx.clone(),
+                    };
+                    plane.get_or_insert_with(|| self.open_plane()).0.push(task);
+                }
+            }
+        }
+        // Only in-flight tasks keep the channel open now: a helper dying
+        // mid-kernel closes it, and the recv below reports the loss
+        // instead of hanging.
+        drop(tx);
+        if let Some(plane) = &plane {
+            while let Some(task) = plane.0.pop() {
+                task.finish();
+            }
+        }
+        for _ in 0..outstanding {
+            let (slot, response) = rx.recv().expect("a kernel panicked on a helper thread");
+            resolved[slot] = Some(response);
+        }
+        resolved
+            .into_iter()
+            .map(|r| r.expect("every deferred slot resolves"))
+            .collect()
+    }
+
+    /// Opens a fresh plane and wakes every helper onto it. A helper that
+    /// is gone cannot steal; the owner drains what it leaves.
+    fn open_plane(&self) -> OpenPlane {
+        let plane = Arc::new(StealPlane {
+            queue: Mutex::named((VecDeque::new(), true), "exec.steal.queue"),
+        });
+        for helper in &self.helpers {
+            let _ = helper.send(Arc::clone(&plane));
+        }
+        OpenPlane(plane)
+    }
+
+    /// The tenant front end's answer to [`Request::Stats`]: the
+    /// cross-tenant pressure pass runs first (the same trigger point the
+    /// sequential front end uses), then per-unit stats are folded in job
+    /// order, labelled as the multi-tenant plane.
+    fn stats(&mut self, now: SimTime) -> Response {
+        if let Some(global) = self.global_budget {
+            let usages: Vec<QuotaUsage> = self.units.iter().map(|u| u.quota_usage()).collect();
+            for (job, need) in pressure_plan(&usages, global) {
+                let ix = self
+                    .jobs
+                    .binary_search(&job)
+                    .expect("planned jobs are owned");
+                self.units[ix].reclaim(need);
+            }
+        }
+        let per_unit = self
+            .units
+            .iter_mut()
+            .map(|unit| match unit.submit(now, Request::Stats) {
+                Response::Stats(stats) => stats,
+                _ => unreachable!("units answer Stats envelopes with stats"),
+            });
+        Response::Stats(StatsReport::fold(
+            self.label.clone(),
+            self.jobs.len(),
+            per_unit,
+        ))
+    }
+}
+
+/// Spawns executor thread `id` (0 is the owner, the rest are helpers).
+fn spawn_thread(id: usize, body: impl FnOnce() + Send + 'static) -> JoinHandle<()> {
+    std::thread::Builder::new()
+        .name(format!("flstore-shard-{id}"))
+        .spawn(body)
+        .expect("executor threads spawn")
+}
+
+/// The concurrent executor: one owner thread holding every per-job
+/// serving unit, plus kernel helpers, behind one [`Service`] facade.
+///
+/// See the crate docs for the ownership and determinism model. Construct
+/// with [`ShardedExecutor::new`] (explicit units) or
+/// [`ShardedExecutor::from_tenants`] (split a multi-tenant front end).
+pub struct ShardedExecutor<U: ShardUnit + 'static> {
+    owner: Option<Sender<OwnerCall<U>>>,
+    threads: Vec<JoinHandle<()>>,
+    label: String,
+}
+
 impl ShardedExecutor<FlStore> {
     /// Splits a multi-tenant front end into its isolated per-job
-    /// deployments and distributes them across `shards` workers. The
+    /// deployments and serves them on `threads` kernel threads. The
     /// executor then serves exactly what the front end served —
     /// bit-for-bit, label and aggregated Stats included (even with a
-    /// single tenant) — while tenants on different shards serve in
-    /// parallel.
+    /// single tenant).
     ///
     /// # Panics
     ///
-    /// Panics if the front end has no registered tenants or `shards` is
+    /// Panics if the front end has no registered tenants or `threads` is
     /// zero.
-    pub fn from_tenants(front: MultiTenantStore, shards: usize) -> Self {
+    pub fn from_tenants(front: MultiTenantStore, threads: usize) -> Self {
         let global_budget = front.global_budget();
-        let units: Vec<FlStore> = front
+        let units = front
             .into_tenants()
             .into_iter()
             .map(|(_, store)| store)
             .collect();
-        let mut exec = ShardedExecutor::new(units, shards);
-        exec.tenancy = true;
-        exec.global_budget = global_budget;
-        exec.label = format!("FLStore-MT({})", exec.tenants);
-        exec
+        ShardedExecutor::spawn(units, threads, true, global_budget)
     }
 }
 
 impl<U: ShardUnit + 'static> ShardedExecutor<U> {
-    /// Spawns `shards` worker threads and distributes `units` across them
-    /// by job-id hash. A single unit reports itself verbatim (label,
-    /// stats, costs); multiple units report as the multi-tenant front end
-    /// they decompose ([`MultiTenantStore`]'s label and aggregates), so
-    /// either wrapping is indistinguishable from its sequential original.
-    /// (A front end split via [`ShardedExecutor::from_tenants`] keeps the
+    /// Spawns the owner thread holding `units` and `threads − 1` kernel
+    /// helpers. A single unit reports itself verbatim (label, stats,
+    /// costs); multiple units report as the multi-tenant front end they
+    /// decompose ([`MultiTenantStore`]'s label and aggregates), so either
+    /// wrapping is indistinguishable from its sequential original. (A
+    /// front end split via [`ShardedExecutor::from_tenants`] keeps the
     /// multi-tenant identity even with one tenant.)
     ///
     /// # Panics
     ///
-    /// Panics if `units` is empty, `shards` is zero, or two units own the
-    /// same job.
-    pub fn new(mut units: Vec<U>, shards: usize) -> Self {
+    /// Panics if `units` is empty, `threads` is zero, or two units own
+    /// the same job.
+    pub fn new(units: Vec<U>, threads: usize) -> Self {
+        let tenancy = units.len() > 1;
+        ShardedExecutor::spawn(units, threads, tenancy, None)
+    }
+
+    fn spawn(
+        mut units: Vec<U>,
+        threads: usize,
+        tenancy: bool,
+        global_budget: Option<ByteSize>,
+    ) -> Self {
         assert!(!units.is_empty(), "an executor needs at least one unit");
-        assert!(shards >= 1, "an executor needs at least one shard");
+        assert!(threads >= 1, "an executor needs at least one thread");
         units.sort_by_key(|u| u.owned_job());
         let jobs: Vec<JobId> = units.iter().map(|u| u.owned_job()).collect();
         for pair in jobs.windows(2) {
@@ -564,233 +453,69 @@ impl<U: ShardUnit + 'static> ShardedExecutor<U> {
                 pair[0]
             );
         }
-        let label = if units.len() == 1 {
-            units[0].label()
-        } else {
+        let label = if tenancy {
             format!("FLStore-MT({})", units.len())
+        } else {
+            units[0].label()
         };
-        let tenants = units.len();
 
-        let mut per_shard: Vec<Vec<(JobId, U)>> = (0..shards).map(|_| Vec::new()).collect();
-        let mut route = HashMap::with_capacity(units.len());
-        for unit in units {
-            let job = unit.owned_job();
-            let shard = shard_of_job(job, shards);
-            route.insert(job, shard);
-            per_shard[shard].push((job, unit));
-        }
-
-        let workers = per_shard
-            .into_iter()
-            .enumerate()
-            .map(|(id, units)| {
-                let index = units
-                    .iter()
-                    .enumerate()
-                    .map(|(i, (job, _))| (*job, i))
-                    .collect();
-                let shard = Shard { id, units, index };
-                let (tx, rx) = mpsc::channel();
-                let handle = std::thread::Builder::new()
-                    .name(format!("flstore-shard-{id}"))
-                    .spawn(move || shard.run(rx))
-                    .expect("worker threads spawn");
-                Worker {
-                    sender: Some(tx),
-                    handle: Some(handle),
+        // Wake channels first: the owner holds the senders, so when it
+        // exits — the executor dropped its sender, or a call panicked —
+        // every helper's `recv` fails and the helper exits too.
+        let (helpers, wakes): (Vec<_>, Vec<_>) = (1..threads)
+            .map(|_| mpsc::channel::<Arc<StealPlane>>())
+            .unzip();
+        let mut owned = Units {
+            units,
+            jobs,
+            helpers,
+            label: label.clone(),
+            tenancy,
+            global_budget,
+        };
+        let (tx, rx) = mpsc::channel::<OwnerCall<U>>();
+        let mut handles = vec![spawn_thread(0, move || {
+            while let Ok(call) = rx.recv() {
+                call(&mut owned);
+            }
+        })];
+        for (id, wake) in (1..).zip(wakes) {
+            handles.push(spawn_thread(id, move || {
+                while let Ok(plane) = wake.recv() {
+                    plane.assist();
                 }
-            })
-            .collect();
+            }));
+        }
 
         ShardedExecutor {
-            workers,
-            route,
-            jobs,
+            owner: Some(tx),
+            threads: handles,
             label,
-            tenants,
-            tenancy: tenants > 1,
-            global_budget: None,
         }
     }
 
-    /// The shard a job's envelopes route to, or `None` for foreign jobs.
-    pub fn shard_of(&self, job: JobId) -> Option<usize> {
-        self.route.get(&job).copied()
-    }
-
-    /// Every job this plane serves, sorted.
-    pub fn jobs(&self) -> &[JobId] {
-        &self.jobs
+    /// Runs `f` on the owner thread against every unit and returns its
+    /// answer. An owner that is gone — because an earlier or this very
+    /// call panicked there — panics the caller instead of hanging it.
+    fn call<R: Send + 'static>(&self, f: impl FnOnce(&mut Units<U>) -> R + Send + 'static) -> R {
+        let (tx, rx) = mpsc::channel();
+        self.owner
+            .as_ref()
+            .expect("the owner lives until drop")
+            .send(Box::new(move |units: &mut Units<U>| {
+                let _ = tx.send(f(units));
+            }))
+            .expect("the executor's owner thread has died");
+        rx.recv()
+            .expect("the executor's owner thread died mid-call")
     }
 
     /// Shuts the plane down and hands every serving unit back, in job
     /// order — so wrapped deployments can be inspected (or re-wrapped)
     /// after a drive.
     pub fn into_units(self) -> Vec<U> {
-        let (tx, rx) = mpsc::channel();
-        for worker in &self.workers {
-            let sender = worker.sender.as_ref().expect("workers live until drop");
-            sender
-                .send(Command::IntoUnits { reply: tx.clone() })
-                .expect("worker accepts commands");
-        }
-        drop(tx);
-        let mut units: Vec<(JobId, U)> = rx.iter().flatten().collect();
-        units.sort_by_key(|(job, _)| *job);
-        units.into_iter().map(|(_, unit)| unit).collect()
-        // `self` drops here: channels close, workers exit, threads join.
-    }
-
-    /// Sends `make(reply)` to every worker and collects the per-job
-    /// replies of all shards, sorted by job.
-    fn gather<T>(&self, make: impl Fn(Sender<Vec<(JobId, T)>>) -> Command<U>) -> Vec<(JobId, T)>
-    where
-        T: Send + 'static,
-    {
-        let (tx, rx) = mpsc::channel();
-        for worker in &self.workers {
-            let sender = worker.sender.as_ref().expect("workers live until drop");
-            sender
-                .send(make(tx.clone()))
-                .expect("worker accepts commands");
-        }
-        drop(tx);
-        let mut rows: Vec<(JobId, T)> = rx.iter().flatten().collect();
-        assert_eq!(
-            rows.len(),
-            self.tenants,
-            "a shard worker died before reporting"
-        );
-        rows.sort_by_key(|(job, _)| *job);
-        rows
-    }
-
-    /// Fans the accumulated per-shard queues out to the workers and merges
-    /// the responses back into `responses` by submission index. A
-    /// [`StealPlane`] rides along: busy workers defer their serve kernels
-    /// onto it and idle workers are sent to assist, so even a single hot
-    /// job's serves spread across every core. A one-worker plane drains
-    /// its own deque.
-    fn flush(
-        &self,
-        now: SimTime,
-        pending: &mut [Vec<(usize, Request)>],
-        responses: &mut [Option<Response>],
-    ) {
-        let busy: Vec<bool> = pending.iter().map(|items| !items.is_empty()).collect();
-        let producers = busy.iter().filter(|&&b| b).count();
-        if producers == 0 {
-            return;
-        }
-        let plane = Arc::new(StealPlane::new(self.workers.len(), producers));
-        let (tx, rx) = mpsc::channel();
-        let mut expected = 0;
-        for (shard, items) in pending.iter_mut().enumerate() {
-            let sender = self.workers[shard]
-                .sender
-                .as_ref()
-                .expect("workers live until drop");
-            if busy[shard] {
-                expected += items.len();
-                sender
-                    .send(Command::Batch {
-                        now,
-                        items: std::mem::take(items),
-                        plane: Arc::clone(&plane),
-                        reply: tx.clone(),
-                    })
-                    .expect("worker accepts commands");
-            } else {
-                sender
-                    .send(Command::Assist {
-                        plane: Arc::clone(&plane),
-                        reply: tx.clone(),
-                    })
-                    .expect("worker accepts commands");
-            }
-        }
-        drop(tx);
-        let mut merged = 0;
-        for chunk in rx.iter() {
-            for (slot, response) in chunk {
-                responses[slot] = Some(response);
-                merged += 1;
-            }
-        }
-        assert_eq!(merged, expected, "a shard worker died mid-batch");
-    }
-
-    /// One cross-tenant pressure pass at a Stats barrier: gathers every
-    /// unit's occupancy, computes the same deterministic
-    /// [`pressure_plan`] the sequential front end computes, and tells the
-    /// shard owning each over-budget tenant to shed its victims. Quotas
-    /// themselves are enforced *inside* each worker-owned shard (a strict
-    /// unit bounds itself); only this global fold needs the barrier.
-    fn pressure_pass(&self) {
-        let Some(global) = self.global_budget else {
-            return;
-        };
-        let usages: Vec<QuotaUsage> = self
-            .gather(|reply| Command::QuotaUsage { reply })
-            .into_iter()
-            .map(|(_, usage)| usage)
-            .collect();
-        let plan = pressure_plan(&usages, global);
-        if plan.is_empty() {
-            return;
-        }
-        let mut per_shard: Vec<Vec<(JobId, ByteSize)>> =
-            (0..self.workers.len()).map(|_| Vec::new()).collect();
-        for (job, need) in plan {
-            let shard = *self.route.get(&job).expect("planned jobs are owned");
-            per_shard[shard].push((job, need));
-        }
-        let (tx, rx) = mpsc::channel();
-        let mut expected = 0;
-        for (shard, needs) in per_shard.into_iter().enumerate() {
-            if needs.is_empty() {
-                continue;
-            }
-            expected += 1;
-            let sender = self.workers[shard]
-                .sender
-                .as_ref()
-                .expect("workers live until drop");
-            sender
-                .send(Command::Reclaim {
-                    needs,
-                    reply: tx.clone(),
-                })
-                .expect("worker accepts commands");
-        }
-        drop(tx);
-        assert_eq!(
-            rx.iter().count(),
-            expected,
-            "a shard worker died mid-reclaim"
-        );
-    }
-
-    /// The barrier aggregate answering [`Request::Stats`]: the pressure
-    /// pass runs first (the same trigger point the sequential front end
-    /// uses), then per-unit stats are summed in job order, labelled as the
-    /// (multi-tenant) plane. A single-unit executor forwards the unit's
-    /// own report verbatim.
-    fn stats_response(&self, now: SimTime) -> Response {
-        self.pressure_pass();
-        let mut per_unit = self.gather(|reply| Command::Stats { now, reply });
-        if !self.tenancy {
-            return per_unit.remove(0).1;
-        }
-        let per_unit = per_unit.into_iter().map(|(_, response)| match response {
-            Response::Stats(stats) => stats,
-            _ => unreachable!("units answer Stats envelopes with stats"),
-        });
-        Response::Stats(StatsReport::fold(
-            self.label.clone(),
-            self.tenants,
-            per_unit,
-        ))
+        self.call(|owned| std::mem::take(&mut owned.units))
+        // `self` drops here: the owner exits, helpers exit, threads join.
     }
 }
 
@@ -805,59 +530,41 @@ impl<U: ShardUnit + 'static> Service for ShardedExecutor<U> {
             .expect("one envelope yields one response")
     }
 
-    /// Partitions the batch across shards by job hash and merges responses
-    /// back into submission order. Admission runs here: envelopes naming a
-    /// job no shard owns are rejected without dispatch (and without side
-    /// effects). System-wide envelopes ([`Request::Stats`]) act as
-    /// barriers — all earlier envelopes complete first, exactly the
-    /// observation point sequential submission would give them.
+    /// Serves the batch on the owner in same-job runs and returns the
+    /// responses in submission order. Envelopes naming a job no unit owns
+    /// are rejected without side effects. System-wide envelopes
+    /// ([`Request::Stats`]) act as barriers — all earlier envelopes
+    /// complete first, exactly the observation point sequential
+    /// submission would give them.
     fn submit_batch(&mut self, now: SimTime, requests: &[Request]) -> Vec<Response> {
-        let mut responses: Vec<Option<Response>> = vec![None; requests.len()];
-        let mut pending: Vec<Vec<(usize, Request)>> =
-            (0..self.workers.len()).map(|_| Vec::new()).collect();
-        for (slot, request) in requests.iter().enumerate() {
-            match request.job() {
-                Some(job) => match self.route.get(&job) {
-                    Some(&shard) => pending[shard].push((slot, request.clone())),
-                    None => {
-                        responses[slot] = Some(Response::Rejected(ApiError::UnknownJob { job }));
-                    }
-                },
-                None => {
-                    self.flush(now, &mut pending, &mut responses);
-                    responses[slot] = Some(self.stats_response(now));
-                }
-            }
-        }
-        self.flush(now, &mut pending, &mut responses);
-        responses
-            .into_iter()
-            .map(|r| r.expect("every envelope slot is filled"))
-            .collect()
+        let requests = requests.to_vec();
+        self.call(move |owned| owned.submit_batch(now, &requests))
     }
 
     fn window_cost(&mut self, now: SimTime) -> CostBreakdown {
-        self.gather(|reply| Command::WindowCost { now, reply })
-            .into_iter()
-            .fold(CostBreakdown::ZERO, |acc, (_, cost)| acc + cost)
+        self.call(move |owned| {
+            owned
+                .units
+                .iter_mut()
+                .fold(CostBreakdown::ZERO, |acc, unit| acc + unit.window_cost(now))
+        })
     }
 
     fn infra_cost(&mut self, now: SimTime) -> Cost {
-        self.gather(|reply| Command::InfraCost { now, reply })
-            .into_iter()
-            .fold(Cost::ZERO, |acc, (_, cost)| acc + cost)
+        self.call(move |owned| {
+            owned
+                .units
+                .iter_mut()
+                .fold(Cost::ZERO, |acc, unit| acc + unit.infra_cost(now))
+        })
     }
 }
 
 impl<U: ShardUnit + 'static> Drop for ShardedExecutor<U> {
     fn drop(&mut self) {
-        for worker in &mut self.workers {
-            worker.sender.take(); // close the channel: the worker loop exits
-        }
-        for worker in &mut self.workers {
-            if let Some(handle) = worker.handle.take() {
-                let _ = handle.join();
-            }
+        self.owner.take(); // close the channel: the owner loop exits
+        for handle in self.threads.drain(..) {
+            let _ = handle.join();
         }
     }
 }
@@ -866,15 +573,14 @@ impl<U: ShardUnit + 'static> std::fmt::Debug for ShardedExecutor<U> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedExecutor")
             .field("label", &self.label)
-            .field("shards", &self.workers.len())
-            .field("units", &self.tenants)
+            .field("threads", &self.threads.len())
             .finish()
     }
 }
 
 // The executor itself crosses thread boundaries (e.g. a test harness
-// driving it from a spawned thread); its channels and Arcs make that safe
-// by construction — keep it a compile-time fact.
+// driving it from a spawned thread); its channels make that safe by
+// construction — keep it a compile-time fact.
 const _: () = {
     const fn assert_send<T: Send>() {}
     assert_send::<ShardedExecutor<FlStore>>();
@@ -883,6 +589,7 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flstore_core::api::ApiError;
     use flstore_core::policy::TailoredPolicy;
     use flstore_core::store::FlStoreConfig;
     use flstore_fl::job::{FlJobConfig, FlJobSim};
@@ -1052,8 +759,8 @@ mod tests {
 
     #[test]
     fn hot_tenant_serves_match_sequential_under_stealing() {
-        // One job, many workers: every serve lands on the owner shard and
-        // its kernels are stolen by the three idle assists. The responses
+        // One job, four threads: the owner runs every serve's bookkeeping
+        // and the three helpers steal its kernels. The responses
         // (and the window cost fold) must match sequential submission
         // bit-for-bit.
         let (front, round) = loaded_front(&[1]);
@@ -1071,17 +778,5 @@ mod tests {
             Service::window_cost(&mut exec, now),
             Service::window_cost(&mut sequential, now)
         );
-    }
-
-    #[test]
-    fn routing_is_stable() {
-        for shards in [1usize, 2, 4, 8] {
-            for job in 1..64u32 {
-                let a = shard_of_job(JobId::new(job), shards);
-                let b = shard_of_job(JobId::new(job), shards);
-                assert_eq!(a, b);
-                assert!(a < shards);
-            }
-        }
     }
 }

@@ -26,7 +26,6 @@ use std::path::PathBuf;
 
 use flstore_cluster::cluster::{ClusterConfig, ClusterStore};
 use flstore_cluster::failure::{FailureKind, FailurePlan};
-use flstore_core::api::Service;
 use flstore_core::durable::DurabilityConfig;
 use flstore_core::policy::TailoredPolicy;
 use flstore_core::store::{FlStore, FlStoreConfig};
@@ -40,7 +39,7 @@ use flstore_sim::time::{SimDuration, SimTime};
 fn usage() -> ! {
     eprintln!(
         "usage: flstore-net serve [--addr HOST:PORT] \
-         [--jobs N] [--threads N (0 = all cores)] [--max-conns N]\n       \
+         [--jobs N] [--threads N kernel threads (0 = all cores)] [--max-conns N]\n       \
          [--max-inflight N]\n       \
          [--data-dir DIR] [--flush-every N] [--snapshot-every N] [--spill]\n       \
          [--cluster-nodes N] [--cluster-rf R] [--detect-ms MS] \
@@ -177,9 +176,8 @@ fn main() {
     }
 
     // Cluster mode: the front door drives a replicated ClusterStore
-    // instead of a single store / sharded executor. The cluster
-    // replicates every state-touching envelope internally, so `--threads`
-    // does not apply; `--data-dir` becomes the per-node durable root
+    // instead of the executor. The cluster replicates every state-touching
+    // envelope internally, so `--threads` does not apply; `--data-dir` becomes the per-node durable root
     // (`DIR/node-<i>/job-<j>` ledgers, the rejoin recovery source).
     if cluster_nodes > 0 {
         if threads > 1 {
@@ -214,8 +212,8 @@ fn main() {
         }
     }
 
-    // Each shard owns its unit outright, so each unit gets its own ledger
-    // writer under `data-dir/job-<j>` — no lock is shared across shards.
+    // Each unit gets its own ledger writer under `data-dir/job-<j>`, owned
+    // with the unit by the executor's owner thread.
     // A directory with a manifest is an earlier life of this deployment:
     // recover it (replay to the exact pre-crash state) instead of
     // starting fresh.
@@ -270,18 +268,7 @@ fn main() {
             .unwrap_or(1);
         eprintln!("--threads 0: resolved to {threads} available core(s)");
     }
-    let service: Box<dyn Service + Send> = if threads > 1 {
-        Box::new(ShardedExecutor::new(units, threads))
-    } else {
-        // A single shard still routes multi-job traffic correctly; with
-        // one job, serve the store directly.
-        let mut units = units;
-        if units.len() == 1 {
-            Box::new(units.pop().expect("one unit"))
-        } else {
-            Box::new(ShardedExecutor::new(units, 1))
-        }
-    };
+    let service = Box::new(ShardedExecutor::new(units, threads));
 
     let server = NetServer::bind_to(addr.as_str(), service, config).unwrap_or_else(|e| {
         eprintln!("bind {addr}: {e}");
@@ -289,9 +276,8 @@ fn main() {
     });
     println!("listening on {}", server.local_addr());
     println!(
-        "{} job(s), {} worker thread(s); kill the process to stop",
-        jobs.max(1),
-        threads.max(1)
+        "{} job(s), {threads} kernel thread(s); kill the process to stop",
+        jobs.max(1)
     );
     // Serve until killed.
     loop {

@@ -388,8 +388,7 @@ pub fn materialize_schedule(job_cfg: &FlJobConfig, trace: &TraceConfig) -> Vec<(
 }
 
 /// The parallel drive loop: like [`drive`], but serving through a
-/// [`ShardedExecutor`] with `threads` worker shards. With `threads <= 1`
-/// the system is driven in-thread.
+/// [`ShardedExecutor`] on `threads` kernel threads (the owner included).
 ///
 /// The executor is bit-for-bit equivalent to sequential submission, so a
 /// parallel drive produces the *same report* as a sequential one — only
@@ -402,11 +401,6 @@ pub fn drive_parallel<U: ShardUnit + 'static>(
     trace: &TraceConfig,
     threads: usize,
 ) -> (DriveReport, U) {
-    if threads <= 1 {
-        let mut system = system;
-        let report = drive(&mut system, job_cfg, trace);
-        return (report, system);
-    }
     let mut exec = ShardedExecutor::new(vec![system], threads);
     let report = drive(&mut exec, job_cfg, trace);
     let unit = exec

@@ -24,12 +24,12 @@
 #      stdout captured as results-smoke/stdout.txt, then
 #      scripts/check_figures_outputs.sh — the same check CI runs — and
 #      `sha256sum -c FIGURES.sha256`: every result byte is committed.
-#  10. parallel determinism: the same sweep again with --threads 4 (four
-#      executor workers, every cache engine split into four MetaKey
-#      shards, work-stealing serves, built with the lock-order detector
-#      armed) into results-smoke-threads4/, compared with the sequential
+#  10. parallel determinism: the same sweep again with --threads 4 (an
+#      executor on four kernel threads, every cache engine split into
+#      four MetaKey shards, work-stealing serves, built with the
+#      lock-order detector armed) into results-smoke-threads4/, compared with the sequential
 #      run by a plain `diff -r` — every JSON file and the captured
-#      stdout, no normalization: neither the sharded executor nor the
+#      stdout, no normalization: neither the helper threads nor the
 #      key-shard layout may show in a result byte.
 #  11. net smoke: the real server binary + load generator over loopback
 #      via scripts/smoke.sh net — closed-loop reports byte-diffed across
@@ -108,7 +108,7 @@ if [ "$skip_smoke" -eq 0 ]; then
     echo "==> (cd results-smoke && sha256sum -c ../FIGURES.sha256)"
     (cd results-smoke && sha256sum --quiet -c ../FIGURES.sha256)
 
-    # Parallel determinism gate: four executor workers over 4-way
+    # Parallel determinism gate: four executor kernel threads over 4-way
     # MetaKey-sharded cache engines (--threads sets both) must reproduce
     # the sequential sweep byte for byte — JSON and stdout, plain diff.
     # --features lock-order arms the deadlock detector, so an inversion
