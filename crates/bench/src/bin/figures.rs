@@ -58,10 +58,10 @@ fn main() {
     let scale = if fast { Scale::Fast } else { Scale::Full };
 
     // `--threads N`: serve every experiment through an executor on N
-    // kernel threads over N-way key-sharded cache engines; `--threads 0`
-    // resolves to every available core. Outputs are byte-identical for
-    // ANY count (the executor and the key-shard layout are bit-for-bit
-    // equivalent to sequential serving; CI diffs 1 against 4 to prove it).
+    // kernel threads; `--threads 0` resolves to every available core.
+    // Outputs are byte-identical for ANY count (the executor is
+    // bit-for-bit equivalent to sequential serving; CI diffs 1 against 4
+    // to prove it).
     let mut threads = 1usize;
     let mut targets: Vec<&str> = Vec::new();
     let mut iter = args.iter();
@@ -137,8 +137,7 @@ fn main() {
     // The run configuration goes to stderr: stdout is a result, and the
     // gate diffs it across thread counts.
     eprintln!(
-        "serving plane: executor on {threads} kernel thread(s) (one owner, {} helper(s)), \
-         {threads} MetaKey shard(s) per cache engine",
+        "serving plane: executor on {threads} kernel thread(s) (one owner, {} helper(s))",
         threads - 1
     );
     #[cfg(feature = "lock-order")]

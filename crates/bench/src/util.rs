@@ -14,15 +14,12 @@ use serde_json::Value;
 /// (`figures -- --threads N`); 1, the default, is the owner thread alone.
 static SERVING_THREADS: AtomicUsize = AtomicUsize::new(1);
 
-/// Sets the thread count every subsequent drive uses (clamped to ≥ 1), and
-/// makes it the default MetaKey shard count of every cache engine built
-/// from a `key_shards: 0` config. Neither layout is observable — responses,
-/// ledgers and window costs are byte-identical at any count (CI diffs a
-/// `--threads 4` sweep against sequential) — and serialized configs keep
-/// `key_shards` at 0, so ledger bytes never encode the knob.
+/// Sets the kernel-thread count every subsequent drive uses (clamped to
+/// ≥ 1). The count is not observable: responses, ledgers and window costs
+/// are byte-identical at any count (CI diffs a `--threads 4` sweep against
+/// sequential), and no config records it.
 pub fn set_serving_threads(n: usize) {
     SERVING_THREADS.store(n.max(1), Ordering::Relaxed);
-    flstore_core::engine::set_default_key_shards(n);
 }
 
 /// The configured thread count.

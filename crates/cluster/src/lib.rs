@@ -1,8 +1,8 @@
 //! # flstore-cluster — the replication & failover plane
 //!
 //! Lifts replica placement out of a single [`FlStore`] into a cluster of
-//! N simulated store nodes: jobs route to placement slots with the same
-//! splitmix64 mixer the execution plane shards keys with, each slot owns
+//! N simulated store nodes: jobs route to placement slots with the
+//! splitmix64 mixer, each slot owns
 //! a replica set of consecutive nodes, and deterministic failure
 //! injection (node kill, slow node, partition — seeded, virtual-clock
 //! driven) exercises automatic failover and ledger-based node recovery.

@@ -2,11 +2,9 @@
 //!
 //! Placement is two deterministic pure functions and nothing else — no
 //! rebalancing state, no gossip, no hash rings to persist. A job hashes
-//! to one of `slots` placement slots with the same splitmix64 finalizer
-//! the execution plane uses for key-shard routing (so a job's cluster
-//! route and its executor shard are decorrelated but derived from the
-//! same well-studied mixer), and a slot maps to `rf` consecutive nodes
-//! starting at `slot % nodes`. Every node, client, and test can compute
+//! to one of `slots` placement slots with the splitmix64 finalizer that
+//! also derives the simulation's seed streams, and a slot maps to `rf`
+//! consecutive nodes starting at `slot % nodes`. Every node, client, and test can compute
 //! the same route from `(job, slots, nodes, rf)` alone; docs/CLUSTER.md
 //! §2 is the normative spec.
 
@@ -21,9 +19,8 @@ pub const DEFAULT_SLOTS: usize = 16;
 /// Routes a job to its placement slot: splitmix64 finalizer over the
 /// raw job id, reduced modulo `slots`.
 ///
-/// The mixer is the one `flstore-exec` routes jobs to shards with
-/// ([`splitmix64`]), applied to the same input — a deliberate choice
-/// documented in docs/CLUSTER.md §2: routes must be derivable by every layer
+/// The mixer is [`splitmix64`] — a deliberate choice documented in
+/// docs/CLUSTER.md §2: routes must be derivable by every layer
 /// (cluster, net front door, loadgen assertions) without consulting the
 /// store, and splitmix64's avalanche keeps consecutive job ids off the
 /// same slot.
@@ -65,9 +62,9 @@ mod tests {
     }
 
     #[test]
-    fn slot_routing_mirrors_the_exec_key_shard_mixer() {
-        // Golden values pinned so a change to the shared splitmix64 (and
-        // with it every persisted route) cannot land silently.
+    fn slot_routing_golden_values() {
+        // Golden values pinned so a change to splitmix64 (and with it
+        // every persisted route) cannot land silently.
         let golden: Vec<usize> = (1..=8)
             .map(|raw| slot_of_job(JobId::new(raw), 16))
             .collect();

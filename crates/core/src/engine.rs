@@ -1,4 +1,4 @@
-//! The Cache Engine (paper §4.2), with its state split into key-shards.
+//! The Cache Engine (paper §4.2).
 //!
 //! Tracks where each metadata object lives across disaggregated function
 //! memories — the paper's dictionary
@@ -15,80 +15,20 @@
 //!   mutation that drops or replaces a placement also drops the decoded
 //!   handle, keeping the two layers coherent.
 //!
-//! # Key-sharding
-//!
-//! The engine partitions `locations`/`meta`/decoded residency into K
-//! *key-shards* by `key_shard_of` — the same splitmix64 discipline the
-//! executor uses to route jobs to workers, applied to the `MetaKey`
-//! *within* a job. Each shard consolidates all three layers for its keys
-//! in one exclusively-owned struct (no split `data`/`access_order`-style
-//! locking — Snippet 3's contention finding). Every shard is touched on
-//! the owner thread under `&mut`; the executor parallelizes a hot
-//! tenant's serve kernels, not its engine shards, so K is a layout that
-//! tests sweep and no caller needs to choose.
-//!
-//! Every externally observable order is shard-count independent: `keys()`
-//! sorts at the boundary, sequence numbers come from one engine-global
-//! counter, and byte totals are integer sums — an engine with K = 8
-//! answers bit-for-bit like K = 1.
-//!
-//! Byte accounting additionally mirrors into an [`AdmissionGate`] so
-//! quota admission is one atomic compare-and-swap (reserve-on-check, no
-//! TOCTOU window between the budget check and the placement).
+//! The engine is one partition owned by its store: every access is
+//! `&self`/`&mut self` on the store's owner thread, so the three layers are
+//! plain maps with no locks or atomics. Externally observable orders are
+//! hash-order independent — `keys()` sorts at the boundary and sequence
+//! numbers come from one counter.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use flstore_cloud::blob::Blob;
 use flstore_fl::decoded::{DecodedCache, DecodedStats};
-use flstore_fl::metadata::{MetaKey, MetaKind, SharedValue};
+use flstore_fl::metadata::{MetaKey, SharedValue};
 use flstore_serverless::function::FunctionId;
 use flstore_sim::bytes::ByteSize;
-use flstore_sim::rng::splitmix64;
 use flstore_sim::time::SimTime;
-
-use crate::quota::AdmissionGate;
-
-/// Process-wide default key-shard count, consulted by
-/// [`CacheEngine::new`] (and any config that leaves its shard count at 0).
-/// The figures harness sets it from `--threads` once at startup.
-static DEFAULT_KEY_SHARDS: AtomicUsize = AtomicUsize::new(1);
-
-/// Sets the process-wide default key-shard count (clamped to ≥ 1).
-pub fn set_default_key_shards(shards: usize) {
-    // Relaxed: a startup-time config knob; readers only need the value,
-    // no memory is published through it.
-    DEFAULT_KEY_SHARDS.store(shards.max(1), Ordering::Relaxed);
-}
-
-/// The process-wide default key-shard count.
-pub fn default_key_shards() -> usize {
-    // Relaxed: see `set_default_key_shards`.
-    DEFAULT_KEY_SHARDS.load(Ordering::Relaxed)
-}
-
-/// Routes `key` to one of `shards` key-shards.
-///
-/// splitmix64 over the packed key fields — the same mixing discipline as
-/// the executor's job router, so placement is uniform and stable across
-/// runs, platforms, and shard counts (the map `key → shard` depends only
-/// on `(key, shards)`).
-fn key_shard_of(key: &MetaKey, shards: usize) -> usize {
-    debug_assert!(shards > 0, "engine always has at least one key-shard");
-    let kind_tag: u64 = match key.kind {
-        MetaKind::ClientUpdate => 1,
-        MetaKind::Aggregate => 2,
-        MetaKind::HyperParams => 3,
-        MetaKind::RoundMetrics => 4,
-    };
-    // `client + 1` keeps `None` distinct from `ClientId(0)`.
-    let client = key.client.map_or(0, |c| u64::from(c.as_u32()) + 1);
-    let packed = (u64::from(key.job.as_u32()) << 32)
-        ^ u64::from(key.round.as_u32())
-        ^ client.rotate_left(20)
-        ^ (kind_tag << 56);
-    (splitmix64(packed) % shards as u64) as usize
-}
 
 /// Per-key cache metadata.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -103,17 +43,6 @@ pub struct CacheMeta {
     pub frequency: u64,
     /// When the object becomes readable (async prefetch completion).
     pub available_at: SimTime,
-}
-
-/// One key-shard: the placement dictionaries and decoded layer for the
-/// keys that hash here. All three layers live in one exclusively-owned
-/// struct — a worker serving this shard touches nothing another shard
-/// owns.
-#[derive(Debug, Clone, Default)]
-struct EngineShard {
-    locations: HashMap<MetaKey, Vec<FunctionId>>,
-    meta: HashMap<MetaKey, CacheMeta>,
-    decoded: DecodedCache,
 }
 
 /// Location and recency index over the serverless cache.
@@ -134,93 +63,63 @@ struct EngineShard {
 /// assert!(engine.contains(&key));
 /// assert_eq!(engine.locations(&key).unwrap(), &[FunctionId::from_raw(0)]);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct CacheEngine {
-    shards: Vec<EngineShard>,
+    locations: HashMap<MetaKey, Vec<FunctionId>>,
+    meta: HashMap<MetaKey, CacheMeta>,
+    decoded: DecodedCache,
     next_seq: u64,
     /// Running sum of tracked logical bytes, maintained incrementally so
     /// [`CacheEngine::bytes_tracked`] is O(1) — quota checks read it on
     /// every admission.
     tracked: ByteSize,
-    /// Atomic mirror of `tracked` + decoded residency, giving quota
-    /// admission a single-CAS reserve (see [`AdmissionGate`]).
-    gate: AdmissionGate,
-}
-
-impl Default for CacheEngine {
-    fn default() -> Self {
-        CacheEngine::new()
-    }
 }
 
 impl CacheEngine {
-    /// Creates an empty engine with the process-default key-shard count.
+    /// Creates an empty engine.
     pub fn new() -> Self {
-        CacheEngine::with_key_shards(default_key_shards())
+        CacheEngine::default()
     }
 
-    /// Creates an empty engine with `shards` key-shards (clamped to ≥ 1).
-    pub fn with_key_shards(shards: usize) -> Self {
-        CacheEngine {
-            shards: (0..shards.max(1)).map(|_| EngineShard::default()).collect(),
-            next_seq: 0,
-            tracked: ByteSize::ZERO,
-            gate: AdmissionGate::new(),
-        }
-    }
-
-    /// Number of key-shards the engine partitions state into.
-    pub fn key_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    fn shard(&self, key: &MetaKey) -> &EngineShard {
-        &self.shards[key_shard_of(key, self.shards.len())]
-    }
-
-    fn shard_mut(&mut self, key: &MetaKey) -> &mut EngineShard {
-        let ix = key_shard_of(key, self.shards.len());
-        &mut self.shards[ix]
+    /// Creates an empty engine. The argument is ignored: it is kept for
+    /// callers written when the engine was split into key-shards.
+    pub fn with_key_shards(_ignored: usize) -> Self {
+        CacheEngine::new()
     }
 
     /// Number of tracked keys.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.locations.len()).sum()
+        self.locations.len()
     }
 
     /// True when nothing is cached.
     pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.locations.is_empty())
+        self.locations.is_empty()
     }
 
     /// Whether `key` is cached (on any replica).
     pub fn contains(&self, key: &MetaKey) -> bool {
-        self.shard(key).locations.contains_key(key)
+        self.locations.contains_key(key)
     }
 
     /// Replica locations of `key` (one entry per ring that holds it).
     pub fn locations(&self, key: &MetaKey) -> Option<&[FunctionId]> {
-        self.shard(key).locations.get(key).map(|v| v.as_slice())
+        self.locations.get(key).map(|v| v.as_slice())
     }
 
     /// Cache metadata of `key`.
     pub fn meta(&self, key: &MetaKey) -> Option<&CacheMeta> {
-        self.shard(key).meta.get(key)
+        self.meta.get(key)
     }
 
-    /// Iterates over all cached keys, in sorted key order. The backing
-    /// maps are hash-ordered *and* shard-partitioned; exposing either
-    /// order here would leak iteration nondeterminism (and the shard
-    /// count) into every consumer — eviction scans, reclaim handling,
-    /// durability digests — so the engine pays the sort once at the
-    /// boundary.
+    /// Iterates over all cached keys, in sorted key order. The backing map
+    /// is hash-ordered; exposing that order here would leak iteration
+    /// nondeterminism into every consumer — eviction scans, reclaim
+    /// handling, durability digests — so the engine pays the sort once at
+    /// the boundary.
     pub fn keys(&self) -> impl Iterator<Item = &MetaKey> {
-        // flstore: allow(unordered_iter, collected across shards and sorted immediately below)
-        let mut keys: Vec<&MetaKey> = self
-            .shards
-            .iter()
-            .flat_map(|s| s.locations.keys())
-            .collect();
+        // flstore: allow(unordered_iter, collected and sorted immediately below)
+        let mut keys: Vec<&MetaKey> = self.locations.keys().collect();
         keys.sort_unstable();
         keys.into_iter()
     }
@@ -231,66 +130,32 @@ impl CacheEngine {
         self.tracked
     }
 
-    /// The atomic admission gate mirroring this engine's resident bytes.
-    /// Quota enforcement reserves against it with one CAS.
-    pub fn admission(&self) -> &AdmissionGate {
-        &self.gate
-    }
-
-    /// Runs a decoded-layer mutation on `key`'s shard, mirroring any
-    /// residency change into the gate.
-    fn with_decoded<R>(&mut self, key: &MetaKey, f: impl FnOnce(&mut DecodedCache) -> R) -> R {
-        let ix = key_shard_of(key, self.shards.len());
-        let decoded = &mut self.shards[ix].decoded;
-        let before = decoded.resident_bytes();
-        let out = f(decoded);
-        let after = decoded.resident_bytes();
-        if after >= before {
-            self.gate.charge(after.saturating_sub(before));
-        } else {
-            self.gate.credit(before.saturating_sub(after));
-        }
-        out
-    }
-
-    /// Decoded-layer read: the shared handle for `key` if its shard holds
-    /// one (bumps the shard's hit counter).
+    /// Decoded-layer read: the shared handle for `key` if the layer holds
+    /// one (bumps its hit counter).
     pub fn decoded_get(&mut self, key: &MetaKey) -> Option<SharedValue> {
-        // `get` can drop an entry on byte-identity mismatch, so route it
-        // through the residency mirror too.
-        self.with_decoded(key, |d| d.get(key))
+        self.decoded.get(key)
     }
 
     /// Decoded-layer read-or-parse: returns the cached handle when `blob`
     /// matches byte-for-byte, otherwise parses and caches.
     pub fn decoded_get_or_decode(&mut self, key: &MetaKey, blob: &Blob) -> Option<SharedValue> {
-        self.with_decoded(key, |d| d.get_or_decode(key, blob))
+        self.decoded.get_or_decode(key, blob)
     }
 
-    /// Seeds `key`'s shard with a producer-decoded value (ingest-time:
+    /// Seeds the decoded layer with a producer-decoded value (ingest-time:
     /// zero-parse).
     pub fn decoded_seed(&mut self, key: MetaKey, blob: &Blob, value: SharedValue) {
-        self.with_decoded(&key, |d| d.seed(key, blob, value));
+        self.decoded.seed(key, blob, value);
     }
 
-    /// Decoded-layer residency across all key-shards.
+    /// Decoded-layer residency.
     pub fn decoded_resident_bytes(&self) -> ByteSize {
-        self.shards.iter().map(|s| s.decoded.resident_bytes()).sum()
+        self.decoded.resident_bytes()
     }
 
-    /// Decoded-layer operation counters, summed across key-shards — each
-    /// key's events land in exactly one shard, so the totals are
-    /// shard-count independent.
+    /// Decoded-layer operation counters.
     pub fn decoded_stats(&self) -> DecodedStats {
-        let mut total = DecodedStats::default();
-        for s in &self.shards {
-            let st = s.decoded.stats();
-            total.hits += st.hits;
-            total.decodes += st.decodes;
-            total.seeded += st.seeded;
-            total.invalidations += st.invalidations;
-        }
-        total
+        self.decoded.stats()
     }
 
     /// Registers a (replicated) placement. `available_at` is the instant the
@@ -306,10 +171,9 @@ impl CacheEngine {
         let seq = self.bump();
         // A (re-)placement may carry different bytes than the decode we
         // hold; the caller re-seeds after recording if it has the value.
-        self.with_decoded(&key, |d| d.invalidate(&key));
-        let shard = self.shard_mut(&key);
-        shard.locations.insert(key, replicas);
-        let displaced = shard.meta.insert(
+        self.decoded.invalidate(&key);
+        self.locations.insert(key, replicas);
+        let displaced = self.meta.insert(
             key,
             CacheMeta {
                 size,
@@ -320,12 +184,8 @@ impl CacheEngine {
             },
         );
         self.tracked += size;
-        // The gate consumes the admission reservation (if any) here, so
-        // admitted-then-placed bytes count exactly once.
-        self.gate.charge(size);
         if let Some(old) = displaced {
             self.tracked = self.tracked.saturating_sub(old.size);
-            self.gate.credit(old.size);
         }
     }
 
@@ -333,7 +193,7 @@ impl CacheEngine {
     /// updated metadata, or `None` if the key is not cached.
     pub fn touch(&mut self, key: &MetaKey) -> Option<CacheMeta> {
         let seq = self.bump();
-        let meta = self.shard_mut(key).meta.get_mut(key)?;
+        let meta = self.meta.get_mut(key)?;
         meta.last_access_seq = seq;
         meta.frequency += 1;
         Some(*meta)
@@ -341,15 +201,11 @@ impl CacheEngine {
 
     /// Removes a key entirely. Returns its former locations.
     pub fn remove(&mut self, key: &MetaKey) -> Option<Vec<FunctionId>> {
-        self.with_decoded(key, |d| d.invalidate(key));
-        let shard = self.shard_mut(key);
-        let removed_meta = shard.meta.remove(key);
-        let removed = shard.locations.remove(key);
-        if let Some(old) = removed_meta {
+        self.decoded.invalidate(key);
+        if let Some(old) = self.meta.remove(key) {
             self.tracked = self.tracked.saturating_sub(old.size);
-            self.gate.credit(old.size);
         }
-        removed
+        self.locations.remove(key)
     }
 
     /// Drops a single failed replica from every placement that referenced
@@ -357,18 +213,15 @@ impl CacheEngine {
     /// data now only exists in the persistent store).
     pub fn drop_replica(&mut self, failed: FunctionId) -> Vec<MetaKey> {
         let mut orphaned = Vec::new();
-        for shard in self.shards.iter_mut() {
-            // flstore: allow(unordered_iter, every placement is visited exactly once and the collected keys are sorted below)
-            for (key, replicas) in shard.locations.iter_mut() {
-                replicas.retain(|f| *f != failed);
-                if replicas.is_empty() {
-                    orphaned.push(*key);
-                }
+        // flstore: allow(unordered_iter, every placement is visited exactly once and the collected keys are sorted below)
+        for (key, replicas) in self.locations.iter_mut() {
+            replicas.retain(|f| *f != failed);
+            if replicas.is_empty() {
+                orphaned.push(*key);
             }
         }
-        // Neither hash order nor shard order may leak out through the
-        // return value: callers re-replicate / log these keys in the
-        // order given.
+        // Hash order may not leak out through the return value: callers
+        // re-replicate / log these keys in the order given.
         orphaned.sort_unstable();
         for key in &orphaned {
             self.remove(key);
@@ -378,7 +231,7 @@ impl CacheEngine {
 
     /// Adds a repaired replica location for `key` (after re-replication).
     pub fn add_replica(&mut self, key: &MetaKey, replica: FunctionId) -> bool {
-        if let Some(replicas) = self.shard_mut(key).locations.get_mut(key) {
+        if let Some(replicas) = self.locations.get_mut(key) {
             if !replicas.contains(&replica) {
                 replicas.push(replica);
             }
@@ -397,15 +250,9 @@ impl CacheEngine {
         // MetaKey ≈ 24 B payload; CacheMeta = 40 B; Vec<FunctionId> ≈ 24 B
         // header + 8 B/replica; two hash-map entries ≈ 2 × 48 B overhead.
         let per_entry = 24 + 40 + 24 + 2 * 48;
-        let entries: usize = self.shards.iter().map(|s| s.locations.len()).sum();
         // flstore: allow(unordered_iter, integer sum over replica counts is order-independent)
-        let replicas: usize = self
-            .shards
-            .iter()
-            .flat_map(|s| s.locations.values())
-            .map(|v| 8 * v.len())
-            .sum();
-        ByteSize::from_bytes((entries * per_entry + replicas) as u64)
+        let replicas: usize = self.locations.values().map(|v| 8 * v.len()).sum();
+        ByteSize::from_bytes((self.locations.len() * per_entry + replicas) as u64)
             + self.decoded_resident_bytes()
     }
 
@@ -599,120 +446,5 @@ mod tests {
         assert_eq!(e.bytes_tracked(), ByteSize::from_mb(30));
         e.drop_replica(fid(1));
         assert_eq!(e.bytes_tracked(), ByteSize::ZERO);
-    }
-
-    #[test]
-    fn routing_is_stable_and_in_range() {
-        for shards in [1usize, 2, 4, 8] {
-            for r in 0..50u32 {
-                for c in 0..8u32 {
-                    let k = key(r, c);
-                    let s = key_shard_of(&k, shards);
-                    assert!(s < shards);
-                    assert_eq!(s, key_shard_of(&k, shards), "routing must be pure");
-                }
-            }
-        }
-        // One shard degenerates to the unsharded engine.
-        assert_eq!(key_shard_of(&key(7, 7), 1), 0);
-    }
-
-    #[test]
-    fn routing_spreads_one_job_across_shards() {
-        // The whole point of key-sharding: a single job's keys land on
-        // every shard, so one hot tenant can use all workers.
-        let shards = 4;
-        let mut hit = vec![false; shards];
-        for r in 0..32u32 {
-            for c in 0..8u32 {
-                hit[key_shard_of(&key(r, c), shards)] = true;
-            }
-        }
-        assert!(hit.iter().all(|&h| h), "some shard never used: {hit:?}");
-    }
-
-    /// The observable engine state must not depend on the shard count —
-    /// the property every equivalence gate in the workspace leans on.
-    #[test]
-    fn shard_count_is_unobservable() {
-        use flstore_fl::hyperparams::HyperParams;
-        use flstore_fl::metadata::MetaValue;
-        use flstore_fl::zoo::ModelArch;
-
-        let value = MetaValue::Hyper(HyperParams::schedule(Round::new(1), 10, 0.2));
-        let blob = value.to_blob(&ModelArch::RESNET18);
-
-        let run = |shards: usize| {
-            let mut e = CacheEngine::with_key_shards(shards);
-            for r in 0..12u32 {
-                for c in 0..4u32 {
-                    e.record(
-                        key(r, c),
-                        vec![fid(u64::from(r % 3))],
-                        ByteSize::from_kb(u64::from(100 + c)),
-                        SimTime::ZERO,
-                    );
-                    e.decoded_seed(key(r, c), &blob, value.clone().into_shared());
-                }
-            }
-            for c in 0..4u32 {
-                e.touch(&key(3, c));
-                e.decoded_get(&key(5, c));
-            }
-            e.remove(&key(2, 1));
-            e.drop_replica(fid(1));
-            let keys: Vec<MetaKey> = e.keys().copied().collect();
-            let metas: Vec<(MetaKey, CacheMeta)> =
-                keys.iter().map(|k| (*k, *e.meta(k).unwrap())).collect();
-            (
-                keys,
-                metas,
-                e.bytes_tracked(),
-                e.decoded_resident_bytes(),
-                e.decoded_stats(),
-                e.len(),
-                e.estimated_memory(),
-            )
-        };
-
-        let baseline = run(1);
-        for shards in [2usize, 4, 8] {
-            assert_eq!(run(shards), baseline, "K = {shards} observable drift");
-        }
-    }
-
-    #[test]
-    fn gate_mirrors_resident_bytes() {
-        use flstore_fl::hyperparams::HyperParams;
-        use flstore_fl::metadata::MetaValue;
-        use flstore_fl::zoo::ModelArch;
-
-        let value = MetaValue::Hyper(HyperParams::schedule(Round::new(1), 10, 0.2));
-        let blob = value.to_blob(&ModelArch::RESNET18);
-
-        let mut e = CacheEngine::with_key_shards(4);
-        let resident = |e: &CacheEngine| e.bytes_tracked() + e.decoded_resident_bytes();
-        for r in 0..8u32 {
-            e.record(
-                key(r, 0),
-                vec![fid(0)],
-                ByteSize::from_kb(64),
-                SimTime::ZERO,
-            );
-            e.decoded_seed(key(r, 0), &blob, value.clone().into_shared());
-            assert_eq!(e.admission().occupancy(), resident(&e));
-        }
-        // Overwrite, remove, orphan: the mirror follows every path.
-        e.record(
-            key(0, 0),
-            vec![fid(1)],
-            ByteSize::from_kb(32),
-            SimTime::ZERO,
-        );
-        assert_eq!(e.admission().occupancy(), resident(&e));
-        e.remove(&key(1, 0));
-        assert_eq!(e.admission().occupancy(), resident(&e));
-        e.drop_replica(fid(1));
-        assert_eq!(e.admission().occupancy(), resident(&e));
     }
 }

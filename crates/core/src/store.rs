@@ -72,13 +72,9 @@ pub struct FlStoreConfig {
     /// disk-spill cold tier. The default ([`DurabilityConfig::DISABLED`])
     /// changes nothing about the store's behaviour.
     pub durability: DurabilityConfig,
-    /// Key-shard count for the cache engine (intra-job parallelism): the
-    /// engine partitions placement/decoded state into this many
-    /// [`MetaKey`]-routed shards. `0` (the
-    /// serde default, so pre-existing serialized configs replay
-    /// unchanged) defers to the process-wide default
-    /// ([`crate::engine::default_key_shards`]). Observable behaviour is
-    /// shard-count independent; only serve-phase parallelism changes.
+    /// Ignored. The cache engine is one partition; this field is kept so
+    /// configs that set it still build and serialized MANIFESTs keep
+    /// their bytes.
     #[serde(default)]
     pub key_shards: usize,
 }
@@ -103,16 +99,6 @@ impl FlStoreConfig {
             quota: None,
             durability: DurabilityConfig::DISABLED,
             key_shards: 0,
-        }
-    }
-
-    /// The engine key-shard count this config resolves to: its own
-    /// `key_shards` if set, else the process-wide default.
-    fn resolved_key_shards(&self) -> usize {
-        if self.key_shards == 0 {
-            crate::engine::default_key_shards()
-        } else {
-            self.key_shards
         }
     }
 }
@@ -234,7 +220,7 @@ impl FlStore {
         FlStore {
             platform,
             persistent,
-            engine: CacheEngine::with_key_shards(cfg.resolved_key_shards()),
+            engine: CacheEngine::new(),
             tracker: RequestTracker::new(),
             catalog: JobCatalog::new(job, model),
             rings,
@@ -420,7 +406,7 @@ impl FlStore {
     }
 
     /// The reclamation body, shared by the logged public entry point and
-    /// the admission gates. Internal callers are *not* logged: their
+    /// the strict-quota checks. Internal callers are *not* logged: their
     /// reclaims are deterministic consequences of the envelope that
     /// triggered them, so replay re-derives them.
     fn reclaim_internal(&mut self, need: ByteSize) -> Vec<MetaKey> {
@@ -431,19 +417,12 @@ impl FlStore {
         victims
     }
 
-    /// Strict-quota admission gate for one object of `size` entering the
+    /// Strict-quota admission check for one object of `size` entering the
     /// cache: within budget admits immediately; over budget first sheds
     /// this tenant's own policy victims, then refuses the object if room
     /// still cannot be made. Elastic and unquota'd deployments always
-    /// admit (the pressure plane governs elastic overshoot).
-    ///
-    /// Admission goes through the engine's [`AdmissionGate`]
-    /// (`crate::quota::AdmissionGate`): check-and-reserve is one CAS, so
-    /// there is no window between the budget check and the placement in
-    /// which another admitter could consume the same headroom. The gate
-    /// mirrors `resident_bytes()` exactly (reservations are settled after
-    /// every placement), so the decisions are identical to the previous
-    /// check-then-place sequence.
+    /// admit (the pressure plane governs elastic overshoot). The object
+    /// fits when `resident_bytes() + size` is within the budget.
     fn quota_admits(&mut self, size: ByteSize) -> bool {
         let Some(quota) = self.cfg.quota else {
             return true;
@@ -457,12 +436,12 @@ impl FlStore {
         if size > quota.bytes {
             return false;
         }
-        if self.engine.admission().try_admit(size, quota.bytes) {
+        let projected = self.resident_bytes() + size;
+        if projected <= quota.bytes {
             return true;
         }
-        let projected = self.resident_bytes() + size;
         self.reclaim_internal(projected.saturating_sub(quota.bytes));
-        self.engine.admission().try_admit(size, quota.bytes)
+        self.resident_bytes() + size <= quota.bytes
     }
 
     /// Restores the strict invariant `resident_bytes() <= budget` after an
@@ -601,11 +580,6 @@ impl FlStore {
         if !replicas.is_empty() {
             self.engine.record(key, replicas, size, available_at);
         }
-        // A strict-quota admission reserved `size` in the gate; `record`
-        // consumed it. If every ring refused placement there is no record
-        // and the reservation dangles — settle so the gate keeps
-        // mirroring `resident_bytes()` exactly.
-        let _ = self.engine.admission().settle();
     }
 
     /// Removes `key` from every cache layer. Pressure victims

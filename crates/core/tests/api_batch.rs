@@ -8,10 +8,9 @@
 //! deployments must be bit-for-bit identical to sequential submission —
 //! responses, ledgers, window costs, and cache fingerprints.
 //!
-//! For the *intra-job* plane: the same line holds across the key-shards
-//! × job-shards cross product — a `MetaKey`-sharded cache engine served
-//! through a work-stealing executor — including the f64 fold order of
-//! Stats barriers and the bytes a durable deployment persists.
+//! The executor's kernel threads steal a hot tenant's serve kernels; the
+//! same line holds for the f64 fold order of Stats barriers and for the
+//! bytes a durable deployment persists.
 //!
 //! And for the *durability* plane: a deployment killed at an arbitrary
 //! point in the mix and recovered from its write-ahead ledger must serve
@@ -67,24 +66,13 @@ fn job_config() -> FlJobConfig {
 /// A deployment with `capacity` optionally constrained (the
 /// FLStore-limited shape, which exercises victim eviction under pressure).
 fn loaded_store(limited: bool) -> (FlStore, Vec<RoundRecord>) {
-    loaded_store_keyed(limited, 0)
+    loaded_store_reclaiming(limited, ReclaimModel::DISABLED)
 }
 
-/// [`loaded_store`] with the cache engine partitioned into `key_shards`
-/// MetaKey shards (0 = the process-wide default, i.e. unsharded).
-fn loaded_store_keyed(limited: bool, key_shards: usize) -> (FlStore, Vec<RoundRecord>) {
-    loaded_store_reclaiming(limited, key_shards, ReclaimModel::DISABLED)
-}
-
-/// [`loaded_store_keyed`] under the given replica reclamation model.
-fn loaded_store_reclaiming(
-    limited: bool,
-    key_shards: usize,
-    reclaim: ReclaimModel,
-) -> (FlStore, Vec<RoundRecord>) {
+/// [`loaded_store`] under the given replica reclamation model.
+fn loaded_store_reclaiming(limited: bool, reclaim: ReclaimModel) -> (FlStore, Vec<RoundRecord>) {
     let job = job_config();
     let cfg = FlStoreConfig {
-        key_shards,
         platform: PlatformConfig {
             reclaim,
             ..PlatformConfig::default()
@@ -263,98 +251,46 @@ fn assert_sharded_single_tenant_equivalent(limited: bool, seed: u64, len: usize)
     }
 }
 
-/// MetaKey-shard counts the intra-job parallelism properties sweep.
-const KEY_SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
-
-/// Intra-job parallelism: the full key-shards × job-shards cross product
-/// must be bit-for-bit identical to sequential submission on an unsharded
-/// deployment. With more workers than busy jobs (every point here — one
-/// tenant), the idle workers steal the hot tenant's deferred serve
-/// kernels, so this property also pins the steal plane's ordered merge.
-fn assert_key_shard_cross_product_equivalent(limited: bool, seed: u64, len: usize) {
-    let (mut sequential, records) = loaded_store(limited);
-    let mix = request_mix(seed, len, &records);
-    let now = SimTime::from_secs(7200);
-    let sequential_responses: Vec<Response> = mix
-        .iter()
-        .map(|r| sequential.submit(now, r.clone()))
-        .collect();
-    let sequential_cost = sequential.total_cost(now);
-
-    for key_shards in KEY_SHARD_COUNTS {
-        for job_shards in [1usize, 2, 4] {
-            let (parallel, _) = loaded_store_keyed(limited, key_shards);
-            let mut exec = ShardedExecutor::new(vec![parallel], job_shards);
-            let responses = exec.submit_batch(now, &mix);
-            assert_eq!(
-                responses, sequential_responses,
-                "responses @K={key_shards} keys × {job_shards} workers"
-            );
-            // Exact f64 equality: any hash-order drift in a cost fold
-            // shows up here, not as an epsilon.
-            assert_eq!(
-                Service::window_cost(&mut exec, now),
-                sequential_cost,
-                "window costs @K={key_shards} keys × {job_shards} workers"
-            );
-            let store = exec.into_units().pop().expect("unit returned");
-            assert_eq!(
-                store.ledger().outcomes,
-                sequential.ledger().outcomes,
-                "ledger @K={key_shards} keys × {job_shards} workers"
-            );
-            assert_eq!(
-                cache_fingerprint(&store),
-                cache_fingerprint(&sequential),
-                "cache state @K={key_shards} keys × {job_shards} workers"
-            );
-        }
-    }
-}
-
 /// Reclamation on: replicas die while the deployment idles, so serves in
 /// the mix meet faults and the liveness pass recovers them. That pass is
 /// batch-scoped (one fault may mark several batchmates
-/// `recovered_from_fault`), so the reference is a bare K=1 store's own
+/// `recovered_from_fault`), so the reference is a bare store's own
 /// `submit_batch`, not per-envelope submits. An executor over one store,
-/// at every worker count × key-shard count, must group the batch exactly
-/// as the bare store does: responses, ledger outcomes, window cost and
-/// cache state all match. Returns the faults the reference observed.
+/// at every thread count, must group the batch exactly as the bare store
+/// does: responses, ledger outcomes, window cost and cache state all
+/// match. Returns the faults the reference observed.
 fn assert_executor_equals_batch_under_reclamation(seed: u64, len: usize) -> u64 {
-    let (mut reference, records) = loaded_store_reclaiming(false, 1, ReclaimModel::FAULT_INJECTION);
+    let (mut reference, records) = loaded_store_reclaiming(false, ReclaimModel::FAULT_INJECTION);
     let mix = request_mix(seed, len, &records);
     let now = SimTime::from_secs(7200);
     let reference_responses = reference.submit_batch(now, &mix);
     let reference_cost = reference.total_cost(now);
 
-    for key_shards in [1usize, 4] {
-        for workers in [1usize, 2, 4] {
-            let (parallel, _) =
-                loaded_store_reclaiming(false, key_shards, ReclaimModel::FAULT_INJECTION);
-            let mut exec = ShardedExecutor::new(vec![parallel], workers);
-            let responses = exec.submit_batch(now, &mix);
-            assert_eq!(
-                responses, reference_responses,
-                "responses @K={key_shards} keys × {workers} workers, reclaiming"
-            );
-            assert_eq!(
-                Service::window_cost(&mut exec, now),
-                reference_cost,
-                "window costs @K={key_shards} keys × {workers} workers, reclaiming"
-            );
-            let store = exec.into_units().pop().expect("unit returned");
-            assert_eq!(
-                store.ledger().outcomes,
-                reference.ledger().outcomes,
-                "ledger @K={key_shards} keys × {workers} workers, reclaiming"
-            );
-            assert_eq!(
-                cache_fingerprint(&store),
-                cache_fingerprint(&reference),
-                "cache state @K={key_shards} keys × {workers} workers, reclaiming"
-            );
-            assert_eq!(store.faults_observed(), reference.faults_observed());
-        }
+    for threads in [1usize, 2, 4] {
+        let (parallel, _) = loaded_store_reclaiming(false, ReclaimModel::FAULT_INJECTION);
+        let mut exec = ShardedExecutor::new(vec![parallel], threads);
+        let responses = exec.submit_batch(now, &mix);
+        assert_eq!(
+            responses, reference_responses,
+            "responses @{threads} threads, reclaiming"
+        );
+        assert_eq!(
+            Service::window_cost(&mut exec, now),
+            reference_cost,
+            "window costs @{threads} threads, reclaiming"
+        );
+        let store = exec.into_units().pop().expect("unit returned");
+        assert_eq!(
+            store.ledger().outcomes,
+            reference.ledger().outcomes,
+            "ledger @{threads} threads, reclaiming"
+        );
+        assert_eq!(
+            cache_fingerprint(&store),
+            cache_fingerprint(&reference),
+            "cache state @{threads} threads, reclaiming"
+        );
+        assert_eq!(store.faults_observed(), reference.faults_observed());
     }
     reference.faults_observed()
 }
@@ -369,68 +305,24 @@ fn executor_equals_batch_under_reclamation_sees_faults() {
     assert!(faults > 0, "no seed observed a reclaimed replica");
 }
 
-/// Durability × key shards: a durable deployment's persisted bytes —
-/// write-ahead ledger segments and snapshots — must be identical at every
-/// key-shard count, even when the serves run through a work-stealing
-/// executor. The shard layout is a serve-phase fact; if it leaked into
-/// the persisted records (hash/shard iteration order in a digest or
-/// snapshot), recovery portability across `--key-shards` settings would
-/// silently break. Only the MANIFEST may differ, and only in its
-/// `key_shards` field.
-fn assert_key_sharded_durability_bytes_identical(seed: u64, len: usize) {
-    let (mut reference, records) = loaded_store(false);
+/// Durability through the executor: a durable deployment behind the
+/// executor persists exactly the bytes — write-ahead ledger segments,
+/// snapshots and MANIFEST — that the same deployment persists from its
+/// own `submit_batch`, at every thread count. The kernel threads only run
+/// pure kernels; if their scheduling leaked into the persisted records,
+/// recovery would depend on how the ledger was written.
+fn assert_executor_persists_the_bare_batch_bytes(seed: u64, len: usize) {
+    let records: Vec<RoundRecord> = FlJobSim::new(job_config()).collect();
     let mix = request_mix(seed, len, &records);
-    let now = SimTime::from_secs(7200);
-    let reference_responses: Vec<Response> = mix
-        .iter()
-        .map(|r| reference.submit(now, r.clone()))
-        .collect();
-
-    let mut persisted: Vec<Vec<(String, Vec<u8>)>> = Vec::new();
-    let mut manifests: Vec<flstore_durability::recover::Manifest> = Vec::new();
-    for key_shards in [1usize, 8] {
-        let dir = flstore_durability::testkit::DetTempDir::new(
-            "api-batch-keyshard-wal",
-            seed ^ ((len as u64) << 40) ^ ((key_shards as u64) << 56),
-        );
-        let durable = durable_store(dir.path(), key_shards, 8, &records);
-        let mut exec = ShardedExecutor::new(vec![durable], 4);
-        let responses = exec.submit_batch(now, &mix);
-        assert_eq!(
-            responses, reference_responses,
-            "durable responses @{key_shards} key shards"
-        );
-        drop(exec); // close the ledger writer before reading its files
-        persisted.push(persisted_files(dir.path()));
-        let manifest =
-            std::fs::read_to_string(dir.path().join(flstore_durability::recover::MANIFEST))
-                .expect("manifest");
-        manifests.push(serde_json::from_str(&manifest).expect("manifest parses"));
-    }
-    assert_eq!(
-        persisted[0], persisted[1],
-        "ledger/snapshot bytes differ across key-shard counts"
-    );
-    for manifest in &mut manifests {
-        manifest.config.key_shards = 0;
-    }
-    assert_eq!(
-        manifests[0], manifests[1],
-        "manifests differ beyond the key_shards field"
-    );
+    let tag = seed ^ ((len as u64) << 40);
+    assert_durable_executor_matches_bare("api-batch-exec-wal", tag, 8, &records, &mix, &[1, 4]);
 }
 
 /// A durable deployment in `dir` (every record flushed, a snapshot every
 /// `snapshot_every` records) with all but the last of `records` ingested.
-fn durable_store(
-    dir: &std::path::Path,
-    key_shards: usize,
-    snapshot_every: u32,
-    records: &[RoundRecord],
-) -> FlStore {
+fn durable_store(dir: &std::path::Path, snapshot_every: u32, records: &[RoundRecord]) -> FlStore {
     let job = job_config();
     let cfg = FlStoreConfig {
-        key_shards,
         platform: PlatformConfig {
             reclaim: ReclaimModel::DISABLED,
             ..PlatformConfig::default()
@@ -452,13 +344,11 @@ fn durable_store(
     durable
 }
 
-/// Every file a durable deployment persisted in `dir` except the
-/// MANIFEST, by name.
+/// Every file a durable deployment persisted in `dir`, by name.
 fn persisted_files(dir: &std::path::Path) -> Vec<(String, Vec<u8>)> {
     let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
         .expect("durable dir")
         .map(|e| e.expect("dir entry"))
-        .filter(|e| e.file_name() != flstore_durability::recover::MANIFEST)
         .map(|e| {
             (
                 e.file_name().to_string_lossy().into_owned(),
@@ -472,6 +362,51 @@ fn persisted_files(dir: &std::path::Path) -> Vec<(String, Vec<u8>)> {
         "the durable run persisted nothing to compare"
     );
     files
+}
+
+/// Serves `mix` on fresh durable deployments (see [`durable_store`]):
+/// once through the store's own `submit_batch`, then behind an executor
+/// at each of `thread_counts`. Every executor run must return the bare
+/// store's responses and persist its exact files, MANIFEST included.
+/// `name` and `seed` pick the runs' temporary directories.
+fn assert_durable_executor_matches_bare(
+    name: &str,
+    seed: u64,
+    snapshot_every: u32,
+    records: &[RoundRecord],
+    mix: &[Request],
+    thread_counts: &[usize],
+) {
+    let now = SimTime::from_secs(7200);
+    // Thread count 0 is the bare store itself.
+    let run = |threads: usize| {
+        let dir =
+            flstore_durability::testkit::DetTempDir::new(name, seed ^ ((threads as u64) << 56));
+        let mut durable = durable_store(dir.path(), snapshot_every, records);
+        let responses = if threads == 0 {
+            let responses = durable.submit_batch(now, mix);
+            drop(durable); // close the ledger writer before reading its files
+            responses
+        } else {
+            let mut exec = ShardedExecutor::new(vec![durable], threads);
+            let responses = exec.submit_batch(now, mix);
+            drop(exec);
+            responses
+        };
+        (responses, persisted_files(dir.path()))
+    };
+    let (reference_responses, reference_files) = run(0);
+    for &threads in thread_counts {
+        let (responses, files) = run(threads);
+        assert_eq!(
+            responses, reference_responses,
+            "responses @{threads} threads vs the bare store"
+        );
+        assert_eq!(
+            files, reference_files,
+            "persisted bytes @{threads} threads vs the bare store"
+        );
+    }
 }
 
 /// `FlStore::serve` is a batch of one on disk too: the same envelopes fed
@@ -499,7 +434,7 @@ fn single_submits_persist_the_bytes_of_batches_of_one() {
             "api-batch-single-wal",
             u64::from(batched),
         );
-        let mut durable = durable_store(dir.path(), 0, 4, &records);
+        let mut durable = durable_store(dir.path(), 4, &records);
         let responses: Vec<Response> = mix
             .iter()
             .map(|r| match batched {
@@ -546,37 +481,7 @@ fn executor_groups_foreign_envelopes_as_the_bare_store() {
         serve(4, JOB, WorkloadKind::Clustering),
         serve(5, JOB, WorkloadKind::SchedulingPerf),
     ];
-    let now = SimTime::from_secs(7200);
-
-    let mut persisted = Vec::new();
-    // Thread count 0 is the bare store itself.
-    for threads in [0usize, 1, 2, 4] {
-        let dir =
-            flstore_durability::testkit::DetTempDir::new("api-batch-foreign-wal", threads as u64);
-        let mut durable = durable_store(dir.path(), 0, 4, &records);
-        let responses = if threads == 0 {
-            let responses = durable.submit_batch(now, &mix);
-            drop(durable); // close the ledger writer before reading its files
-            responses
-        } else {
-            let mut exec = ShardedExecutor::new(vec![durable], threads);
-            let responses = exec.submit_batch(now, &mix);
-            drop(exec);
-            responses
-        };
-        persisted.push((threads, responses, persisted_files(dir.path())));
-    }
-    let (_, reference_responses, reference_files) = &persisted[0];
-    for (threads, responses, files) in &persisted[1..] {
-        assert_eq!(
-            responses, reference_responses,
-            "responses @{threads} threads vs the bare store"
-        );
-        assert_eq!(
-            files, reference_files,
-            "persisted bytes @{threads} threads vs the bare store"
-        );
-    }
+    assert_durable_executor_matches_bare("api-batch-foreign-wal", 0, 4, &records, &mix, &[1, 2, 4]);
 }
 
 const TENANT_JOBS: [u32; 3] = [1, 2, 5];
@@ -587,17 +492,7 @@ const TENANT_JOBS: [u32; 3] = [1, 2, 5];
 /// global budget sized to force the pressure pass at every Stats barrier —
 /// the cross-tenant quota-pressure shape.
 fn loaded_front_with_quotas(quotas: bool) -> (MultiTenantStore, Vec<Vec<RoundRecord>>) {
-    loaded_front_keyed(quotas, 0)
-}
-
-/// [`loaded_front_with_quotas`] with every tenant's cache engine
-/// partitioned into `key_shards` MetaKey shards.
-fn loaded_front_keyed(
-    quotas: bool,
-    key_shards: usize,
-) -> (MultiTenantStore, Vec<Vec<RoundRecord>>) {
     let template = FlStoreConfig {
-        key_shards,
         platform: PlatformConfig {
             reclaim: ReclaimModel::DISABLED,
             ..PlatformConfig::default()
@@ -672,9 +567,14 @@ fn tenant_mix(seed: u64, len: usize, per_job: &[Vec<RoundRecord>]) -> Vec<Reques
 /// end — per-tenant ledgers and cache state included. With `quotas`, the
 /// same line holds under armed budgets: strict enforcement inside each
 /// shard and the global pressure pass at every Stats barrier.
+///
+/// Every mix ends on a Stats barrier, so every case closes with the full
+/// f64 fold — across tenants in sorted job order — compared bitwise (via
+/// `PartialEq`), as is the window-cost fold.
 fn assert_sharded_multi_tenant_equivalent_with(quotas: bool, seed: u64, len: usize) {
     let (mut sequential, per_job) = loaded_front_with_quotas(quotas);
-    let mix = tenant_mix(seed, len, &per_job);
+    let mut mix = tenant_mix(seed, len, &per_job);
+    mix.push(Request::Stats);
     let now = SimTime::from_secs(7200);
     let sequential_responses: Vec<Response> = mix
         .iter()
@@ -708,55 +608,6 @@ fn assert_sharded_multi_tenant_equivalent_with(quotas: bool, seed: u64, len: usi
                 store.catalog().job()
             );
         }
-    }
-}
-
-/// Fold-order regression (the PR 3/5 bug shape): Stats barriers and
-/// window-cost reductions fold f64 partials — across tenants in sorted
-/// job order, and within a tenant over per-key-shard partial counters
-/// that the engine sums in fixed shard-index order. A refactor that let
-/// hash or shard iteration order reach either fold would drift the f64
-/// sums between runs and between key-shard counts. This property pins
-/// both: the full Stats/cost surface of a quota-armed multi-tenant front
-/// must be *exactly* equal (f64 bitwise, via `PartialEq`) between an
-/// unsharded sequential run and a key-sharded executor run — and between
-/// two identically-built key-sharded runs.
-fn assert_stats_fold_pinned_across_key_shards(quotas: bool, seed: u64, len: usize) {
-    let (mut sequential, per_job) = loaded_front_with_quotas(quotas);
-    let mut mix = tenant_mix(seed, len, &per_job);
-    // End on a Stats barrier so every run closes with the full fold.
-    mix.push(Request::Stats);
-    let now = SimTime::from_secs(7200);
-    let sequential_responses: Vec<Response> = mix
-        .iter()
-        .map(|r| sequential.submit(now, r.clone()))
-        .collect();
-    let sequential_cost = sequential.total_cost(now);
-
-    for key_shards in [2usize, 8] {
-        let run = |_: usize| {
-            let (front, _) = loaded_front_keyed(quotas, key_shards);
-            let mut exec = ShardedExecutor::from_tenants(front, 4);
-            let responses = exec.submit_batch(now, &mix);
-            let cost = Service::window_cost(&mut exec, now);
-            (responses, cost)
-        };
-        let (responses, cost) = run(0);
-        assert_eq!(
-            responses, sequential_responses,
-            "stats fold drifted @{key_shards} key shards"
-        );
-        assert_eq!(
-            cost, sequential_cost,
-            "cost fold drifted @{key_shards} key shards"
-        );
-        // Run-to-run: hash-order leakage is seeded per HashMap instance,
-        // so a second identically-built run is an independent draw.
-        assert_eq!(
-            run(1),
-            (responses, cost),
-            "stats fold is nondeterministic @{key_shards} key shards"
-        );
     }
 }
 
@@ -862,7 +713,7 @@ fn assert_recovered_store_equals_uninterrupted(seed: u64, len: usize, cut: usize
             "api-batch-recovery",
             seed ^ ((len as u64) << 40) ^ ((cut as u64) << 48) ^ ((shards as u64) << 56),
         );
-        let mut durable = durable_store(dir.path(), 0, 8, &records);
+        let mut durable = durable_store(dir.path(), 8, &records);
         for (request, expected) in mix[..cut].iter().zip(&reference_responses) {
             let response = durable.submit(now, request.clone());
             assert_eq!(&response, expected, "pre-kill responses @{shards} shards");
@@ -1157,33 +1008,13 @@ proptest! {
     }
 
     #[test]
-    fn key_shard_cross_product_equals_sequential(seed in 0u64..1_000_000, len in 1usize..10) {
-        assert_key_shard_cross_product_equivalent(false, seed, len);
-    }
-
-    #[test]
-    fn key_shard_cross_product_equals_sequential_under_capacity_pressure(seed in 0u64..1_000_000, len in 1usize..8) {
-        assert_key_shard_cross_product_equivalent(true, seed, len);
-    }
-
-    #[test]
     fn executor_equals_batch_under_reclamation(seed in 0u64..1_000_000, len in 1usize..12) {
         assert_executor_equals_batch_under_reclamation(seed, len);
     }
 
     #[test]
-    fn key_sharded_durability_bytes_are_identical(seed in 0u64..1_000_000, len in 1usize..8) {
-        assert_key_sharded_durability_bytes_identical(seed, len);
-    }
-
-    #[test]
-    fn stats_fold_pinned_across_key_shards(seed in 0u64..1_000_000, len in 1usize..10) {
-        assert_stats_fold_pinned_across_key_shards(false, seed, len);
-    }
-
-    #[test]
-    fn stats_fold_pinned_across_key_shards_under_quota_pressure(seed in 0u64..1_000_000, len in 1usize..8) {
-        assert_stats_fold_pinned_across_key_shards(true, seed, len);
+    fn executor_persists_the_bytes_of_the_bare_batch(seed in 0u64..1_000_000, len in 1usize..8) {
+        assert_executor_persists_the_bare_batch_bytes(seed, len);
     }
 
     #[test]

@@ -2,9 +2,11 @@
 //! prefetching, policies, replication, fault recovery, and cost accounting.
 
 use flstore_core::policy::{EvictionDiscipline, ReactivePolicy, StaticPolicy, TailoredPolicy};
+use flstore_core::quota::TenantQuota;
 use flstore_core::store::{FlStore, FlStoreConfig};
 use flstore_fl::ids::JobId;
 use flstore_fl::job::{FlJobConfig, FlJobSim, RoundRecord};
+use flstore_fl::metadata::MetaKey;
 use flstore_serverless::platform::{PlatformConfig, ReclaimModel};
 use flstore_sim::bytes::ByteSize;
 use flstore_sim::time::{SimDuration, SimTime};
@@ -352,4 +354,70 @@ fn ledger_accumulates_outcomes() {
     assert_eq!(ledger.len(), 3);
     assert!(ledger.hit_rate() > 0.99);
     assert_eq!(ledger.by_kind(WorkloadKind::Inference).count(), 1);
+}
+
+/// The strict-quota boundary is inclusive: an object fits when
+/// `resident_bytes() + size` is within the budget.
+///
+/// * An unlimited twin ingesting one round ends at R resident bytes. A
+///   strict tenant budgeted exactly R admits the same objects and keeps
+///   the twin's keys; one budgeted a single byte less cannot.
+/// * A budget of exactly the round's largest object size M admits every
+///   object (each sheds its predecessor to make room), so nothing is
+///   refused; at M − 1 byte the largest objects can never fit.
+#[test]
+fn strict_quota_admits_up_to_the_budget_inclusive() {
+    let ingest_first_round = |quota: Option<TenantQuota>| {
+        let cfg = FlStoreConfig {
+            quota,
+            ..quiet_config(&flstore_fl::zoo::ModelArch::RESNET18)
+        };
+        let mut rig = Rig::new(cfg, 2);
+        let record = rig.records[0].clone();
+        let receipt = rig.store.ingest_round(rig.now, &record);
+        (receipt, rig.store)
+    };
+    let keys_of = |store: &FlStore| store.engine().keys().copied().collect::<Vec<MetaKey>>();
+    let (twin_receipt, twin) = ingest_first_round(None);
+    assert!(
+        twin_receipt.cached > 1,
+        "the round caches too little to budget"
+    );
+    let r = twin.resident_bytes();
+
+    let (receipt, store) = ingest_first_round(Some(TenantQuota::strict(r)));
+    assert_eq!(receipt.quota_denied, 0, "budget R refused an object");
+    assert_eq!(
+        keys_of(&store),
+        keys_of(&twin),
+        "budget R kept different keys"
+    );
+    assert_eq!(store.resident_bytes(), r);
+
+    let tight = r.saturating_sub(ByteSize::from_bytes(1));
+    let (_, store) = ingest_first_round(Some(TenantQuota::strict(tight)));
+    assert_ne!(
+        keys_of(&store),
+        keys_of(&twin),
+        "budget R − 1 byte kept every key"
+    );
+    assert!(store.resident_bytes() <= tight);
+
+    let m = keys_of(&twin)
+        .iter()
+        .map(|k| twin.engine().meta(k).expect("cached").size)
+        .max()
+        .expect("cached keys");
+    let (receipt, _) = ingest_first_round(Some(TenantQuota::strict(m)));
+    assert_eq!(
+        receipt.quota_denied, 0,
+        "budget M refused an object of size ≤ M"
+    );
+    let (receipt, _) = ingest_first_round(Some(TenantQuota::strict(
+        m.saturating_sub(ByteSize::from_bytes(1)),
+    )));
+    assert!(
+        receipt.quota_denied > 0,
+        "budget M − 1 byte admitted a size-M object"
+    );
 }

@@ -7,7 +7,7 @@
 //!
 //! * **Byte equivalence** — responses from the stealing executor match a
 //!   sequential run of the same seeded mix on an identically loaded
-//!   deployment, for several seeds, at workers = key shards ∈ {2, 4, 8}.
+//!   deployment, for several seeds, at workers ∈ {2, 4, 8}.
 //! * **Exact attribution** — the hot tenant's own `RequestTracker`
 //!   records every serve once, completed, on the functions the owner
 //!   dispatched it to. Stealing moves the kernel, never the bookkeeping:
@@ -32,15 +32,13 @@ use flstore_workloads::taxonomy::{PolicyClass, WorkloadKind};
 const JOB: u32 = 1;
 const WORKERS: usize = 8;
 
-/// The hot tenant: one job, its cache engine partitioned into as many
-/// MetaKey shards as the executor has workers.
-fn loaded_store(workers: usize) -> (FlStore, Vec<RoundRecord>) {
+/// The hot tenant: one job with every round ingested.
+fn loaded_store() -> (FlStore, Vec<RoundRecord>) {
     let cfg = FlJobConfig {
         rounds: 4,
         ..FlJobConfig::quick_test(JobId::new(JOB))
     };
     let store_cfg = FlStoreConfig {
-        key_shards: workers,
         platform: PlatformConfig {
             reclaim: ReclaimModel::DISABLED,
             ..PlatformConfig::default()
@@ -91,7 +89,7 @@ fn seeded_serves(seed: u64, len: usize, records: &[RoundRecord]) -> Vec<Request>
 fn stolen_serves_match_sequential_and_stay_attributed_to_the_owner() {
     for workers in [2usize, 4, 8] {
         for seed in [0x57EA_0001u64, 0x57EA_0002, 0x57EA_0003] {
-            let (mut sequential, records) = loaded_store(workers);
+            let (mut sequential, records) = loaded_store();
             let mix = seeded_serves(seed, 384, &records);
             let now = SimTime::from_secs(3600);
             let expected: Vec<Response> = mix
@@ -99,7 +97,7 @@ fn stolen_serves_match_sequential_and_stay_attributed_to_the_owner() {
                 .map(|r| sequential.submit(now, r.clone()))
                 .collect();
 
-            let (store, _) = loaded_store(workers);
+            let (store, _) = loaded_store();
             let mut exec = ShardedExecutor::new(vec![store], workers);
             let responses = exec.submit_batch(now, &mix);
             assert_eq!(
@@ -136,7 +134,7 @@ fn stolen_serves_match_sequential_and_stay_attributed_to_the_owner() {
 
 #[test]
 fn client_threads_drive_the_steal_plane_concurrently() {
-    let (store, records) = loaded_store(WORKERS);
+    let (store, records) = loaded_store();
     let records = Arc::new(records);
     let exec = Arc::new(Mutex::named(
         ShardedExecutor::new(vec![store], WORKERS),

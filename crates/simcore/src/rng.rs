@@ -12,9 +12,8 @@
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 
-/// SplitMix64 finalizer: decorrelates derived seeds here, and is the one
-/// mixer behind every hash router in the stack (executor job shards,
-/// cluster placement slots, engine key-shards).
+/// SplitMix64 finalizer: decorrelates derived seeds here, and routes jobs
+/// to cluster placement slots.
 pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = x;

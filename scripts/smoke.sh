@@ -5,7 +5,7 @@
 #
 # net — the network serving plane:
 #   1. Closed-loop determinism: the same seeded schedule replayed
-#      against a fresh 4-shard server and a fresh sequential server;
+#      against a fresh 4-thread server and a fresh sequential server;
 #      the two reports must be byte-identical after
 #      scripts/compare_results.sh normalizes the `_wall` fields —
 #      same counts, same FNV-1a response checksum.
@@ -128,9 +128,9 @@ mkdir -p "$out"
 smoke_net() {
     mkdir -p "$out/sharded" "$out/sequential"
 
-    # --- 1. closed-loop determinism: 4-shard vs sequential serving ---
+    # --- 1. closed-loop determinism: 4-thread vs sequential serving ---
     start_server --jobs 1 --threads 4
-    echo "$name: closed loop vs 4-shard server at $addr"
+    echo "$name: closed loop vs 4-thread server at $addr"
     loadgen --mode closed --requests 312 --seed 7 --out "$out/sharded/netload.json"
     stop_server
 

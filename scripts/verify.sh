@@ -25,15 +25,14 @@
 #      scripts/check_figures_outputs.sh — the same check CI runs — and
 #      `sha256sum -c FIGURES.sha256`: every result byte is committed.
 #  10. parallel determinism: the same sweep again with --threads 4 (an
-#      executor on four kernel threads, every cache engine split into
-#      four MetaKey shards, work-stealing serves, built with the
-#      lock-order detector armed) into results-smoke-threads4/, compared with the sequential
-#      run by a plain `diff -r` — every JSON file and the captured
-#      stdout, no normalization: neither the helper threads nor the
-#      key-shard layout may show in a result byte.
+#      executor on four kernel threads, work-stealing serves, built with
+#      the lock-order detector armed) into results-smoke-threads4/,
+#      compared with the sequential run by a plain `diff -r` — every
+#      JSON file and the captured stdout, no normalization: the helper
+#      threads may not show in a result byte.
 #  11. net smoke: the real server binary + load generator over loopback
 #      via scripts/smoke.sh net — closed-loop reports byte-diffed across
-#      shard counts, overload asserted typed (zero transport errors),
+#      thread counts, overload asserted typed (zero transport errors),
 #      paced arrivals asserted result-transparent.
 #  12. recovery smoke: a durable server SIGKILL'd mid-life and recovered
 #      from its write-ahead ledger via scripts/smoke.sh recovery —
@@ -108,16 +107,16 @@ if [ "$skip_smoke" -eq 0 ]; then
     echo "==> (cd results-smoke && sha256sum -c ../FIGURES.sha256)"
     (cd results-smoke && sha256sum --quiet -c ../FIGURES.sha256)
 
-    # Parallel determinism gate: four executor kernel threads over 4-way
-    # MetaKey-sharded cache engines (--threads sets both) must reproduce
-    # the sequential sweep byte for byte — JSON and stdout, plain diff.
+    # Parallel determinism gate: four executor kernel threads must
+    # reproduce the sequential sweep byte for byte — JSON and stdout,
+    # plain diff.
     # --features lock-order arms the deadlock detector, so an inversion
     # fails loudly instead of hanging.
     figures_leg results-smoke-threads4 run --release -p flstore-bench --features lock-order --bin figures -- all --fast --threads 4
     run diff -r results-smoke results-smoke-threads4
 
     # Network plane smoke: real server binary + load generator over
-    # loopback, lock-order armed; closed-loop determinism across shard
+    # loopback, lock-order armed; closed-loop determinism across thread
     # counts, typed overload, clean connection limiting, paced arrivals.
     run scripts/smoke.sh net
 
