@@ -27,20 +27,22 @@
 //! bookkeeping of a same-job run in submission order, then publishes the
 //! run's deferred kernels onto one FIFO `StealPlane` behind one
 //! (lock-order-named) mutex. The helpers are woken at the run's first
-//! kernel and steal until the plane closes; the owner help-drains the
-//! plane, then waits for the kernels still running on helpers. Kernels
-//! are pure functions over `Arc`-captured values, so where or when they
-//! run cannot change a byte of any response, ledger entry, or window
-//! cost — the responses are merged back by index exactly as before.
+//! kernel and steal until the plane closes, parking — not spinning —
+//! whenever it is empty but still open; each push and the close unpark
+//! them. The owner help-drains the plane, then waits for the kernels
+//! still running on helpers. Kernels are pure functions over
+//! `Arc`-captured values, so where or when they run cannot change a byte
+//! of any response, ledger entry, or window cost — the responses are
+//! merged back by index exactly as before.
 //!
 //! ## Failure
 //!
 //! A panicking kernel cannot hang the plane. The owner closes each plane
-//! in a drop guard, so helpers stop spinning on every exit path,
-//! unwinding included. A kernel that panics on a helper drops its reply
-//! channel, and the owner panics with a message instead of waiting; an
-//! owner that dies drops the caller's reply channel, and the caller
-//! panics in turn. Typed errors for bad input belong to the kernels.
+//! in a drop guard, so parked helpers are woken and leave on every exit
+//! path, unwinding included. A kernel that panics on a helper drops its
+//! reply channel, and the owner panics with a message instead of
+//! waiting; an owner that dies drops the caller's reply channel, and the
+//! caller panics in turn. Typed errors for bad input belong to the kernels.
 //!
 //! ## Determinism
 //!
@@ -93,7 +95,7 @@
 use std::collections::VecDeque;
 use std::sync::mpsc::{self, Sender};
 use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::thread::{JoinHandle, Thread};
 
 use parking_lot::Mutex;
 
@@ -199,51 +201,116 @@ impl StealTask {
     }
 }
 
-/// One run's work-stealing plane: a FIFO of kernels plus the flag that
-/// says whether the owner may still publish more, both behind one
-/// lock-order-named mutex. The lock is never held across a kernel: a
-/// task is popped under it and finished after the guard drops.
+/// One run's work-stealing plane: a FIFO of kernels, the flag that says
+/// whether the owner may still publish more, and the helpers parked on
+/// it, all behind one lock-order-named mutex. The lock is never held
+/// across a kernel or an unpark: a task is popped under it and finished
+/// after the guard drops, and parked handles are taken under it and
+/// woken after.
 struct StealPlane {
-    queue: Mutex<(VecDeque<StealTask>, bool)>,
+    state: Mutex<PlaneState>,
+}
+
+/// What a [`StealPlane`]'s mutex guards.
+struct PlaneState {
+    queue: VecDeque<StealTask>,
+    open: bool,
+    /// Helpers that found the queue empty while the plane was open and
+    /// are parked (or about to park) until a push or the close.
+    parked: Vec<Thread>,
+    /// How many times a helper found the queue empty while the plane
+    /// was open — each such iteration parks once.
+    parks: usize,
+    /// How many parked handles a push or the close took and woke.
+    unparks: usize,
 }
 
 impl StealPlane {
+    /// Opens a fresh plane and wakes every helper onto it. A helper that
+    /// is gone cannot steal; the owner drains what it leaves.
+    fn open(helpers: &[Sender<Arc<StealPlane>>]) -> OpenPlane {
+        let plane = Arc::new(StealPlane {
+            state: Mutex::named(
+                PlaneState {
+                    queue: VecDeque::new(),
+                    open: true,
+                    parked: Vec::new(),
+                    parks: 0,
+                    unparks: 0,
+                },
+                "exec.steal.queue",
+            ),
+        });
+        for helper in helpers {
+            let _ = helper.send(Arc::clone(&plane));
+        }
+        OpenPlane(plane)
+    }
+
+    /// Publishes a kernel and wakes every parked helper.
     fn push(&self, task: StealTask) {
-        self.queue.lock().0.push_back(task);
+        self.wake(|state| state.queue.push_back(task));
+    }
+
+    /// Applies `change` under the lock, takes the parked handles with it,
+    /// and unparks them once the lock is released.
+    fn wake(&self, change: impl FnOnce(&mut PlaneState)) {
+        let parked = {
+            let mut state = self.state.lock();
+            change(&mut state);
+            state.unparks += state.parked.len();
+            std::mem::take(&mut state.parked)
+        };
+        for thread in parked {
+            thread.unpark();
+        }
     }
 
     /// Takes the oldest kernel, so the owner's help-drain resolves in
     /// submission order.
     fn pop(&self) -> Option<StealTask> {
-        self.queue.lock().0.pop_front()
+        self.state.lock().queue.pop_front()
     }
 
     /// A helper's share of the run: steal until the plane is empty *and*
-    /// closed. Both are read under one lock, so a closed, empty plane is
-    /// conclusive — no task can appear afterwards.
+    /// closed, parking whenever it is empty but still open. The queue,
+    /// the open flag and the parked list are read and written under one
+    /// lock, so a closed, empty plane is conclusive, and a helper that
+    /// registers before it parks cannot miss the push or close that
+    /// follows: either takes its handle and unparks it, and an unpark
+    /// that lands before the park makes the park return at once.
     fn assist(&self) {
+        let me = std::thread::current();
         loop {
-            let (task, open) = {
-                let mut queue = self.queue.lock();
-                (queue.0.pop_front(), queue.1)
+            let task = {
+                let mut state = self.state.lock();
+                match state.queue.pop_front() {
+                    Some(task) => Some(task),
+                    None if state.open => {
+                        state.parked.push(me.clone());
+                        state.parks += 1;
+                        None
+                    }
+                    None => return,
+                }
             };
             match task {
                 Some(task) => task.finish(),
-                None if open => std::thread::yield_now(),
-                None => return,
+                // A spurious return only costs one more turn of the loop.
+                None => std::thread::park(),
             }
         }
     }
 }
 
 /// An open plane, closed when this guard drops — on every exit path of
-/// the owner's run, unwinding included — so no helper spins on a plane
-/// whose owner has gone.
+/// the owner's run, unwinding included — so no helper stays parked on a
+/// plane whose owner has gone.
 struct OpenPlane(Arc<StealPlane>);
 
 impl Drop for OpenPlane {
     fn drop(&mut self) {
-        self.0.queue.lock().1 = false;
+        self.0.wake(|state| state.open = false);
     }
 }
 
@@ -311,7 +378,10 @@ impl<U: ShardUnit> Units<U> {
                         work,
                         reply: tx.clone(),
                     };
-                    plane.get_or_insert_with(|| self.open_plane()).0.push(task);
+                    plane
+                        .get_or_insert_with(|| StealPlane::open(&self.helpers))
+                        .0
+                        .push(task);
                 }
             }
         }
@@ -332,18 +402,6 @@ impl<U: ShardUnit> Units<U> {
             .into_iter()
             .map(|r| r.expect("every deferred slot resolves"))
             .collect()
-    }
-
-    /// Opens a fresh plane and wakes every helper onto it. A helper that
-    /// is gone cannot steal; the owner drains what it leaves.
-    fn open_plane(&self) -> OpenPlane {
-        let plane = Arc::new(StealPlane {
-            queue: Mutex::named((VecDeque::new(), true), "exec.steal.queue"),
-        });
-        for helper in &self.helpers {
-            let _ = helper.send(Arc::clone(&plane));
-        }
-        OpenPlane(plane)
     }
 
     /// The tenant front end's answer to [`Request::Stats`]: the
@@ -778,5 +836,53 @@ mod tests {
             Service::window_cost(&mut exec, now),
             Service::window_cost(&mut sequential, now)
         );
+    }
+
+    #[test]
+    fn idle_helpers_park_instead_of_spinning() {
+        // One helper, many planes. On each plane the helper runs the one
+        // kernel, and the owner then holds the plane open for a fixed
+        // number of its own turns before closing it — the drain that
+        // outlasts the helper's share. A spinning helper counts an idle
+        // iteration per turn it gets meanwhile (tens of thousands over
+        // the run); a parking one counts at most one before the push and
+        // one after its kernel, plus the rare spurious wake-up.
+        const PLANES: usize = 200;
+        const OWNER_TURNS: usize = 200;
+        let (wake, planes) = mpsc::channel::<Arc<StealPlane>>();
+        let helper = std::thread::spawn(move || {
+            while let Ok(plane) = planes.recv() {
+                plane.assist();
+            }
+        });
+        let helpers = vec![wake];
+        let (mut parks, mut unparks) = (0, 0);
+        for slot in 0..PLANES {
+            let open = StealPlane::open(&helpers);
+            let plane = Arc::clone(&open.0);
+            let (reply, replies) = mpsc::channel();
+            plane.push(StealTask {
+                slot,
+                work: DeferredResponse::Ready(Response::Evicted { was_cached: false }),
+                reply,
+            });
+            assert_eq!(replies.recv().expect("the helper ran it").0, slot);
+            for _ in 0..OWNER_TURNS {
+                std::thread::yield_now();
+            }
+            drop(open);
+            let state = plane.state.lock();
+            assert!(!state.open && state.parked.is_empty(), "close wakes all");
+            parks += state.parks;
+            unparks += state.unparks;
+        }
+        drop(helpers);
+        helper.join().expect("the helper exits when the owner does");
+        assert!(parks > 0, "an idle helper parks");
+        assert!(
+            parks <= 3 * PLANES,
+            "{parks} idle iterations over {PLANES} planes: the helper spins"
+        );
+        assert_eq!(unparks, parks, "every park is answered by one unpark");
     }
 }

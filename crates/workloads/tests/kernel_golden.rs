@@ -126,7 +126,7 @@ fn heavy_round_outcomes_are_pinned() {
     check(
         &round(48, 4096, 4, 0.1, 0x4EA7),
         &[
-            (WorkloadKind::Inference, 0xa881_aedf_6861_eb52),
+            (WorkloadKind::Inference, 0x2b1d_a65f_c8d8_c63e),
             (WorkloadKind::Personalized, 0xbe9d_3a4d_974e_781a),
             (WorkloadKind::Clustering, 0x4546_fa7a_999b_3385),
             (WorkloadKind::MaliciousFiltering, 0x0677_a5c7_06da_0e32),
@@ -145,7 +145,7 @@ fn ragged_round_outcomes_are_pinned() {
     check(
         &round(7, 1027, 5, 0.3, 0x7A66),
         &[
-            (WorkloadKind::Inference, 0x36da_c68e_46ed_9e98),
+            (WorkloadKind::Inference, 0x9876_9157_e0aa_d884),
             (WorkloadKind::Personalized, 0x6379_1525_6ec3_393e),
             (WorkloadKind::Clustering, 0xfe4c_6ba1_e7de_4639),
             (WorkloadKind::MaliciousFiltering, 0x61ff_a8bd_7719_1ec2),
@@ -164,7 +164,7 @@ fn mid_round_outcomes_are_pinned() {
     check(
         &round(16, 1024, 4, 0.2, 0x16D0),
         &[
-            (WorkloadKind::Inference, 0x3a7f_42e0_3214_403d),
+            (WorkloadKind::Inference, 0x86ab_63af_8bfc_976f),
             (WorkloadKind::Personalized, 0x5479_10f8_5ccf_05f0),
             (WorkloadKind::Clustering, 0x4045_e5e4_3fd7_26b3),
             (WorkloadKind::MaliciousFiltering, 0x0630_56eb_a538_f323),

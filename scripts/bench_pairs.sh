@@ -17,7 +17,14 @@
 # values, and how many pairs the change won (ties count for neither
 # side), beside the machine shape and the exact commands. A run that
 # exits non-zero or prints no result is kept as `null` and counted under
-# `failed_runs`. Needs bash, git, jq and a full checkout.
+# `failed_runs`.
+#
+# After the pairs, heavy_serve runs 5 more times per side with
+# `--trace 1` and seed first-seed, alternating in the same way.
+# `traced.heavy_serve.{parent,change}` hold each side's per-metric median
+# over those runs and `traced.heavy_serve.runs` the runs' metrics; README's
+# kernel-time table is generated from this section (tests/doc_tables.rs).
+# Needs bash, git, jq and a full checkout.
 set -euo pipefail
 
 if [ $# -lt 3 ] || [ $# -gt 4 ]; then
@@ -29,6 +36,7 @@ pairs="$2"
 out="$3"
 first_seed="${4:-1}"
 seconds=8
+traced_runs=5
 
 repo="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 cd "$repo"
@@ -41,15 +49,22 @@ trap 'rm -rf "$scratch"' EXIT
 mkdir "$scratch/parent"
 git archive --format=tar "$parent_sha" | tar -x -C "$scratch/parent"
 records="$scratch/records.jsonl"
+traced="$scratch/traced.jsonl"
 : >"$records"
+: >"$traced"
 
-# run <side> <dir> <pair> <seed> <workload>: one benchmark run, appended
-# to the records as one JSON line.
+# run <side> <dir> <pair> <seed> <workload> [trace]: one benchmark run,
+# appended as one JSON line to the records, or to the traced records
+# when trace is 1.
 run() {
-    local side="$1" dir="$2" pair="$3" seed="$4" workload="$5" result
-    echo "pair $pair seed $seed $workload: $side" >&2
+    local side="$1" dir="$2" pair="$3" seed="$4" workload="$5" trace="${6:-0}" into="$records"
+    local result
+    if ((trace)); then
+        into="$traced"
+    fi
+    echo "pair $pair seed $seed $workload trace $trace: $side" >&2
     if result="$(cd "$dir" && bash benchmark/run.sh --workload "$workload" --seed "$seed" \
-        --seconds "$seconds" --trace 0 2>>"$scratch/stderr-$side.log" | tail -n 1)" &&
+        --seconds "$seconds" --trace "$trace" 2>>"$scratch/stderr-$side.log" | tail -n 1)" &&
         jq -e 'type == "object"' <<<"$result" >/dev/null 2>&1; then
         :
     else
@@ -57,7 +72,7 @@ run() {
     fi
     jq -nc --arg side "$side" --argjson pair "$pair" --argjson seed "$seed" \
         --arg workload "$workload" --argjson result "$result" \
-        '{side: $side, pair: $pair, seed: $seed, workload: $workload, result: $result}' >>"$records"
+        '{side: $side, pair: $pair, seed: $seed, workload: $workload, result: $result}' >>"$into"
 }
 
 for ((pair = 1; pair <= pairs; pair++)); do
@@ -71,6 +86,16 @@ for ((pair = 1; pair <= pairs; pair++)); do
             run parent "$scratch/parent" "$pair" "$seed" "$workload"
         fi
     done
+done
+
+for ((i = 1; i <= traced_runs; i++)); do
+    if ((i % 2 == 1)); then
+        run parent "$scratch/parent" "$i" "$first_seed" heavy_serve 1
+        run change "$repo" "$i" "$first_seed" heavy_serve 1
+    else
+        run change "$repo" "$i" "$first_seed" heavy_serve 1
+        run parent "$scratch/parent" "$i" "$first_seed" heavy_serve 1
+    fi
 done
 
 machine="$(jq -n \
@@ -89,7 +114,9 @@ jq -s \
     --arg command "scripts/bench_pairs.sh $parent_rev $pairs $out $first_seed" \
     --arg run_command "bash benchmark/run.sh --workload W --seed N --seconds $seconds --trace 0" \
     --argjson pairs "$pairs" \
-    --argjson first_seed "$first_seed" '
+    --argjson first_seed "$first_seed" \
+    --arg traced_command "bash benchmark/run.sh --workload heavy_serve --seed $first_seed --seconds $seconds --trace 1, $traced_runs times per side, alternating (parent first in odd runs, change first in even runs)" \
+    --slurpfile traced "$traced" '
     # Linear interpolation between closest ranks.
     def quantile($p):
         sort as $s | ($s | length) as $n
@@ -98,6 +125,14 @@ jq -s \
             | $s[$lo] + ($h - $lo) * (($s[[$lo + 1, $n - 1] | min]) - $s[$lo])
           end;
     def summary: {median: quantile(0.5), q1: quantile(0.25), q3: quantile(0.75), runs: .};
+    # One traced side: the numeric metrics of every run, and their medians.
+    def traced_side($side):
+        [$traced[] | select(.side == $side and .result != null)
+         | .result.metrics | map_values(.value | select(type == "number"))] as $runs
+        | {runs: $runs,
+           median: ([$runs[] | keys[]] | unique
+                    | map(. as $k | {key: $k, value: ([$runs[][$k] | select(. != null)] | quantile(0.5))})
+                    | from_entries)};
     . as $records
     | $spec[0] as $spec
     | {
@@ -152,6 +187,16 @@ jq -s \
                 }
             )
           }) | from_entries
-        )
+        ),
+        traced: (traced_side("parent") as $parent | traced_side("change") as $change | {
+          command: $traced_command,
+          note: "parent and change hold the per-metric median of the runs in runs; workloads.kernel.*_us are the per-kernel probes at 48x4096; trace.share.* are self-time shares of the traced pass",
+          failed_runs: ([$traced[] | select(.result == null or .result.correct != true)] | length),
+          heavy_serve: {
+            parent: $parent.median,
+            change: $change.median,
+            runs: {parent: $parent.runs, change: $change.runs}
+          }
+        })
       }' "$records" >"$out"
 echo "wrote $out" >&2
