@@ -7,7 +7,9 @@ use flstore_bench::{
     tenancy, Scale,
 };
 
-type Experiment = fn(Scale) -> serde_json::Value;
+/// An experiment runs at a scale, serving through an executor on the
+/// given number of kernel threads.
+type Experiment = fn(Scale, usize) -> serde_json::Value;
 
 /// `(id, runner, output)` — `output` is the JSON file each runner emits
 /// under `results/` via `save_json`. `figures -- --list` prints this
@@ -91,7 +93,6 @@ fn main() {
             .unwrap_or(1);
         eprintln!("--threads 0: resolved to {threads} available core(s)");
     }
-    flstore_bench::util::set_serving_threads(threads);
 
     let resolve = |name: &str| -> Option<&'static str> {
         if let Some((n, _, _)) = EXPERIMENTS.iter().find(|(n, _, _)| *n == name) {
@@ -137,7 +138,7 @@ fn main() {
     // The run configuration goes to stderr: stdout is a result, and the
     // gate diffs it across thread counts.
     eprintln!(
-        "serving plane: executor on {threads} kernel thread(s) (one owner, {} helper(s))",
+        "serving plane: executor on {threads} kernel thread(s) (the caller, {} helper(s))",
         threads - 1
     );
     #[cfg(feature = "lock-order")]
@@ -155,7 +156,7 @@ fn main() {
         // allowlisted in analyze-allowlist.txt.
         #[allow(clippy::disallowed_methods)]
         let started = std::time::Instant::now();
-        let _ = run(scale);
+        let _ = run(scale, threads);
         eprintln!("[{name} done in {:.1}s]", started.elapsed().as_secs_f64());
     }
 }

@@ -48,7 +48,7 @@ pub(crate) fn comm_comp(kind: WorkloadKind, model: &ModelArch) -> (f64, f64) {
 }
 
 /// Fig. 4: per-workload communication and computation latency.
-pub fn fig4(_scale: Scale) -> Value {
+pub fn fig4(_scale: Scale, _threads: usize) -> Value {
     header("Fig 4 — communication vs computation latency of non-training workloads");
     println!("(serverless function compute; inputs fetched from the object store)\n");
     println!(

@@ -146,7 +146,7 @@ fn digest_of(cluster: &ClusterStore, node: usize) -> String {
 
 /// The `cluster` experiment: equivalence gate, failover drill, rejoin
 /// drill.
-pub fn cluster(scale: Scale) -> Value {
+pub fn cluster(scale: Scale, _threads: usize) -> Value {
     header("Replication & failover plane: availability under node loss");
     let (job_cfg, trace) = experiment_trace(scale);
     let schedule = materialize_schedule(&job_cfg, &trace);

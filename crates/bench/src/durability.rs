@@ -36,7 +36,7 @@ use flstore_workloads::request::{RequestId, WorkloadRequest};
 use flstore_workloads::taxonomy::WorkloadKind;
 use serde_json::{json, Value};
 
-use crate::util::{header, save_json, serving_threads, subheader, Scale};
+use crate::util::{header, save_json, subheader, Scale};
 
 fn drill_config(durability: DurabilityConfig) -> (FlJobConfig, FlStoreConfig) {
     let job = FlJobConfig::quick_test(JobId::new(1));
@@ -56,12 +56,12 @@ fn fresh_store(cfg: &FlStoreConfig, job: &FlJobConfig) -> FlStore {
     )
 }
 
-/// Wraps `store` in an executor on `--threads` kernel threads, like
+/// Wraps `store` in an executor on `threads` kernel threads, like
 /// every other experiment: the executor is bit-for-bit equivalent to
 /// sequential submission, so nothing in this experiment's output may
 /// move.
-fn service_of(store: FlStore) -> ShardedExecutor<FlStore> {
-    ShardedExecutor::new(vec![store], serving_threads())
+fn service_of(store: FlStore, threads: usize) -> ShardedExecutor<FlStore> {
+    ShardedExecutor::new(vec![store], threads)
 }
 
 /// FNV-1a over each response's canonical wire encoding, in submission
@@ -104,7 +104,7 @@ fn ledger_geometry(dir: &std::path::Path) -> (usize, usize, u64) {
 
 /// The `durability` experiment: crash-recovery drill, then the
 /// spill-vs-evict cold-tier sweep.
-pub fn durability(scale: Scale) -> Value {
+pub fn durability(scale: Scale, threads: usize) -> Value {
     header("Durability plane: crash recovery and the disk-spill cold tier");
 
     // Phase 1: ingest/serve, kill mid-trace, recover, serve the rest.
@@ -128,18 +128,18 @@ pub fn durability(scale: Scale) -> Value {
     let dir = DetTempDir::new("bench-durability", 17);
     let mut durable = fresh_store(&cfg, &job);
     attach(&mut durable, dir.path()).expect("attach durable deployment");
-    let mut durable_service = service_of(durable);
+    let mut durable_service = service_of(durable, threads);
     let first_half = drive(&mut durable_service, &schedule[..kill_after]);
     drop(durable_service); // the kill
 
     let (records, segments, ledger_bytes) = ledger_geometry(dir.path());
     let recovered = recover(dir.path()).expect("recover from ledger");
-    let mut recovered_service = service_of(recovered);
+    let mut recovered_service = service_of(recovered, threads);
     let second_half = drive(&mut recovered_service, &schedule[kill_after..]);
     drop(recovered_service);
 
     let (_, cfg_plain) = drill_config(DurabilityConfig::DISABLED);
-    let mut twin_service = service_of(fresh_store(&cfg_plain, &job));
+    let mut twin_service = service_of(fresh_store(&cfg_plain, &job), threads);
     let twin_first = drive(&mut twin_service, &schedule[..kill_after]);
     let twin_second = drive(&mut twin_service, &schedule[kill_after..]);
 

@@ -67,7 +67,12 @@ fn print_rows(label_a: &str, rows_a: &[Value], label_b: &str, rows_b: &[Value], 
     }
 }
 
-fn run_pair(model: ModelArch, scale: Scale, baseline: &str) -> (DriveReport, DriveReport) {
+fn run_pair(
+    model: ModelArch,
+    scale: Scale,
+    threads: usize,
+    baseline: &str,
+) -> (DriveReport, DriveReport) {
     let job = eval_job(model, scale.rounds());
     let trace = flstore_trace::driver::TraceConfig {
         seed: 0xBEEF,
@@ -84,23 +89,24 @@ fn run_pair(model: ModelArch, scale: Scale, baseline: &str) -> (DriveReport, Dri
         flstore_for(&job, PolicyVariant::Tailored, 0xF1),
         &job,
         &trace,
+        threads,
     );
     let base_report = if baseline == "cache" {
-        drive_unit(cache_agg(&job), &job, &trace).0
+        drive_unit(cache_agg(&job), &job, &trace, threads).0
     } else {
-        drive_unit(objstore_agg(&job), &job, &trace).0
+        drive_unit(objstore_agg(&job), &job, &trace, threads).0
     };
     (fl_report, base_report)
 }
 
 /// Fig. 7 (latency) and Fig. 8 (cost): FLStore vs ObjStore-Agg per request,
 /// ten workloads, four models.
-pub fn fig7_fig8(scale: Scale) -> Value {
+pub fn fig7_fig8(scale: Scale, threads: usize) -> Value {
     header("Fig 7/8 — FLStore vs ObjStore-Agg: per-request latency and cost");
     let mut out = Vec::new();
     for model in ModelArch::EVALUATION {
         subheader(&format!("model: {}", model.name));
-        let (fl, base) = run_pair(model, scale, "objstore");
+        let (fl, base) = run_pair(model, scale, threads, "objstore");
         let fl_rows = kind_rows(&fl, &WorkloadKind::ALL);
         let base_rows = kind_rows(&base, &WorkloadKind::ALL);
         println!("latency:");
@@ -139,9 +145,9 @@ pub fn fig7_fig8(scale: Scale) -> Value {
 
 /// Fig. 9 (per request) and Fig. 17 (window totals): FLStore vs Cache-Agg,
 /// six workloads, EfficientNet.
-pub fn fig9_fig17(scale: Scale) -> Value {
+pub fn fig9_fig17(scale: Scale, threads: usize) -> Value {
     header("Fig 9/17 — FLStore vs Cache-Agg (ElastiCache-class data plane)");
-    let (fl, base) = run_pair(ModelArch::EFFICIENTNET_V2_S, scale, "cache");
+    let (fl, base) = run_pair(ModelArch::EFFICIENTNET_V2_S, scale, threads, "cache");
     let fl_rows = kind_rows(&fl, &WorkloadKind::CACHE_AGG_SET);
     let base_rows = kind_rows(&base, &WorkloadKind::CACHE_AGG_SET);
     println!("latency:");
@@ -197,7 +203,7 @@ pub fn fig9_fig17(scale: Scale) -> Value {
 
 /// Figs. 15/16: total time and cost breakup (communication vs computation)
 /// over the window, per model.
-pub fn fig15_fig16(scale: Scale) -> Value {
+pub fn fig15_fig16(scale: Scale, threads: usize) -> Value {
     header("Fig 15/16 — total time and cost breakup over the window");
     let mut out = Vec::new();
     println!(
@@ -205,7 +211,7 @@ pub fn fig15_fig16(scale: Scale) -> Value {
         "model", "base comm", "base comp", "FLStore", "base $", "FLStore $"
     );
     for model in ModelArch::EVALUATION {
-        let (fl, base) = run_pair(model, scale, "objstore");
+        let (fl, base) = run_pair(model, scale, threads, "objstore");
         let base_comm: f64 = base
             .outcomes
             .iter()

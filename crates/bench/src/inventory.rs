@@ -19,7 +19,7 @@ use flstore_workloads::taxonomy::WorkloadKind;
 use crate::util::{dollars, header, save_json, subheader, Scale};
 
 /// Fig. 19: serialized footprint of the 23-model zoo.
-pub fn fig19(_scale: Scale) -> Value {
+pub fn fig19(_scale: Scale, _threads: usize) -> Value {
     header("Fig 19 — memory footprint of models commonly used in FL");
     let mut models: Vec<&ModelArch> = ZOO.iter().collect();
     models.sort_by(|a, b| a.size_mb.partial_cmp(&b.size_mb).expect("finite"));
@@ -50,7 +50,7 @@ pub fn fig19(_scale: Scale) -> Value {
 }
 
 /// Table 1: the workload taxonomy and policy mapping.
-pub fn table1(_scale: Scale) -> Value {
+pub fn table1(_scale: Scale, _threads: usize) -> Value {
     header("Table 1 — taxonomy of non-training workloads and policy mapping");
     println!("{:<6} {:<28} workloads", "class", "data need");
     let classes = [
@@ -97,7 +97,7 @@ pub fn table1(_scale: Scale) -> Value {
 
 /// §2.2 / §4.4 capacity analysis: raw metadata volumes vs the tailored hot
 /// set, with monthly prices.
-pub fn capacity(_scale: Scale) -> Value {
+pub fn capacity(_scale: Scale, _threads: usize) -> Value {
     header("Capacity analysis (§2.2, §4.4) — metadata volume and cache cost");
     let model = ModelArch::EFFICIENTNET_V2_S;
 
@@ -158,7 +158,7 @@ pub fn capacity(_scale: Scale) -> Value {
 /// deterministic figure. The per-operation latency the paper also reports
 /// is a wall-clock fact measured by `benchmark/`:
 /// `core.tracker.dispatch_complete_ns` and `core.engine.record_ns`.
-pub fn overhead(_scale: Scale) -> Value {
+pub fn overhead(_scale: Scale, _threads: usize) -> Value {
     header("§5.5 — Cache Engine and Request Tracker overhead");
     let mut out = Vec::new();
     for n in [1_000usize, 100_000] {

@@ -22,7 +22,7 @@ use flstore_sim::time::{SimDuration, SimTime};
 use flstore_workloads::request::{RequestId, WorkloadRequest};
 use flstore_workloads::taxonomy::WorkloadKind;
 
-use crate::util::{dollars, header, save_json, secs, serving_threads, Scale};
+use crate::util::{dollars, header, save_json, secs, Scale};
 
 const ROUNDS: u32 = 20;
 const REQUESTS_PER_JOB: usize = 20;
@@ -38,11 +38,11 @@ fn job_cfg(job: u32) -> FlJobConfig {
 /// (mean per-request latency secs, total cost dollars).
 ///
 /// The tenants serve through the typed front door of a `ShardedExecutor`
-/// split from the front end; `figures -- --threads N` gives it N kernel
+/// wrapping the front end; `figures -- --threads N` gives it N kernel
 /// threads, so each request wave's kernels fan out across them. The
 /// executor is bit-for-bit equivalent to the sequential front end, so
 /// the figure's numbers do not depend on the thread count.
-fn run_tenants(n_jobs: u32) -> (f64, f64) {
+fn run_tenants(n_jobs: u32, threads: usize) -> (f64, f64) {
     let template = FlStoreConfig {
         platform: PlatformConfig {
             reclaim: ReclaimModel::DISABLED,
@@ -57,7 +57,7 @@ fn run_tenants(n_jobs: u32) -> (f64, f64) {
         front.register_job(cfg.job, cfg.model);
         sims.push((cfg.job, FlJobSim::new(cfg)));
     }
-    let mut exec = ShardedExecutor::from_tenants(front, serving_threads());
+    let mut exec = ShardedExecutor::from_tenants(front, threads);
     run_tenant_waves(&mut exec, sims)
 }
 
@@ -121,7 +121,7 @@ fn run_tenant_waves<S: Service>(front: &mut S, mut sims: Vec<(JobId, FlJobSim)>)
 
 /// Parallel-jobs scalability: per-request latency stays flat as tenants are
 /// added; cost grows ~linearly.
-pub fn jobs(_scale: Scale) -> Value {
+pub fn jobs(_scale: Scale, threads: usize) -> Value {
     header("§A.1 — scalability across parallel FL jobs (multi-tenancy)");
     println!(
         "{:<10} {:>14} {:>14} {:>16}",
@@ -129,7 +129,7 @@ pub fn jobs(_scale: Scale) -> Value {
     );
     let mut rows = Vec::new();
     for n in [1u32, 2, 4, 8] {
-        let (lat, cost) = run_tenants(n);
+        let (lat, cost) = run_tenants(n, threads);
         println!(
             "{:<10} {:>14} {:>14} {:>16}",
             n,
@@ -157,8 +157,8 @@ mod tests {
 
     #[test]
     fn adding_tenants_keeps_latency_flat() {
-        let (lat1, cost1) = run_tenants(1);
-        let (lat4, cost4) = run_tenants(4);
+        let (lat1, cost1) = run_tenants(1, 1);
+        let (lat4, cost4) = run_tenants(4, 1);
         assert!(
             lat4 < lat1 * 1.25,
             "latency must stay flat: 1 job {lat1:.2}s vs 4 jobs {lat4:.2}s"

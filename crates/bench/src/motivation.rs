@@ -74,7 +74,7 @@ fn per_kind_means(report: &DriveReport) -> Vec<(WorkloadKind, f64, f64)> {
 
 /// Figs. 1, 2, 10 share one pair of drives (ObjStore-Agg and FLStore on the
 /// motivation job), so they are produced together.
-pub fn fig1_fig2_fig10(scale: Scale) -> Value {
+pub fn fig1_fig2_fig10(scale: Scale, threads: usize) -> Value {
     header("Fig 1/2/10 — non-training share of per-round latency and cost");
     println!("setup: 200-client pool, EfficientNetV2-S, CIFAR-10-class job\n");
 
@@ -90,11 +90,12 @@ pub fn fig1_fig2_fig10(scale: Scale) -> Value {
         kinds: WorkloadKind::ALL.to_vec(),
         events: None,
     };
-    let (base_report, _) = drive_unit(objstore_agg(&job), &job, &trace);
+    let (base_report, _) = drive_unit(objstore_agg(&job), &job, &trace, threads);
     let (fl_report, _) = drive_unit(
         flstore_for(&job, PolicyVariant::Tailored, 0xF2),
         &job,
         &trace,
+        threads,
     );
 
     let base_rows = per_kind_means(&base_report);

@@ -17,7 +17,7 @@ use flstore_workloads::taxonomy::{PolicyClass, WorkloadKind};
 use crate::util::{dollars, drive_unit, header, save_json, secs, subheader, Scale};
 
 /// Fig. 11: per-request latency and cost of the policy variants.
-pub fn fig11(scale: Scale) -> Value {
+pub fn fig11(scale: Scale, threads: usize) -> Value {
     header("Fig 11 — caching policies in FLStore: per-request latency and cost");
     let job = eval_job(ModelArch::EFFICIENTNET_V2_S, scale.rounds());
     let trace = TraceConfig {
@@ -33,7 +33,7 @@ pub fn fig11(scale: Scale) -> Value {
     );
     let mut rows = Vec::new();
     for variant in PolicyVariant::FIG11 {
-        let (report, _) = drive_unit(flstore_for(&job, variant, 0xF3), &job, &trace);
+        let (report, _) = drive_unit(flstore_for(&job, variant, 0xF3), &job, &trace, threads);
         let lat = report.latency_summary().expect("served");
         let cost = report.amortized_cost_summary().expect("served");
         println!(
@@ -99,7 +99,7 @@ fn lockstep(kind: WorkloadKind, variant: PolicyVariant, rounds: u32, cadence: u3
 }
 
 /// Table 2: cache-policy hit rates across the P2/P3/P4 workload classes.
-pub fn table2(scale: Scale) -> Value {
+pub fn table2(scale: Scale, _threads: usize) -> Value {
     header("Table 2 — cache-policy performance across workload classes");
     let rounds = scale.table2_rounds();
     let policies = [
@@ -161,7 +161,7 @@ pub fn table2(scale: Scale) -> Value {
 /// Fig. 18: the FLStore-Static ablation — the workload switches from model
 /// inference (P1) to malicious filtering (P2); the static policy keeps
 /// caching for inference and pays the miss path on every request.
-pub fn fig18(scale: Scale) -> Value {
+pub fn fig18(scale: Scale, _threads: usize) -> Value {
     header("Fig 18 — FLStore vs FLStore-Static under a workload switch");
     let job = eval_job(ModelArch::MOBILENET_V3_SMALL, scale.rounds().min(200));
     let mut results = Vec::new();

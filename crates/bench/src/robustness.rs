@@ -29,7 +29,7 @@ const FIG12_REPLICAS: usize = 5;
 
 /// Fig. 12: mean per-request latency/cost of `k` simultaneous requests,
 /// k = 1..=10, with 5 cached function instances.
-pub fn fig12(_scale: Scale) -> Value {
+pub fn fig12(_scale: Scale, _threads: usize) -> Value {
     header("Fig 12 — scalability: parallel requests vs 5 cached functions");
     let job = FlJobConfig {
         rounds: 20,
@@ -95,7 +95,7 @@ pub fn fig12(_scale: Scale) -> Value {
 /// Figs. 13/14: drive the 50-hour trace with fault injection at FI=1..5
 /// replicas; report per-FI latency/cost and the replication-vs-refetch
 /// comparison.
-pub fn fig13_fig14(scale: Scale) -> Value {
+pub fn fig13_fig14(scale: Scale, threads: usize) -> Value {
     header("Fig 13 — fault tolerance: latency and cost vs function instances (FI)");
     let job = eval_job(ModelArch::EFFICIENTNET_V2_S, scale.rounds());
     let trace = TraceConfig {
@@ -116,6 +116,7 @@ pub fn fig13_fig14(scale: Scale) -> Value {
             flstore_with_faults(&job, fi, reclaim, 0xF6 + fi as u64),
             &job,
             &trace,
+            threads,
         );
         let lat = report.latency_summary().expect("served");
         let misses: u64 = report.outcomes.iter().map(|o| o.cache_misses as u64).sum();

@@ -23,7 +23,7 @@ use serde_json::{json, Value};
 
 use flstore_core::api::{ApiError, Request, Response, Service};
 use flstore_core::quota::{QuotaPolicy, TenantQuota};
-use flstore_core::store::{FlStore, FlStoreConfig};
+use flstore_core::store::FlStoreConfig;
 use flstore_core::tenancy::MultiTenantStore;
 use flstore_exec::ShardedExecutor;
 use flstore_fl::ids::{JobId, Round};
@@ -35,7 +35,7 @@ use flstore_sim::time::{SimDuration, SimTime};
 use flstore_workloads::request::{RequestId, WorkloadRequest};
 use flstore_workloads::taxonomy::{PolicyClass, WorkloadKind};
 
-use crate::util::{header, save_json, serving_threads, subheader, Scale};
+use crate::util::{header, save_json, subheader, Scale};
 
 const TENANTS: u32 = 5;
 const ROUNDS: u32 = 8;
@@ -62,7 +62,7 @@ fn scaled(mult: f64) -> ByteSize {
 
 /// What one drive observed.
 struct DriveOutcome {
-    stores: Vec<FlStore>,
+    front: MultiTenantStore,
     quota_rejections: usize,
     total_cost: f64,
 }
@@ -112,11 +112,12 @@ fn drive<S: Service>(plane: &mut S, rounds_of: &[Vec<Round>]) -> f64 {
 }
 
 /// Builds, trains, and drives one quota configuration through an
-/// executor on `--threads` kernel threads, and hands back the per-tenant
-/// deployments for inspection.
+/// executor on `threads` kernel threads, and hands back the tenant front
+/// for inspection.
 fn run_config(
     quota_of: impl Fn(u32) -> Option<TenantQuota>,
     global: Option<ByteSize>,
+    threads: usize,
 ) -> DriveOutcome {
     let template = FlStoreConfig {
         platform: PlatformConfig {
@@ -134,7 +135,7 @@ fn run_config(
     }
     front.set_global_budget(global);
 
-    let mut exec = ShardedExecutor::from_tenants(front, serving_threads());
+    let mut exec = ShardedExecutor::from_tenants(front, threads);
     let mut quota_rejections = 0usize;
     let mut rounds_of: Vec<Vec<Round>> = vec![Vec::new(); TENANTS as usize];
 
@@ -162,7 +163,7 @@ fn run_config(
 
     let total_cost = drive(&mut exec, &rounds_of);
     DriveOutcome {
-        stores: exec.into_units(),
+        front: exec.into_units().pop().expect("the front"),
         quota_rejections,
         total_cost,
     }
@@ -170,7 +171,7 @@ fn run_config(
 
 /// The quota sweep: per-tenant budgets (none / elastic multiples /
 /// strict), skewed load, per-tenant residency and hit rates.
-pub fn tenancy(_scale: Scale) -> Value {
+pub fn tenancy(_scale: Scale, threads: usize) -> Value {
     header("Tenancy & quotas (Appendix A) — per-tenant budgets under skewed load");
     println!(
         "{TENANTS} tenants, {ROUNDS} rounds each, {WAVES} request waves, skew {SKEW:?} \
@@ -206,6 +207,7 @@ pub fn tenancy(_scale: Scale) -> Value {
                 })
             },
             global,
+            threads,
         );
 
         subheader(&format!("quota = {label}"));
@@ -215,7 +217,7 @@ pub fn tenancy(_scale: Scale) -> Value {
         );
         let mut tenant_rows = Vec::new();
         let mut resident_total = ByteSize::ZERO;
-        for store in &outcome.stores {
+        for store in outcome.front.tenants() {
             let ledger = store.ledger();
             let usage = store.quota_usage();
             resident_total += usage.resident;
@@ -270,8 +272,8 @@ mod tests {
     fn strict_budgets_bound_every_tenant() {
         // A one-round budget is feasible by self-eviction: every tenant
         // stays bounded and nothing needs rejecting.
-        let outcome = run_config(|_| Some(TenantQuota::strict(scaled(1.0))), None);
-        for store in &outcome.stores {
+        let outcome = run_config(|_| Some(TenantQuota::strict(scaled(1.0))), None, 1);
+        for store in outcome.front.tenants() {
             assert!(
                 store.resident_bytes() <= scaled(1.0),
                 "tenant {} over its strict budget",
@@ -282,8 +284,8 @@ mod tests {
         // A starved budget (below one model update) cannot admit the hot
         // set at all: ingests surface typed QuotaExceeded rejections and
         // the bound still holds.
-        let starved = run_config(|_| Some(TenantQuota::strict(scaled(0.1))), None);
-        for store in &starved.stores {
+        let starved = run_config(|_| Some(TenantQuota::strict(scaled(0.1))), None, 1);
+        for store in starved.front.tenants() {
             assert!(store.resident_bytes() <= scaled(0.1));
         }
         assert!(
@@ -294,13 +296,17 @@ mod tests {
 
     #[test]
     fn elastic_pressure_reclaims_versus_unbounded() {
-        let unbounded = run_config(|_| None, None);
+        let unbounded = run_config(|_| None, None, 1);
         let squeezed = run_config(
             |_| Some(TenantQuota::elastic(scaled(0.5))),
             Some(scaled(0.5) * u64::from(TENANTS)),
+            1,
         );
         let total = |o: &DriveOutcome| -> u64 {
-            o.stores.iter().map(|s| s.resident_bytes().as_bytes()).sum()
+            o.front
+                .tenants()
+                .map(|s| s.resident_bytes().as_bytes())
+                .sum()
         };
         assert!(
             total(&squeezed) < total(&unbounded),

@@ -1,44 +1,33 @@
-//! Report formatting, result persistence, and the experiment-wide
-//! serving-parallelism knob.
+//! Report formatting, result persistence, and the executor drive the
+//! experiments share.
 
 use std::fs;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
-use flstore_exec::ShardUnit;
+use flstore_exec::{DeferredService, ShardedExecutor};
 use flstore_fl::job::FlJobConfig;
-use flstore_trace::driver::{drive_parallel, DriveReport, TraceConfig};
+use flstore_trace::driver::{drive, DriveReport, TraceConfig};
 use serde_json::Value;
 
-/// Kernel threads of the executor the experiments serve through
-/// (`figures -- --threads N`); 1, the default, is the owner thread alone.
-static SERVING_THREADS: AtomicUsize = AtomicUsize::new(1);
-
-/// Sets the kernel-thread count every subsequent drive uses (clamped to
-/// ≥ 1). The count is not observable: responses, ledgers and window costs
-/// are byte-identical at any count (CI diffs a `--threads 4` sweep against
-/// sequential), and no config records it.
-pub fn set_serving_threads(n: usize) {
-    SERVING_THREADS.store(n.max(1), Ordering::Relaxed);
-}
-
-/// The configured thread count.
-pub fn serving_threads() -> usize {
-    SERVING_THREADS.load(Ordering::Relaxed)
-}
-
 /// Drives a serving system through the trace behind a
-/// `flstore_exec::ShardedExecutor` on `--threads` kernel threads. The
-/// executor is bit-for-bit equivalent to sequential submission, so figure
-/// data is byte-identical at any count — CI-enforced by diffing the
-/// 1-thread and `--threads 4` runs. Returns the report plus the system
-/// itself for post-drive inspection.
-pub fn drive_unit<U: ShardUnit + 'static>(
+/// `flstore_exec::ShardedExecutor` on `threads` kernel threads
+/// (`figures -- --threads N`). The executor is bit-for-bit equivalent to
+/// sequential submission, so figure data is byte-identical at any count —
+/// CI-enforced by diffing the 1-thread and `--threads 4` runs. Returns
+/// the report plus the system itself for post-drive inspection.
+pub fn drive_unit<U: DeferredService>(
     unit: U,
     job: &FlJobConfig,
     trace: &TraceConfig,
+    threads: usize,
 ) -> (DriveReport, U) {
-    drive_parallel(unit, job, trace, serving_threads())
+    let mut exec = ShardedExecutor::new(vec![unit], threads);
+    let report = drive(&mut exec, job, trace);
+    let unit = exec
+        .into_units()
+        .pop()
+        .expect("the executor returns its unit");
+    (report, unit)
 }
 
 /// Experiment scale: `Full` reproduces the paper's parameters; `Fast`

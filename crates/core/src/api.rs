@@ -575,32 +575,43 @@ impl Service for FlStore {
     }
 }
 
-/// The split every multi-tenant plane makes: each maximal run of
-/// envelopes bound for the same job goes whole to `serve`, which answers
-/// `None` when no tenant owns the job (the run is then rejected without
-/// side effects); each system-wide envelope is answered by `system`.
-/// [`MultiTenantStore`] and the concurrent executor both route through
-/// this one function, so they cannot group a batch differently.
-pub fn split_by_job<C>(
-    plane: &mut C,
-    requests: &[Request],
-    mut serve: impl FnMut(&mut C, JobId, &[Request]) -> Option<Vec<Response>>,
-    mut system: impl FnMut(&mut C) -> Response,
-) -> Vec<Response> {
-    let mut responses = Vec::with_capacity(requests.len());
-    for run in requests.chunk_by(|a, b| a.job().is_some() && a.job() == b.job()) {
-        match run[0].job() {
-            Some(job) => match serve(plane, job, run) {
-                Some(served) => responses.extend(served),
-                None => responses.extend(
-                    run.iter()
-                        .map(|_| Response::Rejected(ApiError::UnknownJob { job })),
-                ),
-            },
-            None => responses.push(system(plane)),
+impl MultiTenantStore {
+    /// [`Service::submit_batch`] with successful serves left as pending
+    /// kernel computes — the tenant front's half of
+    /// [`FlStore::submit_batch_deferred`].
+    ///
+    /// Each maximal run of envelopes bound for the *same tenant* goes
+    /// whole to that tenant's `submit_batch_deferred`, which splits it
+    /// into serve runs and single envelopes exactly as a bare store
+    /// would; a run bound for an unregistered job is rejected without
+    /// side effects. System-wide envelopes aggregate over every tenant.
+    /// They are also the pressure plane's deterministic trigger point:
+    /// when a global budget is set, over-budget elastic tenants shed
+    /// their policy victims here, before occupancy is reported.
+    pub fn submit_batch_deferred(
+        &mut self,
+        now: SimTime,
+        requests: &[Request],
+    ) -> Vec<DeferredResponse> {
+        let mut responses = Vec::with_capacity(requests.len());
+        for run in requests.chunk_by(|a, b| a.job().is_some() && a.job() == b.job()) {
+            match run[0].job() {
+                Some(job) => match self.tenant_mut(job) {
+                    Some(store) => responses.extend(store.submit_batch_deferred(now, run)),
+                    None => responses.extend(run.iter().map(|_| {
+                        DeferredResponse::Ready(Response::Rejected(ApiError::UnknownJob { job }))
+                    })),
+                },
+                None => {
+                    self.pressure_pass();
+                    responses.push(DeferredResponse::Ready(Response::Stats(
+                        self.stats_report(),
+                    )));
+                }
+            }
         }
+        responses
     }
-    responses
 }
 
 impl Service for MultiTenantStore {
@@ -614,27 +625,14 @@ impl Service for MultiTenantStore {
             .expect("one envelope yields one response")
     }
 
-    /// Each maximal run of envelopes bound for the *same tenant* goes
-    /// whole to that tenant's `submit_batch`, which splits it into serve
-    /// runs and single envelopes exactly as a bare store would.
+    /// [`MultiTenantStore::submit_batch_deferred`] with every kernel
+    /// finished inline, in order — the composition
+    /// [`FlStore`]'s `submit_batch` is too.
     fn submit_batch(&mut self, now: SimTime, requests: &[Request]) -> Vec<Response> {
-        split_by_job(
-            self,
-            requests,
-            |front, job, run| {
-                front
-                    .tenant_mut(job)
-                    .map(|store| store.submit_batch(now, run))
-            },
-            // System-wide envelopes aggregate over every tenant. They are
-            // also the pressure plane's deterministic trigger point: when
-            // a global budget is set, over-budget elastic tenants shed
-            // their policy victims here, before occupancy is reported.
-            |front| {
-                front.pressure_pass();
-                Response::Stats(front.stats_report())
-            },
-        )
+        self.submit_batch_deferred(now, requests)
+            .into_iter()
+            .map(DeferredResponse::finish)
+            .collect()
     }
 
     fn window_cost(&mut self, now: SimTime) -> CostBreakdown {

@@ -103,7 +103,8 @@ pub use tenancy::MultiTenantStore;
 pub use tracker::RequestTracker;
 
 // Thread-ownership audit: serving state crosses thread boundaries by
-// ownership transfer (whole deployments move onto executor workers), the
+// ownership transfer (whole deployments move with the executor that
+// holds them, e.g. onto the network engine thread), the
 // tracker is internally synchronized (`RwLock`), and envelopes travel
 // over channels. These bounds are what the sharded execution plane relies
 // on; breaking any of them (an `Rc`, a `RefCell`, a non-`Send` policy) is

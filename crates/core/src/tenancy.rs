@@ -78,10 +78,9 @@ impl MultiTenantStore {
         &self.template
     }
 
-    /// Consumes the front end, yielding every tenant store in job order —
-    /// the hand-off point for executors that distribute tenants across
-    /// worker threads (each tenant is an isolated deployment, so ownership
-    /// of a tenant is ownership of its whole serving state).
+    /// Consumes the front end, yielding every tenant store in job order
+    /// (each tenant is an isolated deployment, so ownership of a tenant
+    /// is ownership of its whole serving state).
     pub fn into_tenants(self) -> Vec<(JobId, FlStore)> {
         self.tenants.into_iter().collect()
     }

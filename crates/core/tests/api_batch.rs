@@ -591,7 +591,8 @@ fn assert_sharded_multi_tenant_equivalent_with(quotas: bool, seed: u64, len: usi
             "responses @{shards} shards"
         );
         assert_eq!(Service::window_cost(&mut exec, now), sequential_cost);
-        for store in exec.into_units() {
+        let front = exec.into_units().pop().expect("the front");
+        for store in front.tenants() {
             let tenant = sequential
                 .tenant(store.catalog().job())
                 .expect("same tenants");
@@ -602,7 +603,7 @@ fn assert_sharded_multi_tenant_equivalent_with(quotas: bool, seed: u64, len: usi
                 store.catalog().job()
             );
             assert_eq!(
-                cache_fingerprint(&store),
+                cache_fingerprint(store),
                 cache_fingerprint(tenant),
                 "cache state of {} @{shards} shards",
                 store.catalog().job()

@@ -82,8 +82,8 @@ fn client_mutex_batch_shape_is_order_clean() {
         .lock()
         .submit_batch(SimTime::from_secs(3600), &batch);
     assert!(responses.iter().all(Response::is_ok));
-    let units = guarded.into_inner().into_units();
-    assert!(units.iter().all(|unit| unit.tracker().in_flight() == 0));
+    let front = guarded.into_inner().into_units().pop().expect("the front");
+    assert!(front.tenants().all(|unit| unit.tracker().in_flight() == 0));
     assert_eq!(order::held_depth(), 0);
 }
 

@@ -4,8 +4,10 @@
 //! kernels that read every update of the round (malicious filtering,
 //! clustering) panic. A batch that leads with such a serve and continues
 //! with cheap ones must come back — as a panic with a message — at every
-//! thread count, whether the kernel dies on the owner or on a helper,
-//! and the executor must still shut down afterwards.
+//! thread count, whether the kernel dies on the caller or on a helper,
+//! and the executor must still shut down afterwards. The same holds for
+//! a two-job tenant front whose batch interleaves the poisoned job with
+//! a healthy one.
 //!
 //! Until the kernels answer this input with a typed error, a panic is the
 //! expected outcome; a hang never is.
@@ -18,7 +20,8 @@ use flstore_core::api::Request;
 use flstore_core::api::Service;
 use flstore_core::policy::TailoredPolicy;
 use flstore_core::store::{FlStore, FlStoreConfig};
-use flstore_exec::ShardedExecutor;
+use flstore_core::tenancy::MultiTenantStore;
+use flstore_exec::{DeferredService, ShardedExecutor};
 use flstore_fl::ids::{JobId, Round};
 use flstore_fl::job::{FlJobConfig, FlJobSim, RoundRecord};
 use flstore_fl::weights::WeightVector;
@@ -29,11 +32,12 @@ use flstore_workloads::taxonomy::WorkloadKind;
 
 const DEADLINE: Duration = Duration::from_secs(30);
 
-/// A store whose newest round's update 1 is three weights too long.
-fn poisoned_store() -> (FlStore, Round) {
+/// Job `job`'s store after three rounds; with `poison`, the newest
+/// round's update 1 is three weights too long.
+fn loaded_store(job: u32, poison: bool) -> (FlStore, Round) {
     let cfg = FlJobConfig {
         rounds: 3,
-        ..FlJobConfig::quick_test(JobId::new(1))
+        ..FlJobConfig::quick_test(JobId::new(job))
     };
     let store_cfg = FlStoreConfig {
         platform: PlatformConfig {
@@ -50,8 +54,10 @@ fn poisoned_store() -> (FlStore, Round) {
     );
     let mut records: Vec<RoundRecord> = FlJobSim::new(cfg).collect();
     let newest = records.last_mut().expect("rounds");
-    let dim = newest.updates[1].weights.dim();
-    newest.updates[1].weights = WeightVector::from_vec(vec![0.5; dim + 3]);
+    if poison {
+        let dim = newest.updates[1].weights.dim();
+        newest.updates[1].weights = WeightVector::from_vec(vec![0.5; dim + 3]);
+    }
     let round = newest.round;
     let mut now = SimTime::ZERO;
     for record in &records {
@@ -61,19 +67,21 @@ fn poisoned_store() -> (FlStore, Round) {
     (store, round)
 }
 
-/// Eight serves: the poisoned one of `kind` at index `at`, the rest cheap.
-fn batch(kind: WorkloadKind, at: u64, round: Round) -> Vec<Request> {
+/// Eight serves on the poisoned job 1 and, with `jobs = 2`, on job 2 in
+/// turn: the poisoned one of `kind` at index `at` (always job 1), the
+/// rest cheap.
+fn batch(kind: WorkloadKind, at: u64, round: Round, jobs: u64) -> Vec<Request> {
     (0..8u64)
         .map(|i| {
-            let kind = if i == at {
-                kind
+            let (kind, job) = if i == at {
+                (kind, 1)
             } else {
-                WorkloadKind::SchedulingPerf
+                (WorkloadKind::SchedulingPerf, 1 + i % jobs)
             };
             Request::Serve(WorkloadRequest::new(
                 RequestId::new(i + 1),
                 kind,
-                JobId::new(1),
+                JobId::new(job as u32),
                 round,
                 None,
             ))
@@ -83,14 +91,24 @@ fn batch(kind: WorkloadKind, at: u64, round: Round) -> Vec<Request> {
 
 /// Submits the poisoned batch on a spawned thread and checks that the
 /// submission panics and the executor drops, each within the deadline.
-/// Leading with the poisoned serve mostly kills the owner (it drains the
+/// Leading with the poisoned serve mostly kills the caller (it drains the
 /// plane oldest-first); trailing with it mostly kills a helper.
 fn fails_without_hanging(kind: WorkloadKind, at: u64, threads: usize) {
-    let (store, round) = poisoned_store();
-    let requests = batch(kind, at, round);
+    let (store, round) = loaded_store(1, true);
+    let case = format!("{kind:?} at index {at}, {threads} thread(s)");
+    let build = move || ShardedExecutor::new(vec![store], threads);
+    executor_fails_without_hanging(build, batch(kind, at, round, 1), case);
+}
+
+/// The same check for any executor `build` makes on the spawned thread.
+fn executor_fails_without_hanging<U: DeferredService>(
+    build: impl FnOnce() -> ShardedExecutor<U> + Send + 'static,
+    requests: Vec<Request>,
+    case: String,
+) {
     let (tx, rx) = mpsc::channel();
     std::thread::spawn(move || {
-        let mut exec = ShardedExecutor::new(vec![store], threads);
+        let mut exec = build();
         let served = panic::catch_unwind(AssertUnwindSafe(|| {
             exec.submit_batch(SimTime::from_secs(3600), &requests)
         }));
@@ -98,7 +116,6 @@ fn fails_without_hanging(kind: WorkloadKind, at: u64, threads: usize) {
         drop(exec);
         let _ = tx.send(true);
     });
-    let case = format!("{kind:?} at index {at}, {threads} thread(s)");
     let panicked = rx
         .recv_timeout(DEADLINE)
         .unwrap_or_else(|_| panic!("{case}: submit_batch hung past {DEADLINE:?}"));
@@ -121,6 +138,25 @@ fn a_panicking_clustering_kernel_fails_the_batch_at_every_thread_count() {
     for threads in [1, 2, 4] {
         for at in [0, 7] {
             fails_without_hanging(WorkloadKind::Clustering, at, threads);
+        }
+    }
+}
+
+#[test]
+fn a_panicking_kernel_fails_a_two_job_front_at_every_thread_count() {
+    for threads in [1, 2, 4] {
+        for at in [0, 7] {
+            let (poisoned, round) = loaded_store(1, true);
+            let (healthy, _) = loaded_store(2, false);
+            let mut front = MultiTenantStore::new(FlStoreConfig::for_model(
+                &FlJobConfig::quick_test(JobId::new(1)).model,
+            ));
+            front.adopt(poisoned).expect("job 1");
+            front.adopt(healthy).expect("job 2");
+            let requests = batch(WorkloadKind::MaliciousFiltering, at, round, 2);
+            let case = format!("two-job front, poisoned serve at index {at}, {threads} thread(s)");
+            let build = move || ShardedExecutor::from_tenants(front, threads);
+            executor_fails_without_hanging(build, requests, case);
         }
     }
 }

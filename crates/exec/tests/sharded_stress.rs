@@ -97,20 +97,22 @@ fn client_threads_drive_one_executor_concurrently() {
         handle.join().expect("client threads finish cleanly");
     }
 
-    let units = Arc::try_unwrap(exec)
+    let front = Arc::try_unwrap(exec)
         .unwrap_or_else(|_| panic!("all clients joined"))
         .into_inner()
-        .into_units();
+        .into_units()
+        .pop()
+        .expect("the front");
     let total = clients * batches_per_client * batch_len;
     // One entry per serve, on the tenant that owns its job.
     let per_job = total as usize / JOBS.len();
-    for unit in &units {
+    for unit in front.tenants() {
         assert_eq!(unit.tracker().len(), per_job);
         assert_eq!(unit.tracker().in_flight(), 0);
     }
     // Memory stays in the paper's §5.5 envelope at ~1k tracked requests.
-    let memory: ByteSize = units
-        .iter()
+    let memory: ByteSize = front
+        .tenants()
         .map(|unit| unit.tracker().estimated_memory())
         .sum();
     assert!(memory < ByteSize::from_mb(1));

@@ -1,6 +1,6 @@
 //! Work-stealing stress: one hot tenant, many workers, seeded request
 //! streams — the configuration where every serve's kernel may execute on
-//! a thief thread instead of its owner.
+//! a thief thread instead of the caller that ran its bookkeeping.
 //!
 //! Two lines are held at stress scale (the unit tests in `lib.rs` cover
 //! the small cases):
@@ -9,8 +9,8 @@
 //!   sequential run of the same seeded mix on an identically loaded
 //!   deployment, for several seeds, at workers ∈ {2, 4, 8}.
 //! * **Exact attribution** — the hot tenant's own `RequestTracker`
-//!   records every serve once, completed, on the functions the owner
-//!   dispatched it to. Stealing moves the kernel, never the bookkeeping:
+//!   records every serve once, completed, on the functions the caller's
+//!   bookkeeping dispatched it to. Stealing moves the kernel, never the bookkeeping:
 //!   a thief must be invisible in the tracker and its in-flight count.
 
 use std::sync::Arc;
@@ -110,7 +110,7 @@ fn stolen_serves_match_sequential_and_stay_attributed_to_the_owner() {
                 "stealing changed costs ({workers} workers, seed {seed:x})"
             );
 
-            // Attribution: the owner's tracker holds one completed entry
+            // Attribution: the store's tracker holds one completed entry
             // per serve, naming the functions the sequential twin named.
             let store = exec.into_units().pop().expect("unit returned");
             let tracker = store.tracker();

@@ -26,9 +26,11 @@ use std::path::PathBuf;
 
 use flstore_cluster::cluster::{ClusterConfig, ClusterStore};
 use flstore_cluster::failure::{FailureKind, FailurePlan};
+use flstore_core::api::Service;
 use flstore_core::durable::DurabilityConfig;
 use flstore_core::policy::TailoredPolicy;
 use flstore_core::store::{FlStore, FlStoreConfig};
+use flstore_core::tenancy::MultiTenantStore;
 use flstore_durability::recover::{attach, recover, MANIFEST};
 use flstore_exec::ShardedExecutor;
 use flstore_fl::ids::JobId;
@@ -213,7 +215,7 @@ fn main() {
     }
 
     // Each unit gets its own ledger writer under `data-dir/job-<j>`, owned
-    // with the unit by the executor's owner thread.
+    // with the unit by the executor.
     // A directory with a manifest is an earlier life of this deployment:
     // recover it (replay to the exact pre-crash state) instead of
     // starting fresh.
@@ -268,7 +270,19 @@ fn main() {
             .unwrap_or(1);
         eprintln!("--threads 0: resolved to {threads} available core(s)");
     }
-    let service = Box::new(ShardedExecutor::new(units, threads));
+    // One job is served by its store; several by one tenant front that
+    // adopts every store, so the deployment reports as `FLStore-MT(n)`.
+    let service: Box<dyn Service + Send> = if units.len() == 1 {
+        Box::new(ShardedExecutor::new(units, threads))
+    } else {
+        let mut front = MultiTenantStore::new(FlStoreConfig::for_model(
+            &FlJobConfig::quick_test(JobId::new(1)).model,
+        ));
+        for unit in units {
+            front.adopt(unit).expect("one store per job");
+        }
+        Box::new(ShardedExecutor::from_tenants(front, threads))
+    };
 
     let server = NetServer::bind_to(addr.as_str(), service, config).unwrap_or_else(|e| {
         eprintln!("bind {addr}: {e}");

@@ -12,7 +12,6 @@ use std::sync::Arc;
 use serde::{Deserialize, Serialize};
 
 use flstore_core::api::{Request, Response, Service};
-use flstore_exec::{ShardUnit, ShardedExecutor};
 use flstore_fl::ids::{ClientId, Round};
 use flstore_fl::job::{FlJobConfig, FlJobSim, RoundRecord};
 use flstore_sim::cost::{Cost, CostBreakdown};
@@ -387,29 +386,6 @@ pub fn materialize_schedule(job_cfg: &FlJobConfig, trace: &TraceConfig) -> Vec<(
     schedule
 }
 
-/// The parallel drive loop: like [`drive`], but serving through a
-/// [`ShardedExecutor`] on `threads` kernel threads (the owner included).
-///
-/// The executor is bit-for-bit equivalent to sequential submission, so a
-/// parallel drive produces the *same report* as a sequential one — only
-/// the wall-clock cost of the drive changes. The serving unit is handed
-/// back with the report so callers can inspect post-drive state (fault
-/// counters, cache contents).
-pub fn drive_parallel<U: ShardUnit + 'static>(
-    system: U,
-    job_cfg: &FlJobConfig,
-    trace: &TraceConfig,
-    threads: usize,
-) -> (DriveReport, U) {
-    let mut exec = ShardedExecutor::new(vec![system], threads);
-    let report = drive(&mut exec, job_cfg, trace);
-    let unit = exec
-        .into_units()
-        .pop()
-        .expect("the executor returns the unit it was given");
-    (report, unit)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -417,6 +393,7 @@ mod tests {
     use flstore_core::policy::TailoredPolicy;
     use flstore_core::store::FlStore;
     use flstore_core::store::FlStoreConfig;
+    use flstore_exec::ShardedExecutor;
     use flstore_fl::ids::JobId;
     use flstore_serverless::platform::{PlatformConfig, ReclaimModel};
 
@@ -514,18 +491,21 @@ mod tests {
 
     #[test]
     fn parallel_drive_matches_sequential_drive() {
+        // `drive` through an executor on several kernel threads reports
+        // exactly what the bare store reports.
         let job = small_job();
         let trace = TraceConfig::smoke(17);
         let mut sequential = flstore(&job);
         let rs = drive(&mut sequential, &job, &trace);
         for threads in [2usize, 4] {
-            let (rp, store) = drive_parallel(flstore(&job), &job, &trace, threads);
+            let mut exec = ShardedExecutor::new(vec![flstore(&job)], threads);
+            let rp = drive(&mut exec, &job, &trace);
             assert_eq!(rs.outcomes, rp.outcomes, "threads={threads}");
             assert_eq!(rs.errors, rp.errors);
             assert_eq!(rs.total_cost, rp.total_cost);
             assert_eq!(rs.infra_cost, rp.infra_cost);
             assert_eq!(rs.label, rp.label);
-            // The unit comes back for post-drive inspection.
+            let store = exec.into_units().pop().expect("the unit comes back");
             assert_eq!(store.ledger().outcomes, sequential.ledger().outcomes);
         }
     }

@@ -5,11 +5,10 @@
 //! architecture:
 //!
 //! * [`arrival`] — uniform / Poisson / burst arrival processes.
-//! * [`driver`] — the [`driver::drive`] / [`driver::drive_parallel`]
-//!   replay loops over the unified front door
-//!   (`flstore_core::api::Service`), external JSON-lines traces
-//!   ([`driver::TraceConfig::from_jsonl`]), and [`driver::DriveReport`]
-//!   summaries.
+//! * [`driver`] — the [`driver::drive`] replay loop over the unified
+//!   front door (`flstore_core::api::Service`), external JSON-lines
+//!   traces ([`driver::TraceConfig::from_jsonl`]), and
+//!   [`driver::DriveReport`] summaries.
 //! * [`scenario`] — one preset per paper experiment: eval jobs, policy
 //!   variants, fault-injection deployments, the 50-hour trace.
 
@@ -21,5 +20,5 @@ pub mod arrival;
 pub mod driver;
 pub mod scenario;
 
-pub use driver::{drive, drive_parallel, DriveReport, TraceConfig, TraceError, TraceEvent};
+pub use driver::{drive, DriveReport, TraceConfig, TraceError, TraceEvent};
 pub use scenario::PolicyVariant;

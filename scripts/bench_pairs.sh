@@ -14,10 +14,13 @@
 # The parent runs first in odd pairs and the working tree in even ones.
 # For each workload and each metric in BENCHMARK.json's `end_to_end`
 # list, <out.json> holds both sides' median, quartiles and per-pair
-# values, and how many pairs the change won (ties count for neither
-# side), beside the machine shape and the exact commands. A run that
-# exits non-zero or prints no result is kept as `null` and counted under
-# `failed_runs`.
+# values, how many pairs the change won (ties count for neither side),
+# and whether the metric is `resolved`: true when each side's
+# interquartile range divided by its median is within the metric's
+# BENCHMARK.json bound, so the pairs can tell a change of that size from
+# noise. The machine shape and the exact commands stand beside them. A
+# run that exits non-zero or prints no result is kept as `null` and
+# counted under `failed_runs`.
 #
 # After the pairs, heavy_serve runs 5 more times per side with
 # `--trace 1` and seed first-seed, alternating in the same way.
@@ -125,6 +128,11 @@ jq -s \
             | $s[$lo] + ($h - $lo) * (($s[[$lo + 1, $n - 1] | min]) - $s[$lo])
           end;
     def summary: {median: quantile(0.5), q1: quantile(0.25), q3: quantile(0.75), runs: .};
+    # Whether one side of a summary is tight enough to judge a change
+    # against $bound: its interquartile range is within $bound of its
+    # median. A side with no runs resolves nothing.
+    def resolves($bound):
+        .median != null and (.q3 - .q1) <= $bound * (.median | fabs);
     # One traced side: the numeric metrics of every run, and their medians.
     def traced_side($side):
         [$traced[] | select(.side == $side and .result != null)
@@ -167,12 +175,15 @@ jq -s \
                               change: ([$runs[] | select(.side == "change" and .pair == $i)
                                         | .result.metrics[$m.name].value][0])
                             }] as $by_pair
+                        | ([$by_pair[].parent | select(. != null)] | summary) as $parent
+                        | ([$by_pair[].change | select(. != null)] | summary) as $change
                         | {
                             unit: $m.unit,
                             better: $m.better,
                             bound: $m.bound,
-                            parent: ([$by_pair[].parent | select(. != null)] | summary),
-                            change: ([$by_pair[].change | select(. != null)] | summary),
+                            parent: $parent,
+                            change: $change,
+                            resolved: ([$parent, $change] | map(resolves($m.bound)) | all),
                             change_wins: ([$by_pair[]
                               | select(.parent != null and .change != null)
                               | select(if $m.better == "higher" then .change > .parent

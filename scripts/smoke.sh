@@ -8,7 +8,9 @@
 #      against a fresh 4-thread server and a fresh sequential server;
 #      the two reports must be byte-identical after
 #      scripts/compare_results.sh normalizes the `_wall` fields —
-#      same counts, same FNV-1a response checksum.
+#      same counts, same FNV-1a response checksum. The same pair runs
+#      again against `--jobs 2` servers, whose two stores serve as one
+#      tenant front (`FLStore-MT(2)`).
 #   2. Overload is typed: an open-loop burst into `--max-inflight 2`
 #      must see Overloaded envelopes and ZERO transport errors (no
 #      drops, no resets) — `--expect-overload` makes the loadgen the
@@ -141,6 +143,20 @@ smoke_net() {
 
     scripts/compare_results.sh "$out/sharded" "$out/sequential"
 
+    # --- 1b. the same closed loop against a 2-job tenant front -------
+    mkdir -p "$out/tenants-sharded" "$out/tenants-sequential"
+    start_server --jobs 2 --threads 4
+    echo "$name: closed loop vs 2-job, 4-thread server at $addr"
+    loadgen --mode closed --requests 312 --seed 7 --out "$out/tenants-sharded/netload.json"
+    stop_server
+
+    start_server --jobs 2 --threads 1
+    echo "$name: closed loop vs 2-job sequential server at $addr"
+    loadgen --mode closed --requests 312 --seed 7 --out "$out/tenants-sequential/netload.json"
+    stop_server
+
+    scripts/compare_results.sh "$out/tenants-sharded" "$out/tenants-sequential"
+
     # --- 2. overload surfaces as typed envelopes, never resets -------
     start_server --jobs 1 --threads 4 --max-inflight 2
     echo "$name: open-loop burst into max_inflight=2 at $addr"
@@ -171,7 +187,7 @@ smoke_net() {
     scripts/compare_results.sh "$out/unpaced" "$out/paced"
 
     echo
-    echo "$name: OK (deterministic closed loop, typed overload, clean connection limiting, pacing result-transparent)"
+    echo "$name: OK (deterministic closed loop on one job and on a 2-job front, typed overload, clean connection limiting, pacing result-transparent)"
 }
 
 smoke_recovery() {
