@@ -27,7 +27,7 @@ use flstore_sim::cost::CostBreakdown;
 use flstore_sim::latency::LatencyBreakdown;
 use flstore_sim::time::{SimDuration, SimTime};
 use flstore_workloads::request::{JobCatalog, WorkloadRequest};
-use flstore_workloads::run::{prepare, PreparedExecute, WorkloadOutcome};
+use flstore_workloads::run::{prepare, OutputMemo, PreparedExecute, WorkloadOutcome};
 
 use serde::{Deserialize, Serialize};
 
@@ -196,6 +196,7 @@ pub struct FlStore {
     sink: Option<Box<dyn RecordSink>>,
     spill: Option<Box<dyn SpillBackend>>,
     spill_faults: u64,
+    outputs: OutputMemo,
 }
 
 impl FlStore {
@@ -231,6 +232,7 @@ impl FlStore {
             sink: None,
             spill: None,
             spill_faults: 0,
+            outputs: OutputMemo::default(),
             policy,
             cfg,
         }
@@ -285,6 +287,12 @@ impl FlStore {
     /// so recovery can rebuild an identical store).
     pub fn config(&self) -> &FlStoreConfig {
         &self.cfg
+    }
+
+    /// The memo through which serves that read the same cached values
+    /// share one kernel run.
+    pub fn output_memo(&self) -> &OutputMemo {
+        &self.outputs
     }
 
     /// Spilled objects faulted back from the cold tier so far.
@@ -876,18 +884,26 @@ impl FlStore {
         };
         let mut cost = CostBreakdown::ZERO;
 
-        // Hit/miss classification (after fault handling).
+        // Hit/miss classification (after fault handling). Each key keeps
+        // its position in `needs`, so the kernel reads its values in the
+        // order the catalog resolved them, whichever of them hit.
         let mut hit_keys: Vec<MetaKey> = Vec::new();
         let mut miss_keys: Vec<MetaKey> = Vec::new();
+        let mut hit_at: Vec<usize> = Vec::new();
+        let mut miss_at: Vec<usize> = Vec::new();
         let mut prefetch_wait = SimDuration::ZERO;
-        for key in needs {
+        for (at, key) in needs.iter().enumerate() {
             match self.engine.meta(key) {
                 Some(meta) => {
                     let wait = meta.available_at.duration_since(now);
                     prefetch_wait = prefetch_wait.max(wait);
                     hit_keys.push(*key);
+                    hit_at.push(at);
                 }
-                None => miss_keys.push(*key),
+                None => {
+                    miss_keys.push(*key);
+                    miss_at.push(at);
+                }
             }
         }
         latency.communication += prefetch_wait;
@@ -896,7 +912,7 @@ impl FlStore {
         // can evict under capacity pressure): locality-aware execution.
         // Choose the primary function (the one holding the most needed
         // bytes); data on sibling functions is gathered intra-cloud.
-        let mut values: Vec<SharedValue> = Vec::with_capacity(needs.len());
+        let mut values: Vec<Option<SharedValue>> = vec![None; needs.len()];
         let mut bytes_on: HashMap<FunctionId, ByteSize> = HashMap::new();
         for key in &hit_keys {
             if let (Some(locs), Some(meta)) = (self.engine.locations(key), self.engine.meta(key)) {
@@ -925,7 +941,7 @@ impl FlStore {
 
         let mut gather_items = 0usize;
         let mut gather_bytes = ByteSize::ZERO;
-        for key in &hit_keys {
+        for (key, &at) in hit_keys.iter().zip(&hit_at) {
             self.engine.touch(key);
             let locs = self
                 .engine
@@ -955,9 +971,7 @@ impl FlStore {
                     .and_then(|i| i.object(&key.object_key()).cloned())
                     .and_then(|blob| self.engine.decoded_get_or_decode(key, &blob)),
             };
-            if let Some(v) = value {
-                values.push(v);
-            }
+            values[at] = value;
         }
         if gather_items > 0 {
             latency.communication +=
@@ -1000,7 +1014,7 @@ impl FlStore {
                 }
             }
             let cache_miss = self.policy.cache_on_miss();
-            for key in &miss_keys {
+            for (key, &at) in miss_keys.iter().zip(&miss_at) {
                 let blob = blobs_of
                     .remove(key)
                     .expect("every miss key was faulted or fetched");
@@ -1011,9 +1025,7 @@ impl FlStore {
                 if admitted && self.engine.contains(key) {
                     // Newly cached: decode once through the decoded layer so
                     // later hits are Arc clones.
-                    if let Some(v) = self.engine.decoded_get_or_decode(key, &blob) {
-                        values.push(v);
-                    }
+                    values[at] = self.engine.decoded_get_or_decode(key, &blob);
                 } else {
                     // Not cached (policy, capacity, or strict quota): the
                     // miss path re-parses per access, exactly like a
@@ -1024,9 +1036,7 @@ impl FlStore {
                             spill.spill(key, blob.payload(), blob.logical_size());
                         }
                     }
-                    if let Some(v) = MetaValue::decode_shared(&blob) {
-                        values.push(v);
-                    }
+                    values[at] = MetaValue::decode_shared(&blob);
                 }
             }
         }
@@ -1034,8 +1044,12 @@ impl FlStore {
         // Validate inputs and package the kernel for execution on the
         // primary (or a scratch function when everything missed and
         // nothing was cached). `prepare` fails exactly where `execute`
-        // would — before any dispatch/billing below commits.
-        let task = prepare(request, values, self.catalog.model().compute_scale())?;
+        // would — before any dispatch/billing below commits. A task that
+        // reads the same values as an earlier serve shares its output;
+        // billing below still charges this serve in full.
+        let values = values.into_iter().flatten().collect();
+        let mut task = prepare(request, values, self.catalog.model().compute_scale())?;
+        self.outputs.attach(&mut task);
         let exec_fn = match primary.or_else(|| self.rings[0].first().copied()) {
             Some(id) => id,
             None => {
@@ -1147,5 +1161,57 @@ impl crate::placement::PlacementMap for FlStore {
             .invocation(self.cfg.function_config.memory, dur);
         self.ledger.background_cost.compute += cost;
         Some(size)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::policy::TailoredPolicy;
+    use flstore_fl::job::{FlJobConfig, FlJobSim};
+    use flstore_serverless::platform::ReclaimModel;
+    use flstore_workloads::request::RequestId;
+    use flstore_workloads::taxonomy::WorkloadKind;
+    use std::sync::Arc;
+
+    #[test]
+    fn the_output_memo_keeps_no_evicted_value_alive() {
+        let job = FlJobConfig {
+            rounds: 3,
+            ..FlJobConfig::quick_test(JobId::new(1))
+        };
+        let cfg = FlStoreConfig {
+            platform: PlatformConfig {
+                reclaim: ReclaimModel::DISABLED,
+                ..PlatformConfig::default()
+            },
+            ..FlStoreConfig::for_model(&job.model)
+        };
+        let mut store = FlStore::new(cfg, Box::new(TailoredPolicy::new()), job.job, job.model);
+        let records: Vec<RoundRecord> = FlJobSim::new(job.clone()).collect();
+        for record in &records {
+            store.ingest_round(SimTime::ZERO, record);
+        }
+        let request = WorkloadRequest::new(
+            RequestId::new(1),
+            WorkloadKind::MaliciousFiltering,
+            job.job,
+            records[records.len() - 1].round,
+            None,
+        );
+        store.serve(SimTime::ZERO, &request).expect("served");
+        assert_eq!(store.output_memo().len(), 1);
+
+        let keys = store.catalog.data_needs(&request);
+        let held = Arc::downgrade(&store.engine.decoded_get(&keys[0]).expect("cached"));
+        for key in &keys {
+            assert!(store.evict(key), "{key} was cached");
+        }
+        assert_eq!(
+            store.output_memo().len(),
+            1,
+            "the entry outlives its values"
+        );
+        assert!(held.upgrade().is_none(), "an evicted value is still alive");
     }
 }

@@ -11,6 +11,9 @@
 //! # Paced open loop: fixed-interval arrivals at 500 requests/s:
 //! flstore-loadgen --addr 127.0.0.1:4600 --mode burst --rate 500 --requests 200
 //!
+//! # Interleaved traffic for a `--jobs 2` server (jobs 1 and 2):
+//! flstore-loadgen --addr 127.0.0.1:4600 --mode closed --jobs 2 --requests 200
+//!
 //! # Ride through a cluster failover: honor Overloaded/Relocated hints
 //! # with a bounded retry budget (closed mode only):
 //! flstore-loadgen --addr 127.0.0.1:4600 --mode closed --retries 3 --expect-clean
@@ -20,6 +23,8 @@
 //! ([`flstore_trace::driver::materialize_schedule`] over
 //! `TraceConfig`) that the in-process experiment driver serves, so a
 //! networked run produces the same envelope sequence as a library run.
+//! `--jobs N` merges the schedules of jobs 1..=N by arrival time
+//! ([`flstore_loadgen::jobs_schedule`]), `--requests` serves each.
 //! The JSON report separates deterministic payload facts from
 //! `_wall`-suffixed wall-clock fields (see the `flstore-loadgen` crate
 //! docs); `--expect-overload` / `--expect-clean` turn the report into a
@@ -29,15 +34,14 @@
 
 use std::io::Write as _;
 
-use flstore_fl::ids::JobId;
-use flstore_fl::job::FlJobConfig;
-use flstore_loadgen::{probe_connection_limit, run_closed, run_open_paced, LoadReport};
-use flstore_trace::driver::{materialize_schedule, TraceConfig};
+use flstore_loadgen::{
+    jobs_schedule, probe_connection_limit, run_closed, run_open_paced, LoadReport,
+};
 
 fn usage() -> ! {
     eprintln!(
         "usage: flstore-loadgen --addr HOST:PORT [--mode closed|burst|probe] \
-         [--requests N] [--seed N] [--window N] [--connections N] [--rate N] \
+         [--requests N per job] [--jobs N] [--seed N] [--window N] [--connections N] [--rate N] \
          [--retries N (closed mode)] [--out FILE] [--expect-overload] [--expect-clean]"
     );
     std::process::exit(2);
@@ -55,6 +59,7 @@ fn main() {
     let mut addr = None;
     let mut mode = String::from("closed");
     let mut requests = 40usize;
+    let mut jobs = 1u32;
     let mut seed = 7u64;
     let mut window = 16usize;
     let mut connections = 4usize;
@@ -69,6 +74,7 @@ fn main() {
             "--addr" => addr = Some(parse::<String>(&mut iter, "--addr")),
             "--mode" => mode = parse(&mut iter, "--mode"),
             "--requests" => requests = parse(&mut iter, "--requests"),
+            "--jobs" => jobs = parse(&mut iter, "--jobs"),
             "--seed" => seed = parse(&mut iter, "--seed"),
             "--window" => window = parse(&mut iter, "--window"),
             "--connections" => connections = parse(&mut iter, "--connections"),
@@ -82,12 +88,9 @@ fn main() {
     }
     let Some(addr) = addr else { usage() };
 
-    // The same job config the `flstore-net serve` default deployment
+    // The same job configs a `flstore-net serve --jobs N` deployment
     // hosts, so requests address records the server actually ingests.
-    let job_cfg = FlJobConfig::quick_test(JobId::new(1));
-    let mut trace = TraceConfig::smoke(seed);
-    trace.requests = requests;
-    let schedule = materialize_schedule(&job_cfg, &trace);
+    let schedule = jobs_schedule(jobs, seed, requests);
 
     let report: LoadReport = match mode.as_str() {
         "closed" => run_closed(&addr, &schedule, window, retries).unwrap_or_else(|e| {

@@ -60,10 +60,13 @@ use std::net::{Shutdown, TcpStream};
 use std::time::{Duration, Instant};
 
 use flstore_core::api::{ApiError, Request, Response};
+use flstore_fl::ids::JobId;
+use flstore_fl::job::FlJobConfig;
 use flstore_net::client::NetClient;
 use flstore_net::codec::{decode_response, encode_request, encode_response};
 use flstore_net::wire::{read_frame, write_frame, WireError};
 use flstore_sim::time::{SimDuration, SimTime};
+use flstore_trace::driver::{materialize_schedule, TraceConfig};
 use serde_json::{json, Value};
 
 /// Latency percentiles over one run, in microseconds of wall time.
@@ -313,6 +316,24 @@ pub fn run_closed(
     Ok(report)
 }
 
+/// The traffic of a `flstore-net serve --jobs N` front door: the smoke
+/// trace of each quick-test job `1..=jobs` (the jobs the server hosts),
+/// `requests` serves long, job `j` seeded `seed + j - 1`, merged by
+/// virtual arrival time. Envelopes of different jobs at one instant keep
+/// job order, so `jobs = 1` is exactly the one-job schedule.
+pub fn jobs_schedule(jobs: u32, seed: u64, requests: usize) -> Vec<(SimTime, Request)> {
+    let mut schedule: Vec<(SimTime, Request)> = (1..=jobs.max(1))
+        .flat_map(|j| {
+            let mut trace = TraceConfig::smoke(seed.wrapping_add(u64::from(j) - 1));
+            trace.requests = requests;
+            materialize_schedule(&FlJobConfig::quick_test(JobId::new(j)), &trace)
+        })
+        .collect();
+    // A stable sort: ties keep the job order of the concatenation.
+    schedule.sort_by_key(|(at, _)| *at);
+    schedule
+}
+
 /// Open-loop driver: `connections` threads each write their interleaved
 /// slice of the schedule without waiting for responses, while a second
 /// thread per connection reads and time-stamps the responses as they
@@ -498,4 +519,52 @@ fn finish(report: &mut LoadReport, latencies: Vec<f64>, started: Instant) {
         0.0
     };
     report.latency = LatencyStats::from_samples(latencies);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn job_of(request: &Request) -> JobId {
+        match request {
+            Request::Serve(r) => r.job,
+            Request::Ingest { job, .. } => *job,
+            other => panic!("the trace holds only serves and ingests, not {other:?}"),
+        }
+    }
+
+    /// `Request` has no `PartialEq`; its debug form names every field.
+    fn facts(schedule: &[(SimTime, Request)]) -> Vec<String> {
+        schedule.iter().map(|e| format!("{e:?}")).collect()
+    }
+
+    #[test]
+    fn one_job_is_the_plain_smoke_schedule() {
+        let mut trace = TraceConfig::smoke(7);
+        trace.requests = 60;
+        let plain = materialize_schedule(&FlJobConfig::quick_test(JobId::new(1)), &trace);
+        assert_eq!(facts(&jobs_schedule(1, 7, 60)), facts(&plain));
+    }
+
+    #[test]
+    fn several_jobs_interleave_by_time() {
+        let merged = jobs_schedule(2, 7, 60);
+        assert!(merged.windows(2).all(|w| w[0].0 <= w[1].0), "not by time");
+        for j in 1..=2u32 {
+            let mut trace = TraceConfig::smoke(7 + u64::from(j) - 1);
+            trace.requests = 60;
+            let own = materialize_schedule(&FlJobConfig::quick_test(JobId::new(j)), &trace);
+            let kept: Vec<_> = merged
+                .iter()
+                .filter(|(_, r)| job_of(r) == JobId::new(j))
+                .cloned()
+                .collect();
+            assert_eq!(facts(&kept), facts(&own), "job {j}'s envelopes changed");
+        }
+        let switches = merged
+            .windows(2)
+            .filter(|w| job_of(&w[0].1) != job_of(&w[1].1))
+            .count();
+        assert!(switches > 10, "the jobs barely interleave: {switches}");
+    }
 }

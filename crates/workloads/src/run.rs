@@ -8,10 +8,12 @@
 use std::borrow::Borrow;
 use std::error::Error;
 use std::fmt;
+use std::sync::{Arc, OnceLock, Weak};
 
 use flstore_cloud::compute::WorkUnits;
 use flstore_fl::aggregate::AggregateModel;
 use flstore_fl::hyperparams::HyperParams;
+use flstore_fl::ids::{ClientId, Round};
 use flstore_fl::metadata::{MetaValue, SharedValue};
 use flstore_fl::metrics::RoundMetrics;
 use flstore_fl::update::ModelUpdate;
@@ -199,6 +201,19 @@ fn validate(request: &WorkloadRequest, s: &SplitValues<'_>) -> Result<(), Worklo
     Ok(())
 }
 
+/// Whether `kind`'s kernel reads `request.id` (as its random seed).
+///
+/// Every other kernel's output is a function of the kind, the round, the
+/// client and the values alone, which is what lets [`OutputMemo`] hand
+/// one serve's output to another. `run_kernel` must read the seed for
+/// these kinds only; the seed-rule tests pin that both ways.
+fn reads_seed(kind: WorkloadKind) -> bool {
+    matches!(
+        kind,
+        WorkloadKind::Clustering | WorkloadKind::Personalized | WorkloadKind::Inference
+    )
+}
+
 /// Runs the kernel for `request` over values that already passed
 /// [`validate`].
 ///
@@ -272,12 +287,17 @@ fn run_kernel(request: &WorkloadRequest, s: &SplitValues<'_>) -> WorkloadOutput 
 /// (the pure kernel) on any thread and obtain bit-for-bit the outcome the
 /// serving thread would have produced inline.
 ///
+/// A task attached to an [`OutputMemo`] slot shares its kernel output
+/// with every other task on that slot: the first to finish fills it, and
+/// the rest clone it instead of running the kernel.
+///
 /// [`compute`]: PreparedExecute::compute
 #[derive(Debug, Clone)]
 pub struct PreparedExecute {
     request: WorkloadRequest,
     values: Vec<SharedValue>,
     work: WorkUnits,
+    shared: Option<Arc<OnceLock<WorkloadOutput>>>,
 }
 
 impl PreparedExecute {
@@ -287,12 +307,25 @@ impl PreparedExecute {
         self.work
     }
 
-    /// Runs the kernel. Pure: no shared state, deterministic in the
-    /// request id, identical to the inline [`execute`] result.
+    /// Runs the kernel, or clones the output of the task that already
+    /// ran it on this task's shared slot. Deterministic in the request
+    /// id, identical to the inline [`execute`] result.
+    ///
+    /// Never waits on another thread: a task whose slot is still empty
+    /// runs the kernel itself, so two racing tasks both run it and get
+    /// the same bytes.
     pub fn compute(&self) -> WorkloadOutcome {
-        let s = split(&self.values);
-        debug_assert!(validate(&self.request, &s).is_ok(), "prepare() validated");
-        let output = run_kernel(&self.request, &s);
+        let output = match &self.shared {
+            Some(slot) => match slot.get() {
+                Some(output) => output.clone(),
+                None => {
+                    let output = self.run();
+                    let _ = slot.set(output.clone());
+                    output
+                }
+            },
+            None => self.run(),
+        };
         let result_bytes = output.result_bytes();
         WorkloadOutcome {
             output,
@@ -300,10 +333,17 @@ impl PreparedExecute {
             result_bytes,
         }
     }
+
+    fn run(&self) -> WorkloadOutput {
+        let s = split(&self.values);
+        debug_assert!(validate(&self.request, &s).is_ok(), "prepare() validated");
+        run_kernel(&self.request, &s)
+    }
 }
 
 /// Validates `request` against owned `values` and packages the deferred
-/// kernel execution.
+/// kernel execution. The task is unshared: [`OutputMemo::attach`] is the
+/// only way to give it a slot.
 ///
 /// # Errors
 ///
@@ -322,7 +362,99 @@ pub fn prepare(
         request: *request,
         values,
         work,
+        shared: None,
     })
+}
+
+/// Hands tasks that would read the same values one shared output slot.
+///
+/// Holds at most one entry per [`WorkloadKind`]: the newest task of that
+/// kind, as its round, its client, its ordered input values and its
+/// slot. A task matches the entry when the round and client are equal
+/// and each value is the *same allocation* as the entry's, compared by
+/// pointer through a [`Weak`]. A value that is decoded again — after an
+/// eviction, a re-ingest, a spill fault-back, or on every uncached miss —
+/// is a new `Arc`, so the entry misses and the next task takes a fresh
+/// slot. The `Weak`s keep no value alive, and an address cannot be
+/// reused while a `Weak` still points at it. The kinds whose kernels
+/// read the request id as their seed (clustering, personalization,
+/// inference) never share.
+#[derive(Debug, Default)]
+pub struct OutputMemo {
+    entries: [Option<MemoEntry>; WorkloadKind::ALL.len()],
+    stats: MemoStats,
+}
+
+#[derive(Debug)]
+struct MemoEntry {
+    round: Round,
+    client: Option<ClientId>,
+    values: Vec<Weak<MetaValue>>,
+    slot: Arc<OnceLock<WorkloadOutput>>,
+}
+
+impl MemoEntry {
+    fn matches(&self, task: &PreparedExecute) -> bool {
+        self.round == task.request.round
+            && self.client == task.request.client
+            && self.values.len() == task.values.len()
+            && self
+                .values
+                .iter()
+                .zip(&task.values)
+                .all(|(held, value)| std::ptr::eq(held.as_ptr(), Arc::as_ptr(value)))
+    }
+}
+
+/// [`OutputMemo`] operation counters.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MemoStats {
+    /// Tasks that missed the memo and got a fresh slot.
+    pub attached: u64,
+    /// Tasks that joined an earlier task's slot.
+    pub shared: u64,
+}
+
+impl OutputMemo {
+    /// Gives `task` the slot of the memo's entry for its kind when the
+    /// task reads the same values, or a fresh slot that replaces the
+    /// entry otherwise. Tasks of seeded kinds are left unshared.
+    pub fn attach(&mut self, task: &mut PreparedExecute) {
+        let kind = task.request.kind;
+        if reads_seed(kind) {
+            return;
+        }
+        let entry = &mut self.entries[kind as usize];
+        if let Some(held) = entry.as_ref().filter(|held| held.matches(task)) {
+            task.shared = Some(held.slot.clone());
+            self.stats.shared += 1;
+            return;
+        }
+        let slot = Arc::new(OnceLock::new());
+        *entry = Some(MemoEntry {
+            round: task.request.round,
+            client: task.request.client,
+            values: task.values.iter().map(Arc::downgrade).collect(),
+            slot: slot.clone(),
+        });
+        task.shared = Some(slot);
+        self.stats.attached += 1;
+    }
+
+    /// Entries held: at most one per kind.
+    pub fn len(&self) -> usize {
+        self.entries.iter().flatten().count()
+    }
+
+    /// True when no entry is held.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Attach counters since the memo was created.
+    pub fn stats(&self) -> MemoStats {
+        self.stats
+    }
 }
 
 #[cfg(test)]
@@ -446,6 +578,90 @@ mod tests {
         let deferred = prepare(&request, shared(&updates_only), 1.0).unwrap_err();
         assert_eq!(inline, deferred);
         assert!(inline.to_string().contains("across rounds"));
+    }
+
+    fn with_id(request: &WorkloadRequest, id: u64) -> WorkloadRequest {
+        WorkloadRequest {
+            id: RequestId::new(id),
+            ..*request
+        }
+    }
+
+    #[test]
+    fn only_the_seeded_kinds_read_the_request_id() {
+        let records = sample_rounds(12, 0.2);
+        for kind in WorkloadKind::ALL {
+            let (request, values) = values_for(kind, &records);
+            let a = execute(&with_id(&request, 7), &values, 1.0).expect("id 7");
+            let b = execute(&with_id(&request, 8), &values, 1.0).expect("id 8");
+            if reads_seed(kind) {
+                assert_ne!(a.output, b.output, "{kind} ignored its seed");
+            } else {
+                assert_eq!(a.output, b.output, "{kind} reads the request id");
+            }
+        }
+    }
+
+    #[test]
+    fn prepare_returns_an_unshared_task() {
+        let records = sample_rounds(12, 0.2);
+        for kind in WorkloadKind::ALL {
+            let (request, values) = values_for(kind, &records);
+            let task = prepare(&request, shared(&values), 1.0).expect("prepare");
+            assert!(task.shared.is_none(), "{kind} task came with a slot");
+        }
+    }
+
+    #[test]
+    fn a_follower_with_an_empty_slot_computes_itself() {
+        let records = sample_rounds(12, 0.2);
+        for kind in WorkloadKind::ALL {
+            let (request, values) = values_for(kind, &records);
+            let inline = execute(&request, &values, 1.0).expect("inline");
+            let values = shared(&values);
+            let mut memo = OutputMemo::default();
+            let mut leader = prepare(&request, values.clone(), 1.0).expect("leader");
+            let mut follower = prepare(&with_id(&request, 8), values, 1.0).expect("follower");
+            memo.attach(&mut leader);
+            memo.attach(&mut follower);
+            let seeded = reads_seed(kind);
+            let expected = MemoStats {
+                attached: u64::from(!seeded),
+                shared: u64::from(!seeded),
+            };
+            assert_eq!(memo.stats(), expected, "{kind} attach counts");
+            assert_eq!(memo.len(), usize::from(!seeded));
+            // The follower runs first and finds the slot empty.
+            let follower_out = follower.compute();
+            let follower_inline =
+                execute(&with_id(&request, 8), &follower.values, 1.0).expect("inline");
+            assert_eq!(follower_out, follower_inline, "{kind} follower");
+            assert_eq!(leader.compute(), inline, "{kind} leader");
+        }
+    }
+
+    #[test]
+    fn equal_values_in_new_allocations_take_a_fresh_slot() {
+        let records = sample_rounds(12, 0.2);
+        let (request, values) = values_for(WorkloadKind::MaliciousFiltering, &records);
+        let mut memo = OutputMemo::default();
+        let mut first = prepare(&request, shared(&values), 1.0).expect("first");
+        let mut redecoded = prepare(&request, shared(&values), 1.0).expect("redecoded");
+        memo.attach(&mut first);
+        memo.attach(&mut redecoded);
+        assert_eq!(
+            memo.stats(),
+            MemoStats {
+                attached: 2,
+                shared: 0
+            }
+        );
+        assert_eq!(memo.len(), 1, "one entry per kind");
+        assert!(!Arc::ptr_eq(
+            first.shared.as_ref().expect("slot"),
+            redecoded.shared.as_ref().expect("slot")
+        ));
+        assert_eq!(first.compute(), redecoded.compute());
     }
 
     #[test]

@@ -10,7 +10,8 @@
 #      scripts/compare_results.sh normalizes the `_wall` fields —
 #      same counts, same FNV-1a response checksum. The same pair runs
 #      again against `--jobs 2` servers, whose two stores serve as one
-#      tenant front (`FLStore-MT(2)`).
+#      tenant front (`FLStore-MT(2)`), with `loadgen --jobs 2` sending
+#      both jobs' schedules interleaved by time.
 #   2. Overload is typed: an open-loop burst into `--max-inflight 2`
 #      must see Overloaded envelopes and ZERO transport errors (no
 #      drops, no resets) — `--expect-overload` makes the loadgen the
@@ -147,12 +148,12 @@ smoke_net() {
     mkdir -p "$out/tenants-sharded" "$out/tenants-sequential"
     start_server --jobs 2 --threads 4
     echo "$name: closed loop vs 2-job, 4-thread server at $addr"
-    loadgen --mode closed --requests 312 --seed 7 --out "$out/tenants-sharded/netload.json"
+    loadgen --mode closed --jobs 2 --requests 312 --seed 7 --out "$out/tenants-sharded/netload.json"
     stop_server
 
     start_server --jobs 2 --threads 1
     echo "$name: closed loop vs 2-job sequential server at $addr"
-    loadgen --mode closed --requests 312 --seed 7 --out "$out/tenants-sequential/netload.json"
+    loadgen --mode closed --jobs 2 --requests 312 --seed 7 --out "$out/tenants-sequential/netload.json"
     stop_server
 
     scripts/compare_results.sh "$out/tenants-sharded" "$out/tenants-sequential"
