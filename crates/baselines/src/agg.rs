@@ -364,7 +364,7 @@ impl AggregatorBaseline {
             cache_misses,
             recovered_from_fault: false,
         };
-        self.ledger.outcomes.push(measured);
+        self.ledger.record(&measured);
         Ok((outcome, measured))
     }
 }

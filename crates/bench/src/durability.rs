@@ -190,38 +190,27 @@ pub fn durability(scale: Scale, threads: usize) -> Value {
             // Probe: sweep every observed round with a P2-class workload,
             // so shed rounds must come back from disk (spill) or the
             // persistent store (evict).
+            let (mut hits, mut misses, mut comm_us, mut cost) = (0usize, 0usize, 0u64, 0.0f64);
             let mut id = 0u64;
             for r in &records_all {
                 for kind in [WorkloadKind::Inference, WorkloadKind::Clustering] {
                     id += 1;
-                    let _ = store.serve(
-                        now,
-                        &WorkloadRequest::new(
-                            RequestId::new(id),
-                            kind,
-                            sweep_job.job,
-                            r.round,
-                            None,
-                        ),
+                    let request = WorkloadRequest::new(
+                        RequestId::new(id),
+                        kind,
+                        sweep_job.job,
+                        r.round,
+                        None,
                     );
+                    if let Ok(served) = store.serve(now, &request) {
+                        let o = served.measured;
+                        hits += o.cache_hits;
+                        misses += o.cache_misses;
+                        comm_us += o.latency.communication.as_micros();
+                        cost += o.cost.total().as_dollars();
+                    }
                 }
             }
-            let (hits, misses, comm_us, cost) = {
-                let ledger = store.ledger();
-                let hits: usize = ledger.outcomes.iter().map(|o| o.cache_hits).sum();
-                let misses: usize = ledger.outcomes.iter().map(|o| o.cache_misses).sum();
-                let comm_us: u64 = ledger
-                    .outcomes
-                    .iter()
-                    .map(|o| o.latency.communication.as_micros())
-                    .sum();
-                let cost: f64 = ledger
-                    .outcomes
-                    .iter()
-                    .map(|o| o.cost.total().as_dollars())
-                    .sum();
-                (hits, misses, comm_us, cost)
-            };
             let report = match store.submit(now, Request::Stats) {
                 Response::Stats(report) => report,
                 other => panic!("expected stats, got {other:?}"),

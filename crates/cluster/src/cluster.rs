@@ -539,7 +539,9 @@ impl ClusterStore {
         let mut replayed = 0u64;
         for (stamp, run) in &entries {
             replayed += run.len() as u64;
-            let _ = store.submit_batch(*stamp, run);
+            // Effects only: the primary already answered these serves,
+            // so their pending kernels are dropped unrun.
+            drop(store.submit_batch_deferred(*stamp, run));
         }
         self.nodes[n].applied.insert(job, total);
         self.stats.catchup_entries += replayed;
@@ -633,7 +635,8 @@ impl ClusterStore {
 
     /// Applies one run of envelopes to every reachable route member (the
     /// state-machine replication step) and returns the acting primary's
-    /// responses.
+    /// responses. Secondaries commit the same effects but drop their
+    /// pending kernels: a serve's kernel runs once, on the primary.
     fn replicate_run(
         &mut self,
         now: SimTime,
@@ -653,11 +656,12 @@ impl ClusterStore {
                 .as_mut()
                 .expect("reachable node has stores");
             let store = tenants.tenant_mut(job).expect("route member hosts the job");
-            let r = store.submit_batch(now, run);
-            self.nodes[member].applied.insert(job, entry_count);
             if member == primary {
-                responses = r;
+                responses = store.submit_batch(now, run);
+            } else {
+                drop(store.submit_batch_deferred(now, run));
             }
+            self.nodes[member].applied.insert(job, entry_count);
         }
         responses
     }

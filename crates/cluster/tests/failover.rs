@@ -18,6 +18,7 @@ use flstore_fl::job::{FlJobConfig, FlJobSim, RoundRecord};
 use flstore_fl::metadata::MetaKey;
 use flstore_sim::time::{SimDuration, SimTime};
 use flstore_workloads::request::{RequestId, WorkloadRequest};
+use flstore_workloads::run::kernel_runs_on_this_thread;
 use flstore_workloads::taxonomy::WorkloadKind;
 
 use std::sync::Arc;
@@ -159,6 +160,32 @@ fn replicas_stay_bit_identical_twins_under_load() {
         Request::Evict(MetaKey::aggregate(JOB, records[0].round)),
     );
     assert_eq!(digest_of(&cluster, 1), digest_of(&cluster, 2));
+}
+
+/// Replicas apply effects, not kernels: at rf=2 each serve's kernel runs
+/// once, on the primary that answers, and repair's history replay onto
+/// the spare runs none — yet every replica stays a bit-identical twin.
+/// The serves are inference, a seeded kind, so no two share an output.
+#[test]
+fn an_rf2_serve_runs_its_kernel_once() {
+    let mut cluster = cluster(3, 2);
+    let records = records();
+    let mut now = load(&mut cluster, &records);
+    let before = kernel_runs_on_this_thread();
+    let batch: Vec<Request> = (0..4).map(|i| serve(300 + i, &records[5])).collect();
+    let responses = cluster.submit_batch(now, &batch);
+    assert!(responses.iter().all(Response::is_ok), "{responses:?}");
+    assert_eq!(kernel_runs_on_this_thread() - before, 4);
+    assert_eq!(digest_of(&cluster, 1), digest_of(&cluster, 2));
+
+    cluster.inject_plan(&FailurePlan::none().with(now, 1, FailureKind::Kill));
+    now += cluster.config().detection_interval;
+    let before = kernel_runs_on_this_thread();
+    let served = cluster.submit(now, serve(400, &records[5]));
+    assert!(served.is_ok(), "{served:?}");
+    assert_eq!(cluster.route(JOB), &[2, 0], "repaired onto the spare");
+    assert_eq!(kernel_runs_on_this_thread() - before, 1);
+    assert_eq!(digest_of(&cluster, 0), digest_of(&cluster, 2));
 }
 
 #[test]

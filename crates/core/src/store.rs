@@ -117,7 +117,7 @@ pub struct ServedRequest {
 ///
 /// The store's serve path splits in two halves: everything that touches
 /// shared state — hit/miss classification, cache mutation, tracker
-/// dispatch/complete, billing, the outcome ledger — runs on the owning
+/// dispatch and retirement, billing, the ledger totals — runs on the owning
 /// thread and is finished by the time this value exists; the kernel
 /// compute ([`PreparedExecute`]) is pure and `Send`, so any worker may
 /// [`finish`](PendingServe::finish) it. A deferred serve finished on a
@@ -125,8 +125,8 @@ pub struct ServedRequest {
 /// have produced inline.
 #[derive(Debug, Clone)]
 pub struct PendingServe {
-    /// Measured latency/cost/cache behaviour — already pushed to the
-    /// store's outcome ledger.
+    /// Measured latency/cost/cache behaviour — already recorded in the
+    /// store's ledger.
     pub measured: RequestOutcome,
     task: PreparedExecute,
 }
@@ -358,7 +358,7 @@ impl FlStore {
         StateDigest {
             rows,
             resident: self.resident_bytes(),
-            served: self.ledger.outcomes.len(),
+            served: self.ledger.len(),
             faults: self.faults_observed,
             background_cost: self.ledger.background_cost,
         }
@@ -751,7 +751,7 @@ impl FlStore {
 
     /// [`serve_batch`](Self::serve_batch) with the kernel computes left
     /// pending: all shared-state bookkeeping (cache mutation, tracker,
-    /// billing, outcome ledger) commits here in submission order; each
+    /// billing, ledger) commits here in submission order; each
     /// `Ok` slot's [`PendingServe`] is `Send` and may be finished on any
     /// worker. This is the handoff surface the work-stealing executor
     /// serves a hot tenant through.
@@ -1060,7 +1060,13 @@ impl FlStore {
             }
         };
         self.tracker.dispatch(request.id, vec![exec_fn]);
-        let invoke = self.platform.invoke(now, exec_fn, task.work())?;
+        let invoke = match self.platform.invoke(now, exec_fn, task.work()) {
+            Ok(invoke) => invoke,
+            Err(e) => {
+                self.tracker.forget(request.id);
+                return Err(e.into());
+            }
+        };
         latency.queueing += invoke.queue_wait;
         latency.computation += invoke.receipt.latency.saturating_sub(invoke.queue_wait);
         cost += invoke.receipt.cost;
@@ -1086,7 +1092,10 @@ impl FlStore {
         // Strict-budget re-enforcement happens in the callers (serve /
         // serve_batch), so it also covers the error exits above.
 
+        // The request is complete and its outcome goes back with the
+        // response, so the tracker keeps in-flight requests only.
         self.tracker.complete(request.id);
+        self.tracker.forget(request.id);
         let measured = RequestOutcome {
             request: request.id,
             kind: request.kind,
@@ -1098,7 +1107,7 @@ impl FlStore {
             cache_misses: miss_keys.len(),
             recovered_from_fault,
         };
-        self.ledger.outcomes.push(measured);
+        self.ledger.record(&measured);
         Ok(PendingServe { measured, task })
     }
 }

@@ -2,7 +2,9 @@
 //!
 //! Receives non-training requests, records which functions each was routed
 //! to, and tracks completion — the paper's dictionary
-//! `RequestID → Tuple(List[FunctionID], Status)`.
+//! `RequestID → Tuple(List[FunctionID], Status)`. `FlStore` forgets a
+//! request where it completes it, so the dictionary holds in-flight
+//! requests only and its size does not grow with the number served.
 //!
 //! The tracker is shared state between the client-facing front end and the
 //! functions reporting progress, so it is internally synchronized

@@ -190,16 +190,7 @@ fn assert_equivalent(limited: bool, seed: u64, len: usize) {
         .collect();
 
     assert_eq!(batch_responses, sequential_responses, "responses differ");
-    assert_eq!(
-        batched.ledger().outcomes,
-        sequential.ledger().outcomes,
-        "ledger entries differ"
-    );
-    assert_eq!(
-        batched.ledger().background_cost,
-        sequential.ledger().background_cost,
-        "background costs differ"
-    );
+    assert_eq!(batched.ledger(), sequential.ledger(), "ledgers differ");
     assert_eq!(
         batched.total_cost(now),
         sequential.total_cost(now),
@@ -239,8 +230,8 @@ fn assert_sharded_single_tenant_equivalent(limited: bool, seed: u64, len: usize)
         assert_eq!(Service::window_cost(&mut exec, now), sequential_cost);
         let store = exec.into_units().pop().expect("unit returned");
         assert_eq!(
-            store.ledger().outcomes,
-            sequential.ledger().outcomes,
+            store.ledger(),
+            sequential.ledger(),
             "ledger @{shards} shards"
         );
         assert_eq!(
@@ -281,8 +272,8 @@ fn assert_executor_equals_batch_under_reclamation(seed: u64, len: usize) -> u64 
         );
         let store = exec.into_units().pop().expect("unit returned");
         assert_eq!(
-            store.ledger().outcomes,
-            reference.ledger().outcomes,
+            store.ledger(),
+            reference.ledger(),
             "ledger @{threads} threads, reclaiming"
         );
         assert_eq!(
@@ -597,8 +588,8 @@ fn assert_sharded_multi_tenant_equivalent_with(quotas: bool, seed: u64, len: usi
                 .tenant(store.catalog().job())
                 .expect("same tenants");
             assert_eq!(
-                store.ledger().outcomes,
-                tenant.ledger().outcomes,
+                store.ledger(),
+                tenant.ledger(),
                 "ledger of {} @{shards} shards",
                 store.catalog().job()
             );
@@ -740,14 +731,9 @@ fn assert_recovered_store_equals_uninterrupted(seed: u64, len: usize, cut: usize
             "post-recovery responses @{shards} shards"
         );
         assert_eq!(
-            store.ledger().outcomes,
-            reference.ledger().outcomes,
+            store.ledger(),
+            reference.ledger(),
             "ledger @{shards} shards"
-        );
-        assert_eq!(
-            store.ledger().background_cost,
-            reference.ledger().background_cost,
-            "background costs @{shards} shards"
         );
         let mut store = store;
         assert_eq!(
@@ -859,11 +845,7 @@ fn assert_one_node_rf1_cluster_equals_bare(limited: bool, seed: u64, len: usize)
     let primary = cluster
         .primary_store(JobId::new(JOB))
         .expect("healthy cluster has a primary");
-    assert_eq!(
-        primary.ledger().outcomes,
-        bare.ledger().outcomes,
-        "ledger entries differ"
-    );
+    assert_eq!(primary.ledger(), bare.ledger(), "ledgers differ");
     assert_eq!(
         cache_fingerprint(primary),
         cache_fingerprint(&bare),
@@ -947,11 +929,7 @@ fn assert_cluster_killed_at_cut_and_recovered_equals_uninterrupted(
     let recovered = cluster
         .node_store(primary, job)
         .expect("rejoined node hosts the job");
-    assert_eq!(
-        recovered.ledger().outcomes,
-        reference.ledger().outcomes,
-        "ledger entries differ"
-    );
+    assert_eq!(recovered.ledger(), reference.ledger(), "ledgers differ");
     assert_eq!(
         cache_fingerprint(recovered),
         cache_fingerprint(&reference),

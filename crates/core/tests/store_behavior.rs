@@ -11,6 +11,7 @@ use flstore_serverless::platform::{PlatformConfig, ReclaimModel};
 use flstore_sim::bytes::ByteSize;
 use flstore_sim::time::{SimDuration, SimTime};
 use flstore_workloads::request::{RequestId, WorkloadRequest};
+use flstore_workloads::service::ServiceLedger;
 use flstore_workloads::taxonomy::{PolicyClass, WorkloadKind};
 
 fn quiet_config(model: &flstore_fl::zoo::ModelArch) -> FlStoreConfig {
@@ -341,19 +342,22 @@ fn unknown_round_is_a_clean_error() {
 fn ledger_accumulates_outcomes() {
     let mut rig = Rig::new(quiet_config(&flstore_fl::zoo::ModelArch::RESNET18), 5);
     rig.ingest_all();
+    let mut expected = ServiceLedger::new();
     for kind in [
         WorkloadKind::Inference,
         WorkloadKind::CosineSimilarity,
         WorkloadKind::Incentives,
     ] {
         let req = rig.request(kind, 4);
-        rig.store.serve(rig.now, &req).expect("servable");
+        let served = rig.store.serve(rig.now, &req).expect("servable");
+        expected.record(&served.measured);
         rig.now += SimDuration::from_secs(30);
     }
     let ledger = rig.store.ledger();
     assert_eq!(ledger.len(), 3);
     assert!(ledger.hit_rate() > 0.99);
-    assert_eq!(ledger.by_kind(WorkloadKind::Inference).count(), 1);
+    expected.background_cost = ledger.background_cost;
+    assert_eq!(*ledger, expected);
 }
 
 /// The strict-quota boundary is inclusive: an object fits when

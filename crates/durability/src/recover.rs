@@ -8,8 +8,9 @@
 //! embedded digest) and the active tail (tolerating a torn final
 //! record), and re-attaches the ledger in append mode — the recovered
 //! store is bit-identical to the pre-crash one, because replay drives
-//! the exact same public methods the original envelopes did and the
-//! store is deterministic.
+//! the same bookkeeping the original envelopes did and the store is
+//! deterministic. Replay skips only the serves' pure kernels, whose
+//! outputs touch no state.
 
 use std::fmt;
 use std::fs;
@@ -174,14 +175,16 @@ fn apply(store: &mut FlStore, record: LedgerRecord) {
         LedgerRecord::Ingest { now, record } => {
             store.ingest_round(now, &record);
         }
+        // Replay commits a serve's effects (cache, billing, ledger) and
+        // drops its pending kernel: the output was answered before the
+        // crash, and a kernel that panicked then must not panic recovery.
+        // An original serve that errored (e.g. an unservable round)
+        // replays to the identical side effects and the identical error.
         LedgerRecord::Serve { now, request } => {
-            // The original serve may have errored (e.g. an unservable
-            // round); replay reproduces the identical side effects and
-            // the identical error.
-            let _ = store.serve(now, &request);
+            drop(store.serve_batch_deferred(now, std::slice::from_ref(&request)));
         }
         LedgerRecord::ServeBatch { now, requests } => {
-            let _ = store.serve_batch(now, &requests);
+            drop(store.serve_batch_deferred(now, &requests));
         }
         LedgerRecord::Evict { key } => {
             store.evict(&key);

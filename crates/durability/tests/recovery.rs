@@ -371,6 +371,58 @@ fn kill_point_at_every_record_boundary() {
     }
 }
 
+/// A logged serve whose kernel panics does not make the ledger
+/// unrecoverable: replay commits the serve's effects and never runs its
+/// kernel. The newest round carries one update three weights too long,
+/// so the clustering kernel over it panics.
+#[test]
+fn a_poisoned_serve_in_the_ledger_recovers() {
+    use std::panic::{self, AssertUnwindSafe};
+
+    use flstore_fl::weights::WeightVector;
+
+    let job = job_config();
+    let mut records: Vec<RoundRecord> = FlJobSim::new(job.clone()).collect();
+    let newest = records.last_mut().expect("rounds");
+    let dim = newest.updates[1].weights.dim();
+    newest.updates[1].weights = WeightVector::from_vec(vec![0.5; dim + 3]);
+    let round = newest.round;
+    let cfg = store_config(
+        &job,
+        false,
+        DurabilityConfig {
+            flush_every: 1,
+            ..DurabilityConfig::DISABLED
+        },
+    );
+    let dir = DetTempDir::new("poisoned-serve", 1);
+    let mut store = fresh_store(&cfg, &job);
+    attach(&mut store, dir.path()).unwrap();
+    let mut now = SimTime::ZERO;
+    for record in &records {
+        store.ingest_round(now, record);
+        now += SimDuration::from_secs(60);
+    }
+    let poisoned = WorkloadRequest::new(
+        RequestId::new(1),
+        WorkloadKind::Clustering,
+        JobId::new(JOB),
+        round,
+        None,
+    );
+    let served = panic::catch_unwind(AssertUnwindSafe(|| store.serve(now, &poisoned)));
+    assert!(
+        served.is_err(),
+        "the clustering kernel panics on the bad update"
+    );
+    let digest = store.durability_digest();
+    drop(store);
+
+    let recovered = recover(dir.path()).expect("recovery replays effects, not kernels");
+    assert_eq!(recovered.durability_digest(), digest);
+    assert_eq!(recovered.ledger().len(), 1);
+}
+
 #[test]
 fn attach_refuses_unreconstructible_policies() {
     use flstore_core::policy::{EvictionDiscipline, ReactivePolicy};

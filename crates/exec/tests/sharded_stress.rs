@@ -17,7 +17,6 @@ use flstore_fl::ids::JobId;
 use flstore_fl::job::{FlJobConfig, FlJobSim};
 use flstore_fl::zoo::ModelArch;
 use flstore_serverless::platform::{PlatformConfig, ReclaimModel};
-use flstore_sim::bytes::ByteSize;
 use flstore_sim::time::{SimDuration, SimTime};
 use flstore_workloads::request::{RequestId, WorkloadRequest};
 use flstore_workloads::taxonomy::WorkloadKind;
@@ -104,16 +103,12 @@ fn client_threads_drive_one_executor_concurrently() {
         .pop()
         .expect("the front");
     let total = clients * batches_per_client * batch_len;
-    // One entry per serve, on the tenant that owns its job.
+    // Every serve retired from its tenant's tracker and was ledgered on
+    // the tenant that owns its job.
     let per_job = total as usize / JOBS.len();
     for unit in front.tenants() {
-        assert_eq!(unit.tracker().len(), per_job);
+        assert!(unit.tracker().is_empty());
         assert_eq!(unit.tracker().in_flight(), 0);
+        assert_eq!(unit.ledger().len(), per_job);
     }
-    // Memory stays in the paper's §5.5 envelope at ~1k tracked requests.
-    let memory: ByteSize = front
-        .tenants()
-        .map(|unit| unit.tracker().estimated_memory())
-        .sum();
-    assert!(memory < ByteSize::from_mb(1));
 }

@@ -110,24 +110,17 @@ fn stolen_serves_match_sequential_and_stay_attributed_to_the_owner() {
                 "stealing changed costs ({workers} workers, seed {seed:x})"
             );
 
-            // Attribution: the store's tracker holds one completed entry
-            // per serve, naming the functions the sequential twin named.
+            // Bookkeeping: the store retired every serve from its tracker,
+            // and its ledger equals the sequential twin's (totals and the
+            // order-sensitive fingerprint of every outcome).
             let store = exec.into_units().pop().expect("unit returned");
-            let tracker = store.tracker();
-            assert_eq!(tracker.len(), mix.len());
-            assert_eq!(tracker.in_flight(), 0, "every stolen serve completed");
-            for request in &mix {
-                let Request::Serve(w) = request else {
-                    unreachable!()
-                };
-                let entry = tracker.entry(w.id).expect("every serve is tracked");
-                assert!(entry.done);
-                assert_eq!(
-                    entry.functions,
-                    sequential.tracker().entry(w.id).expect("tracked").functions,
-                    "a thief leaked into the tracker ({workers} workers, seed {seed:x})"
-                );
-            }
+            assert!(store.tracker().is_empty(), "every stolen serve retired");
+            assert_eq!(store.tracker().in_flight(), 0);
+            assert_eq!(
+                store.ledger(),
+                sequential.ledger(),
+                "a thief leaked into the ledger ({workers} workers, seed {seed:x})"
+            );
         }
     }
 }
@@ -177,11 +170,7 @@ fn client_threads_drive_the_steal_plane_concurrently() {
         .pop()
         .expect("unit returned");
     let total = clients * batches_per_client * batch_len as u64;
-    let tracker = store.tracker();
-    assert_eq!(tracker.len(), total as usize);
-    assert_eq!(tracker.in_flight(), 0);
-    for id in 1..=total {
-        let entry = tracker.entry(RequestId::new(id)).expect("tracked");
-        assert!(entry.done);
-    }
+    assert!(store.tracker().is_empty());
+    assert_eq!(store.tracker().in_flight(), 0);
+    assert_eq!(store.ledger().len(), total as usize);
 }

@@ -506,7 +506,7 @@ mod tests {
             assert_eq!(rs.infra_cost, rp.infra_cost);
             assert_eq!(rs.label, rp.label);
             let store = exec.into_units().pop().expect("the unit comes back");
-            assert_eq!(store.ledger().outcomes, sequential.ledger().outcomes);
+            assert_eq!(store.ledger(), sequential.ledger());
         }
     }
 

@@ -27,10 +27,12 @@ pub struct KMeansResult {
 ///
 /// `vectors` are packed once into [`RowPanels`], and k-means++ seeding,
 /// every assignment pass and the final inertia pass run on those panels:
-/// every distance is one f64 chain, eight rows per pass. Each centroid
-/// is the f32 mean of its members in input order, a centroid left
-/// without members keeps its position, and ties go to the lowest
-/// centroid index.
+/// every distance is one f64 chain, eight rows per pass. No distance is
+/// computed twice: the first assignment step reuses the seeding passes,
+/// and a converged run takes its inertia from the last assignment step.
+/// Each centroid is the f32 mean of its members in input order, a
+/// centroid left without members keeps its position, and ties go to the
+/// lowest centroid index.
 ///
 /// # Panics
 ///
@@ -55,14 +57,17 @@ pub fn kmeans(
     // k-means++ seeding: first centroid uniform, then proportional to
     // squared distance from the nearest chosen centroid. `nearest` keeps
     // that squared distance per point, so each new centroid costs one
-    // distance pass.
+    // distance pass. Centroid j's pass lands in `dist[j * n..]`, where
+    // the first assignment step reads it: seeded centroids have not
+    // moved yet, so recomputing them would give the same bits.
     let mut centroids: Vec<WeightVector> = Vec::with_capacity(k);
     centroids.push(vectors[rng.index(n)].clone());
     let mut nearest = vec![f64::INFINITY; n];
     let mut dist = vec![0.0; k * n];
     while centroids.len() < k {
         let newest = centroids.last().expect("seeded");
-        let d = &mut dist[..n];
+        let j = centroids.len() - 1;
+        let d = &mut dist[j * n..(j + 1) * n];
         panels.l2_distances(newest, d);
         for (d2, d) in nearest.iter_mut().zip(d.iter()) {
             *d2 = d2.min(d * d);
@@ -79,11 +84,13 @@ pub fn kmeans(
     let mut assignments = vec![0usize; n];
     let mut members: Vec<&WeightVector> = Vec::with_capacity(n);
     let mut iterations = 0;
+    let mut converged = false;
     for iter in 0..max_iters.max(1) {
         iterations = iter + 1;
         // Assignment step: `dist[j * n + i]` is point i's distance to
-        // centroid j.
-        for (c, d) in centroids.iter().zip(dist.chunks_exact_mut(n)) {
+        // centroid j. The first step only lacks the last seed's pass.
+        let fresh = if iter == 0 { k - 1 } else { 0 };
+        for (c, d) in centroids.iter().zip(dist.chunks_exact_mut(n)).skip(fresh) {
             panels.l2_distances(c, d);
         }
         let mut changed = false;
@@ -99,6 +106,7 @@ pub fn kmeans(
         }
         // Converged: the update step would recompute the same centroids.
         if !changed && iter > 0 {
+            converged = true;
             break;
         }
         // Update step.
@@ -115,10 +123,18 @@ pub fn kmeans(
         }
     }
 
-    let partners: Vec<&WeightVector> = assignments.iter().map(|a| &centroids[*a]).collect();
-    let d = &mut dist[..n];
-    panels.paired_l2_distances(&partners, d);
-    let inertia = d.iter().map(|d| d * d).sum();
+    // On convergence the last assignment step already measured every
+    // point against its (unmoved) centroid; only a run that exhausted
+    // `max_iters` moved the centroids after measuring.
+    let inertia = if converged {
+        let d = assignments.iter().enumerate().map(|(i, a)| dist[a * n + i]);
+        d.map(|d| d * d).sum()
+    } else {
+        let partners: Vec<&WeightVector> = assignments.iter().map(|a| &centroids[*a]).collect();
+        let d = &mut dist[..n];
+        panels.paired_l2_distances(&partners, d);
+        d.iter().map(|d| d * d).sum()
+    };
 
     Some(KMeansResult {
         assignments,

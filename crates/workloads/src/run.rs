@@ -6,6 +6,7 @@
 //! identical outputs; only latency and cost differ.
 
 use std::borrow::Borrow;
+use std::cell::Cell;
 use std::error::Error;
 use std::fmt;
 use std::sync::{Arc, OnceLock, Weak};
@@ -335,10 +336,22 @@ impl PreparedExecute {
     }
 
     fn run(&self) -> WorkloadOutput {
+        KERNEL_RUNS.with(|runs| runs.set(runs.get() + 1));
         let s = split(&self.values);
         debug_assert!(validate(&self.request, &s).is_ok(), "prepare() validated");
         run_kernel(&self.request, &s)
     }
+}
+
+thread_local! {
+    static KERNEL_RUNS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Kernels [`PreparedExecute::compute`] has run on the calling thread: a
+/// task finished from a filled memo slot, or dropped unfinished, runs
+/// none.
+pub fn kernel_runs_on_this_thread() -> u64 {
+    KERNEL_RUNS.with(Cell::get)
 }
 
 /// Validates `request` against owned `values` and packages the deferred

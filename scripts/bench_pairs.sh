@@ -2,7 +2,7 @@
 # Paired wall-clock runs of the benchmark: a parent revision against the
 # working tree, summarized per workload and per end-to-end metric.
 #
-# Usage: scripts/bench_pairs.sh <parent-rev> <pairs> <out.json> [first-seed]
+# Usage: scripts/bench_pairs.sh <parent-rev> <pairs> <out.json> [first-seed [traced-workload...]]
 #
 # Exports <parent-rev> with `git archive` into a temporary directory
 # (under $TMPDIR), then for pair i = 1..<pairs>, with seed
@@ -22,22 +22,27 @@
 # run that exits non-zero or prints no result is kept as `null` and
 # counted under `failed_runs`.
 #
-# After the pairs, heavy_serve runs 5 more times per side with
-# `--trace 1` and seed first-seed, alternating in the same way.
-# `traced.heavy_serve.{parent,change}` hold each side's per-metric median
-# over those runs and `traced.heavy_serve.runs` the runs' metrics; README's
-# kernel-time table is generated from this section (tests/doc_tables.rs).
+# After the pairs, each traced workload (heavy_serve unless listed after
+# first-seed) runs 5 more times per side with `--trace 1` and seed
+# first-seed, alternating in the same way. `traced.<workload>.{parent,change}`
+# hold each side's per-metric median over those runs and
+# `traced.<workload>.runs` the runs' metrics; README's kernel-time table
+# is generated from `traced.heavy_serve` (tests/doc_tables.rs).
 # Needs bash, git, jq and a full checkout.
 set -euo pipefail
 
-if [ $# -lt 3 ] || [ $# -gt 4 ]; then
-    echo "usage: scripts/bench_pairs.sh <parent-rev> <pairs> <out.json> [first-seed]" >&2
+if [ $# -lt 3 ]; then
+    echo "usage: scripts/bench_pairs.sh <parent-rev> <pairs> <out.json> [first-seed [traced-workload...]]" >&2
     exit 2
 fi
 parent_rev="$1"
 pairs="$2"
 out="$3"
 first_seed="${4:-1}"
+traced_workloads=("${@:5}")
+if [ ${#traced_workloads[@]} -eq 0 ]; then
+    traced_workloads=(heavy_serve)
+fi
 seconds=8
 traced_runs=5
 
@@ -91,14 +96,16 @@ for ((pair = 1; pair <= pairs; pair++)); do
     done
 done
 
-for ((i = 1; i <= traced_runs; i++)); do
-    if ((i % 2 == 1)); then
-        run parent "$scratch/parent" "$i" "$first_seed" heavy_serve 1
-        run change "$repo" "$i" "$first_seed" heavy_serve 1
-    else
-        run change "$repo" "$i" "$first_seed" heavy_serve 1
-        run parent "$scratch/parent" "$i" "$first_seed" heavy_serve 1
-    fi
+for workload in "${traced_workloads[@]}"; do
+    for ((i = 1; i <= traced_runs; i++)); do
+        if ((i % 2 == 1)); then
+            run parent "$scratch/parent" "$i" "$first_seed" "$workload" 1
+            run change "$repo" "$i" "$first_seed" "$workload" 1
+        else
+            run change "$repo" "$i" "$first_seed" "$workload" 1
+            run parent "$scratch/parent" "$i" "$first_seed" "$workload" 1
+        fi
+    done
 done
 
 machine="$(jq -n \
@@ -114,11 +121,12 @@ jq -s \
     --argjson machine "$machine" \
     --arg parent "$parent_sha" \
     --arg change "$change_desc" \
-    --arg command "scripts/bench_pairs.sh $parent_rev $pairs $out $first_seed" \
+    --arg command "scripts/bench_pairs.sh $parent_rev $pairs $out $first_seed ${traced_workloads[*]}" \
     --arg run_command "bash benchmark/run.sh --workload W --seed N --seconds $seconds --trace 0" \
     --argjson pairs "$pairs" \
     --argjson first_seed "$first_seed" \
-    --arg traced_command "bash benchmark/run.sh --workload heavy_serve --seed $first_seed --seconds $seconds --trace 1, $traced_runs times per side, alternating (parent first in odd runs, change first in even runs)" \
+    --arg traced_command "bash benchmark/run.sh --workload W --seed $first_seed --seconds $seconds --trace 1 for W in ${traced_workloads[*]}, $traced_runs times per side, alternating (parent first in odd runs, change first in even runs)" \
+    --argjson traced_workloads "$(printf '%s\n' "${traced_workloads[@]}" | jq -R . | jq -sc .)" \
     --slurpfile traced "$traced" '
     # Linear interpolation between closest ranks.
     def quantile($p):
@@ -133,9 +141,10 @@ jq -s \
     # median. A side with no runs resolves nothing.
     def resolves($bound):
         .median != null and (.q3 - .q1) <= $bound * (.median | fabs);
-    # One traced side: the numeric metrics of every run, and their medians.
-    def traced_side($side):
-        [$traced[] | select(.side == $side and .result != null)
+    # One traced side of one workload: the numeric metrics of every run,
+    # and their medians.
+    def traced_side($workload; $side):
+        [$traced[] | select(.workload == $workload and .side == $side and .result != null)
          | .result.metrics | map_values(.value | select(type == "number"))] as $runs
         | {runs: $runs,
            median: ([$runs[] | keys[]] | unique
@@ -199,15 +208,16 @@ jq -s \
             )
           }) | from_entries
         ),
-        traced: (traced_side("parent") as $parent | traced_side("change") as $change | {
+        traced: ({
           command: $traced_command,
           note: "parent and change hold the per-metric median of the runs in runs; workloads.kernel.*_us are the per-kernel probes at 48x4096; trace.share.* are self-time shares of the traced pass",
-          failed_runs: ([$traced[] | select(.result == null or .result.correct != true)] | length),
-          heavy_serve: {
-            parent: $parent.median,
-            change: $change.median,
-            runs: {parent: $parent.runs, change: $change.runs}
-          }
-        })
+          failed_runs: ([$traced[] | select(.result == null or .result.correct != true)] | length)
+        } + ($traced_workloads | map(. as $w
+          | traced_side($w; "parent") as $parent | traced_side($w; "change") as $change
+          | {key: $w, value: {
+              parent: $parent.median,
+              change: $change.median,
+              runs: {parent: $parent.runs, change: $change.runs}
+            }}) | from_entries))
       }' "$records" >"$out"
 echo "wrote $out" >&2

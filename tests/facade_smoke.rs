@@ -42,16 +42,13 @@ fn facade_ingest_then_serve_hits_cache() {
         last_round,
         None,
     );
-    let served = store.serve(now, &inference).expect("aggregate is cached");
+    let first = store.serve(now, &inference).expect("aggregate is cached");
     assert_eq!(
-        served.measured.cache_misses, 0,
+        first.measured.cache_misses, 0,
         "tailored policy must keep the latest aggregate warm"
     );
-    assert!(
-        served.measured.cache_hits > 0,
-        "inference needs cached data"
-    );
-    assert!(served.measured.finished >= served.measured.arrived);
+    assert!(first.measured.cache_hits > 0, "inference needs cached data");
+    assert!(first.measured.finished >= first.measured.arrived);
 
     // P2: a round-scoped workload over all updates of the final round.
     let filtering = WorkloadRequest::new(
@@ -70,9 +67,8 @@ fn facade_ingest_then_serve_hits_cache() {
         served.measured.hit_rate()
     );
 
-    // The ledger recorded both requests with their workload kinds.
-    let ledger = store.ledger();
-    assert_eq!(ledger.outcomes.len(), 2);
-    assert_eq!(ledger.outcomes[0].kind, WorkloadKind::Inference);
-    assert_eq!(ledger.outcomes[1].kind, WorkloadKind::MaliciousFiltering);
+    // Both responses carry their workload kinds; the ledger counted both.
+    assert_eq!(first.measured.kind, WorkloadKind::Inference);
+    assert_eq!(served.measured.kind, WorkloadKind::MaliciousFiltering);
+    assert_eq!(store.ledger().len(), 2);
 }
