@@ -6,12 +6,13 @@
 //! The cluster is a **state-machine replicator**: every state-touching
 //! envelope (ingest, serve, evict — serving mutates cache state, so it
 //! replicates too) is applied to *every reachable replica* of its job's
-//! route, in route order; the acting primary's response is returned and
-//! the twins' responses are discarded. Because every replica registered
-//! the job identically (same template, same per-job seed derivation) and
-//! applies the same envelope sequence, replicas are **bit-identical
-//! twins** — failover changes which twin answers, never what the answer
-//! is. `Stats` is read-only: answered by the primary, never recorded.
+//! route, in route order. Only the acting primary runs a serve's kernels
+//! and answers; the other replicas commit the same effects and produce
+//! no response. Because every replica registered the job identically
+//! (same template, same per-job seed derivation) and applies the same
+//! envelope sequence, replicas are **bit-identical twins** — failover
+//! changes which twin answers, never what the answer is. `Stats` is
+//! read-only: answered by the primary, never recorded.
 //!
 //! # Failover state machine
 //!
@@ -24,9 +25,17 @@
 //! [`ApiError::Relocated`] envelopes until the detection interval
 //! elapses; detection promotes the next live member and, for kills,
 //! re-replicates through the shared [`repair_after_loss`]
-//! path to restore the target factor. A killed node rejoins by
-//! recovering each tenant from its own per-node ledger directory and
-//! replaying the history suffix it missed.
+//! path to restore the target factor.
+//!
+//! # Bring-up
+//!
+//! A replica comes up one way — at registration, at repair onto a spare,
+//! and at rejoin — through `ClusterStore::bring_up`: a node that
+//! hosted the job when it died recovers the tenant from its own per-node
+//! ledger directory and keeps it only on the kill-time digest; otherwise
+//! it registers a fresh tenant and attaches its ledger, all or nothing.
+//! Either way it then replays the history suffix it has not applied. A
+//! healed partition runs only that replay.
 
 use flstore_core::api::{ApiError, Request, Response, Service, StatsReport};
 use flstore_core::durable::StateDigest;
@@ -246,6 +255,12 @@ impl ClusterStore {
     /// seed derivation), which is what makes the replicas bit-identical
     /// twins. Returns `Ok(false)` if the job was already registered.
     ///
+    /// # Errors
+    ///
+    /// The first member whose ledger cannot be attached fails the whole
+    /// registration: the members already up drop the tenant again, so
+    /// the job is registered nowhere and the call can be retried.
+    ///
     /// # Panics
     ///
     /// Panics if any member of the job's replica set is currently
@@ -256,31 +271,71 @@ impl ClusterStore {
         }
         let slot = slot_of_job(job, self.cfg.slots);
         let members = replica_set(slot, self.cfg.nodes, self.cfg.replication);
-        for &member in &members {
+        self.models.insert(job, model);
+        for (i, &member) in members.iter().enumerate() {
             assert!(
                 self.nodes[member].reachable(),
                 "register jobs on a healthy cluster (node {member} is unavailable)"
             );
-            self.host_job(member, job, model)?;
+            if let Err(error) = self.bring_up(member, job) {
+                for &up in &members[..i] {
+                    self.nodes[up].applied.remove(&job);
+                    self.nodes[up].tenants.as_mut().expect("up").remove(job);
+                }
+                self.models.remove(&job);
+                return Err(error);
+            }
         }
-        self.models.insert(job, model);
         self.history.insert(job, Vec::new());
         self.routes.insert(job, members);
         Ok(true)
     }
 
-    /// Registers `job` on node `n`'s tenant front and, when the cluster
-    /// is durable, attaches the tenant to the node's own ledger
-    /// directory. The node starts with zero history applied.
-    fn host_job(&mut self, n: usize, job: JobId, model: ModelArch) -> Result<(), DurabilityError> {
+    /// Brings node `n`'s replica of `job` up to date — the one path by
+    /// which a replica comes up, at registration, repair and rejoin:
+    ///
+    /// 1. If the node hosted the job when it died, it recovers the
+    ///    tenant from its own ledger directory and keeps it only if it
+    ///    lands exactly on the digest snapshotted at kill time (the
+    ///    ledger flushed on the way down). A miss or an unreadable
+    ///    ledger counts in `rejoin_digest_mismatches`. The snapshot, not
+    ///    the directory's contents, decides: a spare may still hold a
+    ///    stale directory from an earlier life.
+    /// 2. Otherwise it registers a fresh tenant and, when the cluster is
+    ///    durable, attaches it to a wiped ledger directory.
+    /// 3. It replays the history suffix the tenant has not applied.
+    ///
+    /// # Errors
+    ///
+    /// A failed attach leaves the node without the job: no tenant, no
+    /// `applied` entry.
+    fn bring_up(&mut self, n: usize, job: JobId) -> Result<(), DurabilityError> {
         let node = &mut self.nodes[n];
-        let tenants = node.tenants.as_mut().expect("hosting on a live node");
-        assert!(tenants.register_job(job, model), "job not yet hosted here");
-        if let Some(dir) = node.dir.clone() {
-            let store = tenants.tenant_mut(job).expect("just registered");
-            attach(store, &dir.join(format!("job-{}", job.as_u32())))?;
-        }
-        node.applied.insert(job, 0);
+        let name = format!("job-{}", job.as_u32());
+        let dir = node.dir.as_ref().map(|dir| dir.join(&name));
+        let snapshot = node.kill_digests.remove(&job);
+        let recovered = dir.as_ref().zip(snapshot).and_then(|(dir, snap)| {
+            let store = recover(dir).ok().filter(|s| s.durability_digest() == snap);
+            self.stats.rejoin_digest_mismatches += u64::from(store.is_none());
+            store
+        });
+        let store = match recovered {
+            // `applied` still holds the kill-time count the ledger replayed.
+            Some(store) => store,
+            None => {
+                self.nodes[n].applied.remove(&job);
+                let mut fresh = MultiTenantStore::new(self.cfg.store_template.clone());
+                fresh.register_job(job, self.models[&job]);
+                let (_, mut store) = fresh.into_tenants().pop().expect("just registered");
+                if let Some(dir) = &dir {
+                    attach(&mut store, dir)?;
+                }
+                store
+            }
+        };
+        let tenants = self.nodes[n].tenants.as_mut().expect("live node");
+        assert!(tenants.adopt(store).is_ok(), "job not yet hosted here");
+        self.catch_up_job(n, job);
         Ok(())
     }
 
@@ -414,18 +469,13 @@ impl ClusterStore {
                     return;
                 }
                 let node = &mut self.nodes[n];
-                if let Some(tenants) = node.tenants.as_ref() {
-                    node.kill_digests = node
-                        .applied
-                        .keys()
-                        .filter_map(|&job| {
-                            tenants.tenant(job).map(|s| (job, s.durability_digest()))
-                        })
-                        .collect();
-                }
                 // Dropping the stores flushes every ledger sink: the
                 // node's disk holds exactly its applied prefix.
-                node.tenants = None;
+                let tenants = node.tenants.take().expect("a live node has stores");
+                node.kill_digests = tenants
+                    .tenants()
+                    .map(|store| (store.catalog().job(), store.durability_digest()))
+                    .collect();
                 node.health = NodeHealth::Dead {
                     since: at,
                     detected: false,
@@ -457,7 +507,7 @@ impl ClusterStore {
                 self.stats.repaired_jobs += report.repaired as u64;
                 self.stats.repl_bytes += report.bytes_copied;
             }
-            Op::Rejoin(n) => self.rejoin(at, n),
+            Op::Rejoin(n) => self.rejoin(n),
             Op::SlowStart { node: n, until } => {
                 if self.nodes[n].health == NodeHealth::Live {
                     self.nodes[n].health = NodeHealth::Slow { until };
@@ -524,113 +574,50 @@ impl ClusterStore {
     /// so the caught-up replica is bit-identical to the ones that never
     /// left.
     fn catch_up_job(&mut self, n: usize, job: JobId) {
-        let done = self.nodes[n].applied.get(&job).copied().unwrap_or(0);
-        let entries: Vec<(SimTime, Vec<Request>)> = self
-            .history
-            .get(&job)
-            .map(|h| h[done..].to_vec())
-            .unwrap_or_default();
-        let total = done + entries.len();
-        let tenants = self.nodes[n]
-            .tenants
-            .as_mut()
-            .expect("catch-up on a live node");
-        let store = tenants.tenant_mut(job).expect("hosted job is registered");
-        let mut replayed = 0u64;
-        for (stamp, run) in &entries {
-            replayed += run.len() as u64;
+        let node = &mut self.nodes[n];
+        let applied = node.applied.entry(job).or_default();
+        let tenants = node.tenants.as_mut().expect("live node");
+        let store = tenants.tenant_mut(job).expect("hosted job");
+        let missed = self.history.get(&job).map_or(&[][..], |h| &h[*applied..]);
+        for (stamp, run) in missed {
+            self.stats.catchup_entries += run.len() as u64;
             // Effects only: the primary already answered these serves,
             // so their pending kernels are dropped unrun.
             drop(store.submit_batch_deferred(*stamp, run));
         }
-        self.nodes[n].applied.insert(job, total);
-        self.stats.catchup_entries += replayed;
+        *applied += missed.len();
     }
 
-    /// A killed node comes back. For each job it hosted at death (and
-    /// whose route still has room under the target factor), the node
-    /// recovers the tenant from its own ledger directory — verified
-    /// bit-identical against the digest snapshotted at kill — or
-    /// re-registers fresh when the cluster is memory-only, then replays
-    /// the history suffix it missed and resumes membership.
-    fn rejoin(&mut self, at: SimTime, n: usize) {
-        let _ = at;
+    /// A killed node comes back. Each job it hosted at death whose route
+    /// still has room under the target factor comes up through
+    /// [`ClusterStore::bring_up`] and resumes membership; the rest, and
+    /// any job whose bring-up fails, leave the node.
+    fn rejoin(&mut self, n: usize) {
         if !matches!(self.nodes[n].health, NodeHealth::Dead { .. }) {
             return;
         }
         self.stats.rejoins += 1;
-        let mut tenants = MultiTenantStore::new(self.cfg.store_template.clone());
-        let mut rehosted: Vec<JobId> = Vec::new();
-        for job in self.hosted_jobs(n) {
-            let route = self.routes.get(&job).cloned().unwrap_or_default();
-            let target = self.cfg.replication.min(self.cfg.nodes);
-            if !route.contains(&n) && route.len() >= target {
-                // Repair already restored this job's factor elsewhere;
-                // the rejoined node does not shadow-host stale state.
-                self.nodes[n].applied.remove(&job);
-                self.nodes[n].kill_digests.remove(&job);
-                continue;
-            }
-            let recovered = self.nodes[n]
-                .dir
-                .as_ref()
-                .map(|dir| recover(&dir.join(format!("job-{}", job.as_u32()))));
-            match recovered {
-                Some(Ok(store)) => {
-                    // The ledger flushed at kill, so recovery must land
-                    // exactly on the kill-time digest.
-                    let matches = self.nodes[n]
-                        .kill_digests
-                        .get(&job)
-                        .is_none_or(|snap| *snap == store.durability_digest());
-                    if !matches {
-                        self.stats.rejoin_digest_mismatches += 1;
-                    }
-                    assert!(tenants.adopt(store).is_ok(), "fresh node cannot conflict");
-                    // `applied` still holds the kill-time count — the
-                    // ledger replayed exactly that prefix.
-                }
-                Some(Err(_)) => {
-                    // Unreadable ledger: surface it in the counters and
-                    // rebuild from history replay instead.
-                    self.stats.rejoin_digest_mismatches += 1;
-                    let model = self.models[&job];
-                    assert!(
-                        tenants.register_job(job, model),
-                        "fresh node cannot conflict"
-                    );
-                    self.nodes[n].applied.insert(job, 0);
-                }
-                None => {
-                    let model = self.models[&job];
-                    assert!(
-                        tenants.register_job(job, model),
-                        "fresh node cannot conflict"
-                    );
-                    self.nodes[n].applied.insert(job, 0);
-                }
-            }
-            rehosted.push(job);
-        }
-        self.nodes[n].tenants = Some(tenants);
-        self.nodes[n].kill_digests.clear();
+        self.nodes[n].tenants = Some(MultiTenantStore::new(self.cfg.store_template.clone()));
         self.nodes[n].health = NodeHealth::Live;
-        // Re-attach durable sinks for history-rebuilt tenants, resume
-        // membership, and replay what was missed.
-        for job in rehosted {
-            if self.nodes[n].applied[&job] == 0 {
-                if let Some(dir) = self.nodes[n].dir.clone() {
-                    let tenants = self.nodes[n].tenants.as_mut().expect("just installed");
-                    let store = tenants.tenant_mut(job).expect("just registered");
-                    let _ = attach(store, &dir.join(format!("job-{}", job.as_u32())));
-                }
-            }
-            let route = self.routes.entry(job).or_default();
-            if !route.contains(&n) {
+        let target = self.cfg.replication.min(self.cfg.nodes);
+        for job in self.hosted_jobs(n) {
+            let route = &self.routes[&job];
+            // When repair already restored this job's factor elsewhere,
+            // the rejoined node does not shadow-host stale state.
+            let restored = !route.contains(&n) && route.len() >= target;
+            let up = !restored && self.bring_up(n, job).is_ok();
+            let route = self
+                .routes
+                .get_mut(&job)
+                .expect("hosted jobs are registered");
+            if !up {
+                route.retain(|&member| member != n);
+                self.nodes[n].applied.remove(&job);
+            } else if !route.contains(&n) {
                 route.push(n);
             }
-            self.catch_up_job(n, job);
         }
+        self.nodes[n].kill_digests.clear();
     }
 
     /// Applies one run of envelopes to every reachable route member (the
@@ -827,11 +814,10 @@ impl PlacementMap for ClusterStore {
     }
 
     /// Re-replicates `unit` onto the lowest-index live node outside its
-    /// route: registers an empty twin there, replays the job's full
-    /// history into it (the same state-machine replay a rejoining node
-    /// uses, so the new replica is bit-identical), and reports the
-    /// survivor's resident bytes as the copy volume. `None` when no
-    /// spare node is live — the job stays at reduced redundancy.
+    /// route that it can bring up there (a fresh twin that replays the
+    /// job's full history, so the new replica is bit-identical), and
+    /// reports the survivor's resident bytes as the copy volume. `None`
+    /// when no spare can take it — the job stays at reduced redundancy.
     fn replicate(
         &mut self,
         _now: SimTime,
@@ -840,20 +826,21 @@ impl PlacementMap for ClusterStore {
         _lost: usize,
     ) -> Option<ByteSize> {
         let job = *unit;
-        let members = self.routes.get(&job)?.clone();
-        let spare = (0..self.cfg.nodes).find(|&i| {
-            !members.contains(&i)
-                && self.nodes[i].health == NodeHealth::Live
-                && self.nodes[i].tenants.is_some()
-        })?;
-        let model = *self.models.get(&job)?;
-        self.host_job(spare, job, model).ok()?;
+        let members = self.routes.get(&job)?;
+        let spares: Vec<usize> = (0..self.cfg.nodes)
+            .filter(|&i| {
+                !members.contains(&i)
+                    && self.nodes[i].health == NodeHealth::Live
+                    && self.nodes[i].tenants.is_some()
+            })
+            .collect();
+        let spare = spares
+            .into_iter()
+            .find(|&i| self.bring_up(i, job).is_ok())?;
         self.routes.entry(job).or_default().push(spare);
-        self.catch_up_job(spare, job);
-        let bytes = self
-            .node_store(source, job)
-            .map(FlStore::resident_bytes)
-            .unwrap_or(ByteSize::ZERO);
-        Some(bytes)
+        Some(
+            self.node_store(source, job)
+                .map_or(ByteSize::ZERO, FlStore::resident_bytes),
+        )
     }
 }

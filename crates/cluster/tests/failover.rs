@@ -13,6 +13,7 @@ use flstore_core::durable::DurabilityConfig;
 use flstore_core::store::{FlStore, FlStoreConfig};
 use flstore_core::tenancy::MultiTenantStore;
 use flstore_durability::testkit::DetTempDir;
+use flstore_durability::ACTIVE_LEDGER;
 use flstore_fl::ids::JobId;
 use flstore_fl::job::{FlJobConfig, FlJobSim, RoundRecord};
 use flstore_fl::metadata::MetaKey;
@@ -246,6 +247,91 @@ fn killed_node_rejoins_from_its_own_ledger_bit_identically() {
     assert_eq!(cluster.route(JOB), &[0, 1], "membership restored");
     assert_eq!(digest_of(&cluster, 0), digest_of(&cluster, 1));
     assert_eq!(cluster.node_health(1), NodeHealth::Live);
+}
+
+/// A rejoin whose ledger recovery misses the kill-time digest counts
+/// the mismatch and rebuilds the replica from the full history, so it
+/// still ends bit-identical to the twin that never left.
+#[test]
+fn a_rejoin_that_misses_the_kill_digest_rebuilds_from_history() {
+    let dir = DetTempDir::new("cluster-rejoin-torn", 11);
+    let mut template = FlStoreConfig::for_model(&job_config().model);
+    // Sealing off: every record stays in the active ledger.
+    template.durability = DurabilityConfig {
+        flush_every: 1,
+        snapshot_every: 0,
+        ..DurabilityConfig::DISABLED
+    };
+    let mut cluster = ClusterStore::new(ClusterConfig {
+        durable_root: Some(dir.path().to_path_buf()),
+        ..ClusterConfig::sim_default(2, 2, template)
+    });
+    cluster
+        .register_job(JOB, job_config().model)
+        .expect("durable attach");
+    let records = records();
+    let half = records.len() / 2;
+    let mut now = load(&mut cluster, &records[..half]);
+
+    let back = now + SimDuration::from_secs(300);
+    cluster.inject_plan(&FailurePlan::none().kill_and_rejoin(1, now, back));
+    now += cluster.config().detection_interval;
+    for record in &records[half..] {
+        let response = cluster.submit(now, ingest(record));
+        assert!(response.is_ok(), "survivor keeps ingesting: {response:?}");
+        now += INGEST_GAP;
+    }
+
+    // Cut node 1's ledger mid-record: recovery tolerates the torn tail
+    // and lands one round short of the kill-time state.
+    let ledger = dir.path().join("node-1/job-1").join(ACTIVE_LEDGER);
+    let file = std::fs::OpenOptions::new()
+        .write(true)
+        .open(&ledger)
+        .expect("node 1 kept its ledger");
+    let len = file.metadata().expect("ledger metadata").len();
+    file.set_len(len - 1).expect("cut the ledger");
+    drop(file);
+
+    let served = cluster.submit(back, serve(300, &records[half]));
+    assert!(served.served().is_some(), "{served:?}");
+    assert_eq!(cluster.stats().rejoin_digest_mismatches, 1);
+    assert_eq!(cluster.route(JOB), &[0, 1], "membership restored");
+    assert_eq!(digest_of(&cluster, 1), digest_of(&cluster, 0));
+}
+
+/// A replica whose ledger cannot be attached is not left half
+/// registered: `register_job` fails, leaves nothing behind on any
+/// member, fails the same way when retried, and succeeds once the
+/// cause is gone. Job 1's members are nodes 1 and 2.
+#[test]
+fn a_failed_attach_leaves_no_half_registered_tenant() {
+    let dir = DetTempDir::new("cluster-attach-fails", 13);
+    let file = dir.path().join("a-file");
+    std::fs::write(&file, b"").expect("write a regular file");
+    // Every member fails under the first root; under the second only
+    // node 2 does, after node 1 came up.
+    let blocked = dir.path().join("partial").join("node-2");
+    std::fs::create_dir_all(dir.path().join("partial")).expect("create a root");
+    std::fs::write(&blocked, b"").expect("block node 2's directory");
+    let clusters = [file.join("root"), dir.path().join("partial")].map(|root| {
+        let mut cluster = ClusterStore::new(ClusterConfig {
+            durable_root: Some(root),
+            ..ClusterConfig::sim_default(3, 2, FlStoreConfig::for_model(&job_config().model))
+        });
+        for _ in 0..2 {
+            assert!(cluster.register_job(JOB, job_config().model).is_err());
+            assert!(cluster.jobs().is_empty());
+            assert!((0..3).all(|node| cluster.node_store(node, JOB).is_none()));
+        }
+        cluster
+    });
+    let [_, mut partial] = clusters;
+    std::fs::remove_file(&blocked).expect("unblock node 2");
+    assert!(partial
+        .register_job(JOB, job_config().model)
+        .expect("attach"));
+    assert_eq!(partial.route(JOB), &[1, 2]);
 }
 
 #[test]

@@ -105,6 +105,12 @@ impl MultiTenantStore {
         Ok(())
     }
 
+    /// Removes a tenant, handing its deployment back (the inverse of
+    /// [`MultiTenantStore::adopt`]).
+    pub fn remove(&mut self, job: JobId) -> Option<FlStore> {
+        self.tenants.remove(&job)
+    }
+
     /// Registered job ids, in order.
     pub fn jobs(&self) -> impl Iterator<Item = JobId> + '_ {
         self.tenants.keys().copied()

@@ -55,6 +55,9 @@ use parking_lot::Mutex;
 use crate::codec::{decode_request, encode_response};
 use crate::wire::{read_frame, write_frame};
 
+/// Most envelopes the engine folds into one `submit_batch` call.
+const MAX_BATCH: usize = 64;
+
 /// Tuning knobs for the front door.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -66,8 +69,6 @@ pub struct ServerConfig {
     /// Beyond it, new envelopes are rejected with `Overloaded` instead
     /// of queueing without bound.
     pub max_inflight: usize,
-    /// Most envelopes the engine folds into one `submit_batch` call.
-    pub max_batch: usize,
     /// The `retry_after_hint` carried by `Overloaded` rejections. Fixed
     /// by configuration (not load-derived) so rejection envelopes are
     /// byte-deterministic.
@@ -84,7 +85,6 @@ impl Default for ServerConfig {
         ServerConfig {
             max_connections: 64,
             max_inflight: 4096,
-            max_batch: 64,
             retry_after_hint: SimDuration::from_millis(1),
             initial_clock: SimTime::ZERO,
         }
@@ -203,9 +203,8 @@ impl NetServer {
             .name("net-engine".into())
             .spawn({
                 let inflight = inflight.clone();
-                let max_batch = config.max_batch.max(1);
                 let initial_clock = config.initial_clock;
-                move || engine_loop(service, engine_rx, inflight, max_batch, initial_clock)
+                move || engine_loop(service, engine_rx, inflight, initial_clock)
             })?;
 
         let accept = std::thread::Builder::new()
@@ -468,7 +467,6 @@ fn engine_loop(
     mut service: Box<dyn Service + Send>,
     rx: mpsc::Receiver<Job>,
     inflight: Arc<AtomicUsize>,
-    max_batch: usize,
     initial_clock: SimTime,
 ) {
     // The virtual clock is clamped monotonic across envelopes: a stamp
@@ -479,9 +477,9 @@ fn engine_loop(
     let mut clock = initial_clock;
     while let Ok(first) = rx.recv() {
         // Arrival-window batcher: drain whatever else has already
-        // arrived, up to max_batch, without waiting.
+        // arrived, up to MAX_BATCH, without waiting.
         let mut jobs = vec![first];
-        while jobs.len() < max_batch {
+        while jobs.len() < MAX_BATCH {
             match rx.try_recv() {
                 Ok(job) => jobs.push(job),
                 Err(_) => break,
