@@ -290,7 +290,8 @@ impl FlStore {
     }
 
     /// The memo through which serves that read the same cached values
-    /// share one kernel run.
+    /// share one kernel run, and clustering and personalization serves
+    /// of one cached round share its seed-free inputs.
     pub fn output_memo(&self) -> &OutputMemo {
         &self.outputs
     }
@@ -1222,5 +1223,61 @@ mod tests {
             "the entry outlives its values"
         );
         assert!(held.upgrade().is_none(), "an evicted value is still alive");
+    }
+
+    #[test]
+    fn the_shared_inputs_keep_no_evicted_value_alive() {
+        let job = FlJobConfig {
+            rounds: 3,
+            ..FlJobConfig::quick_test(JobId::new(1))
+        };
+        let cfg = FlStoreConfig {
+            platform: PlatformConfig {
+                reclaim: ReclaimModel::DISABLED,
+                ..PlatformConfig::default()
+            },
+            ..FlStoreConfig::for_model(&job.model)
+        };
+        let mut store = FlStore::new(cfg, Box::new(TailoredPolicy::new()), job.job, job.model);
+        let records: Vec<RoundRecord> = FlJobSim::new(job.clone()).collect();
+        for record in &records {
+            store.ingest_round(SimTime::ZERO, record);
+        }
+        let round = records[records.len() - 1].round;
+        for (id, kind) in [WorkloadKind::Clustering, WorkloadKind::Personalized]
+            .into_iter()
+            .enumerate()
+        {
+            let request =
+                WorkloadRequest::new(RequestId::new(id as u64 + 1), kind, job.job, round, None);
+            store.serve(SimTime::ZERO, &request).expect("served");
+        }
+        assert_eq!(store.output_memo().inputs_len(), 2);
+        assert_eq!(store.output_memo().len(), 0, "seeded kinds hold no output");
+
+        let request = WorkloadRequest::new(
+            RequestId::new(3),
+            WorkloadKind::Clustering,
+            job.job,
+            round,
+            None,
+        );
+        let keys = store.catalog.data_needs(&request);
+        let held: Vec<_> = keys
+            .iter()
+            .map(|key| Arc::downgrade(&store.engine.decoded_get(key).expect("cached")))
+            .collect();
+        for key in &keys {
+            assert!(store.evict(key), "{key} was cached");
+        }
+        assert_eq!(
+            store.output_memo().inputs_len(),
+            2,
+            "the entries outlive their values"
+        );
+        assert!(
+            held.iter().all(|value| value.upgrade().is_none()),
+            "an evicted value is still alive"
+        );
     }
 }

@@ -9,7 +9,10 @@
 //! builds itself and never reads from the store — across repeated serves
 //! within and across batches, explicit eviction, a re-ingested round,
 //! replica reclamation, spill fault-back, capacity pressure, recovery and
-//! the executor at several thread counts.
+//! the executor at several thread counts. Clustering and personalization
+//! serves share their round's seed-free inputs instead of an output, and
+//! are checked the same way, with the k-means distance passes they run
+//! pinned as a count.
 
 use std::collections::HashMap;
 
@@ -29,7 +32,9 @@ use flstore_serverless::platform::{PlatformConfig, ReclaimModel};
 use flstore_sim::bytes::ByteSize;
 use flstore_sim::time::{SimDuration, SimTime};
 use flstore_workloads::request::{JobCatalog, RequestId, WorkloadRequest};
-use flstore_workloads::run::{execute, WorkloadOutcome};
+use flstore_workloads::run::{
+    distance_passes_on_this_thread, execute, kernel_runs_on_this_thread, WorkloadOutcome,
+};
 use flstore_workloads::taxonomy::{PolicyClass, WorkloadKind};
 
 const JOB: u32 = 1;
@@ -448,4 +453,193 @@ fn the_memo_holds_at_most_one_entry_per_kind() {
         truth.check(&batch, &responses, "rounds");
         assert_eq!(store.output_memo().len(), seed_free);
     }
+}
+
+/// `count` serves of each seeded kind that shares its inputs, on one
+/// round, ids counting up from `first_id`, the two kinds interleaved.
+fn seeded_serves(first_id: u64, count: u64, record: &RoundRecord) -> Vec<Request> {
+    (0..count * 2)
+        .map(|i| {
+            let kind = if i % 2 == 0 {
+                WorkloadKind::Clustering
+            } else {
+                WorkloadKind::Personalized
+            };
+            serve(first_id + i, kind, record)
+        })
+        .collect()
+}
+
+#[test]
+fn seeded_serves_of_one_round_share_inputs_across_batches() {
+    let job = job_config();
+    let records: Vec<RoundRecord> = FlJobSim::new(job.clone()).collect();
+    let mut store = fresh_store(quiet_config(&job), &job);
+    let mut truth = Truth::new(&job);
+    let now = ingest_all(&mut store, &mut truth, &records);
+    let newest = records.last().expect("rounds");
+
+    let outputs_before = store.output_memo().stats();
+    for pass in 0..3u64 {
+        let batch = seeded_serves(1 + pass * 100, 4, newest);
+        let responses = store.submit_batch(now, &batch);
+        truth.check(&batch, &responses, "seeded batch");
+    }
+    for request in seeded_serves(1000, 2, newest) {
+        let response = store.submit(now, request.clone());
+        truth.check(&[request], &[response], "seeded single");
+    }
+    let memo = store.output_memo();
+    assert_eq!(
+        memo.stats(),
+        outputs_before,
+        "a seeded serve touched the outputs"
+    );
+    assert_eq!(memo.inputs_len(), 2, "one inputs entry per sharing kind");
+    let stats = memo.input_stats();
+    assert_eq!(stats.attached, 2, "one slot per kind for one round");
+    assert_eq!(
+        stats.shared,
+        28 - 2,
+        "every later serve joined its kind's slot"
+    );
+}
+
+#[test]
+fn seeded_serves_take_fresh_inputs_after_evict_reingest_and_fault_back() {
+    let job = job_config();
+    let records: Vec<RoundRecord> = FlJobSim::new(job.clone()).collect();
+    let cfg = FlStoreConfig {
+        quota: Some(TenantQuota::strict(ByteSize::from_bytes(
+            job.round_metadata_bytes().as_bytes() / 2,
+        ))),
+        durability: DurabilityConfig {
+            flush_every: 1,
+            spill: true,
+            ..DurabilityConfig::DISABLED
+        },
+        ..quiet_config(&job)
+    };
+    let dir = DetTempDir::new("shared-inputs-spill", 1);
+    let mut store = fresh_store(cfg, &job);
+    attach(&mut store, dir.path()).expect("attach");
+    let mut truth = Truth::new(&job);
+    let mut now = ingest_all(&mut store, &mut truth, &records);
+    let newest = records.last().expect("rounds");
+
+    let batch = seeded_serves(1, 3, newest);
+    let responses = store.submit_batch(now, &batch);
+    truth.check(&batch, &responses, "before evict");
+    let attached = store.output_memo().input_stats().attached;
+
+    // Evicted, then served again from refetched values: new allocations,
+    // so both kinds take fresh slots.
+    let mut batch: Vec<Request> = round_entries(newest, job.job, &job.model)
+        .iter()
+        .map(|e| Request::Evict(e.key))
+        .collect();
+    let evicted = batch.len();
+    batch.extend(seeded_serves(100, 3, newest));
+    let responses = store.submit_batch(now, &batch);
+    truth.check(&batch, &responses, "after evict");
+    let refetched = responses[evicted..]
+        .iter()
+        .any(|r| r.served().expect("served").measured.cache_misses > 0);
+    assert!(refetched, "the evicted round was never missed");
+    assert!(store.output_memo().input_stats().attached > attached);
+
+    // The same round re-ingested with different weights.
+    let mut changed = newest.clone();
+    for update in &mut changed.updates {
+        let scaled: Vec<f32> = update.weights.as_slice().iter().map(|w| w * 3.0).collect();
+        update.weights = WeightVector::from_vec(scaled);
+    }
+    now += SimDuration::from_secs(60);
+    store.ingest_round(now, &changed);
+    truth.observe(&changed);
+    let batch = seeded_serves(200, 3, &changed);
+    let responses = store.submit_batch(now, &batch);
+    truth.check(&batch, &responses, "after re-ingest");
+
+    // The oldest round lives only in the spill tier under this quota.
+    let faults = store.spill_faults();
+    let batch = seeded_serves(300, 3, &records[0]);
+    let responses = store.submit_batch(now, &batch);
+    truth.check(&batch, &responses, "fault-back");
+    assert!(
+        store.spill_faults() > faults,
+        "nothing faulted back from spill"
+    );
+}
+
+#[test]
+fn the_executor_shares_seeded_inputs_at_every_thread_count() {
+    let job = job_config();
+    let records: Vec<RoundRecord> = FlJobSim::new(job.clone()).collect();
+    for threads in [1usize, 2, 4] {
+        let mut store = fresh_store(quiet_config(&job), &job);
+        let mut truth = Truth::new(&job);
+        let now = ingest_all(&mut store, &mut truth, &records);
+        let mut exec = ShardedExecutor::new(vec![store], threads);
+        for pass in 0..3u64 {
+            // Two rounds in one batch: helpers race on both slots.
+            let mut batch = seeded_serves(1 + pass * 100, 4, &records[records.len() - 1]);
+            batch.extend(seeded_serves(
+                50 + pass * 100,
+                4,
+                &records[records.len() - 2],
+            ));
+            let responses = exec.submit_batch(now, &batch);
+            truth.check(&batch, &responses, &format!("{threads} threads"));
+        }
+    }
+}
+
+/// Distance passes one round's clustering and personalization mix runs
+/// on one thread, with the round's inputs shared and without. A change
+/// that moves either count updates it here, in the same diff.
+#[test]
+fn one_rounds_seeded_mix_runs_a_pinned_number_of_distance_passes() {
+    let job = FlJobConfig {
+        total_clients: 32,
+        clients_per_round: 16,
+        rounds: 2,
+        weight_dim: 64,
+        ..FlJobConfig::quick_test(JobId::new(JOB))
+    };
+    let records: Vec<RoundRecord> = FlJobSim::new(job.clone()).collect();
+    let mut store = fresh_store(quiet_config(&job), &job);
+    let mut truth = Truth::new(&job);
+    let now = ingest_all(&mut store, &mut truth, &records);
+    let newest = records.last().expect("rounds");
+    // Heavy_serve's ratio: two clustering serves per personalization.
+    let mut batch = seeded_serves(1, 4, newest);
+    batch.extend((0..4).map(|i| serve(20 + i, WorkloadKind::Clustering, newest)));
+
+    let (passes, kernels) = (
+        distance_passes_on_this_thread(),
+        kernel_runs_on_this_thread(),
+    );
+    let responses = store.submit_batch(now, &batch);
+    let shared = distance_passes_on_this_thread() - passes;
+    assert_eq!(
+        kernel_runs_on_this_thread() - kernels,
+        12,
+        "one kernel per serve"
+    );
+    truth.check(&batch, &responses, "pass count");
+
+    let passes = distance_passes_on_this_thread();
+    for request in &batch {
+        let Request::Serve(request) = request else {
+            unreachable!("serves only")
+        };
+        truth.outcome(request);
+    }
+    let alone = distance_passes_on_this_thread() - passes;
+    assert_eq!(
+        (shared, alone),
+        (90, 127),
+        "distance passes (shared, alone)"
+    );
 }

@@ -384,8 +384,11 @@ enum Partner<'v> {
 /// and each longer row finishes its own chain alone, still in element
 /// order.
 ///
-/// A `RowPanels` is built per kernel call and dropped with it; it holds
-/// one copy of the rows.
+/// A `RowPanels` owns its copy of the rows: the panels, plus each
+/// longer row's elements past its panel's width. Nothing borrows the
+/// rows it was built from, so it can outlive the call that packed them:
+/// a k-means point set keeps one per round and shares it between the
+/// serves that read that round.
 ///
 /// # Examples
 ///
@@ -400,32 +403,39 @@ enum Partner<'v> {
 /// panels.l2_norms(&mut norms);
 /// assert_eq!(norms, [a.l2_norm(), b.l2_norm()]);
 /// ```
-pub struct RowPanels<'a> {
-    rows: &'a [&'a WeightVector],
+pub struct RowPanels {
+    /// Each row's length.
+    dims: Vec<usize>,
     /// Every panel's entries back to back.
     entries: Vec<[f32; LANES]>,
     /// Each panel's range in `entries`; its length is the panel's width.
     spans: Vec<std::ops::Range<usize>>,
+    /// Each row's elements past its panel's width: empty unless the rows
+    /// of its panel differ in length.
+    tails: Vec<Vec<f32>>,
 }
 
-impl<'a> RowPanels<'a> {
+impl RowPanels {
     /// Packs `rows`.
-    pub fn new(rows: &'a [&'a WeightVector]) -> Self {
+    pub fn new(rows: &[&WeightVector]) -> Self {
         let widths: Vec<usize> = rows
             .chunks(LANES)
             .map(|group| group.iter().map(|r| r.dim()).min().unwrap_or(0))
             .collect();
         let mut entries = Vec::with_capacity(widths.iter().sum());
         let mut spans = Vec::with_capacity(widths.len());
+        let mut tails = Vec::with_capacity(rows.len());
         for (group, width) in rows.chunks(LANES).zip(widths) {
             let start = entries.len();
             pack(group, width, &mut entries);
             spans.push(start..entries.len());
+            tails.extend(group.iter().map(|row| row.as_slice()[width..].to_vec()));
         }
         RowPanels {
-            rows,
+            dims: rows.iter().map(|r| r.dim()).collect(),
             entries,
             spans,
+            tails,
         }
     }
 
@@ -449,8 +459,8 @@ impl<'a> RowPanels<'a> {
     /// Panics on dimension mismatch, or unless `out` has one slot per row.
     pub fn dots(&self, v: &WeightVector, out: &mut [f64]) {
         self.check_outputs(out);
-        for row in self.rows {
-            assert_eq!(row.dim(), v.dim(), "dimension mismatch in dot product");
+        for dim in &self.dims {
+            assert_eq!(*dim, v.dim(), "dimension mismatch in dot product");
         }
         self.reduce(Partner::Shared(v.as_slice()), product, out);
     }
@@ -463,8 +473,8 @@ impl<'a> RowPanels<'a> {
     /// Panics on dimension mismatch, or unless `out` has one slot per row.
     pub fn l2_distances(&self, v: &WeightVector, out: &mut [f64]) {
         self.check_outputs(out);
-        for row in self.rows {
-            assert_eq!(row.dim(), v.dim(), "dimension mismatch in distance");
+        for dim in &self.dims {
+            assert_eq!(*dim, v.dim(), "dimension mismatch in distance");
         }
         self.reduce(Partner::Shared(v.as_slice()), squared_difference, out);
         out.iter_mut().for_each(|s| *s = s.sqrt());
@@ -479,10 +489,10 @@ impl<'a> RowPanels<'a> {
     /// Panics on dimension mismatch, or unless `others` and `out` have
     /// one entry per row.
     pub fn paired_l2_distances(&self, others: &[&WeightVector], out: &mut [f64]) {
-        assert_eq!(others.len(), self.rows.len(), "one partner per row");
+        assert_eq!(others.len(), self.dims.len(), "one partner per row");
         self.check_outputs(out);
-        for (row, other) in self.rows.iter().zip(others) {
-            assert_eq!(row.dim(), other.dim(), "dimension mismatch in distance");
+        for (dim, other) in self.dims.iter().zip(others) {
+            assert_eq!(*dim, other.dim(), "dimension mismatch in distance");
         }
         self.reduce(Partner::PerRow(others), squared_difference, out);
         out.iter_mut().for_each(|s| *s = s.sqrt());
@@ -502,12 +512,12 @@ impl<'a> RowPanels<'a> {
     /// Panics on a dimension mismatch between `v` and a nonzero row, or
     /// unless `norms` and `out` have one entry per row.
     pub fn cosine_similarities(&self, norms: &[f64], v: &WeightVector, out: &mut [f64]) {
-        assert_eq!(norms.len(), self.rows.len(), "one norm per row");
+        assert_eq!(norms.len(), self.dims.len(), "one norm per row");
         self.check_outputs(out);
         let v_norm = v.l2_norm();
-        for (row, norm) in self.rows.iter().zip(norms) {
+        for (dim, norm) in self.dims.iter().zip(norms) {
             if norm * v_norm != 0.0 {
-                assert_eq!(row.dim(), v.dim(), "dimension mismatch in dot product");
+                assert_eq!(*dim, v.dim(), "dimension mismatch in dot product");
             }
         }
         self.reduce(Partner::Shared(v.as_slice()), product, out);
@@ -518,17 +528,17 @@ impl<'a> RowPanels<'a> {
     }
 
     fn check_outputs(&self, out: &[f64]) {
-        assert_eq!(out.len(), self.rows.len(), "one output per row");
+        assert_eq!(out.len(), self.dims.len(), "one output per row");
     }
 
     /// Fills `out[i]` with row `i`'s chain of `term` against its partner,
     /// one panel per pass. A panel runs over the elements every one of
     /// its rows and partners has; each row then finishes alone over the
-    /// elements it and its own partner still share.
+    /// elements it and its own partner still share, read from its panel
+    /// lane and then from its tail.
     fn reduce(&self, partner: Partner<'_>, term: impl Fn(f32, f32) -> f64 + Copy, out: &mut [f64]) {
         let mut partners = Vec::new();
-        let blocks = self.rows.chunks(LANES).zip(out.chunks_mut(LANES));
-        for (p, ((rows, block), span)) in blocks.zip(&self.spans).enumerate() {
+        for (p, (block, span)) in out.chunks_mut(LANES).zip(&self.spans).enumerate() {
             let panel = &self.entries[span.clone()];
             let (mut sums, done) = match partner {
                 Partner::Itself => (chains(panel, panel.iter().copied(), term), panel.len()),
@@ -538,21 +548,29 @@ impl<'a> RowPanels<'a> {
                     (chains(&panel[..done], lanes, term), done)
                 }
                 Partner::PerRow(others) => {
-                    let others = &others[p * LANES..][..rows.len()];
+                    let others = &others[p * LANES..][..block.len()];
                     let done = others.iter().map(|o| o.dim()).fold(panel.len(), usize::min);
                     partners.clear();
                     pack(others, done, &mut partners);
                     (chains(&panel[..done], partners.iter().copied(), term), done)
                 }
             };
-            for (j, (sum, row)) in sums.iter_mut().zip(rows).enumerate() {
+            for (j, sum) in sums[..block.len()].iter_mut().enumerate() {
+                let i = p * LANES + j;
+                let rest = panel[done..]
+                    .iter()
+                    .map(|entry| entry[j])
+                    .chain(self.tails[i].iter().copied());
                 let with = match partner {
-                    Partner::Itself => row.as_slice(),
+                    Partner::Itself => {
+                        rest.for_each(|a| *sum += term(a, a));
+                        continue;
+                    }
                     Partner::Shared(v) => v,
-                    Partner::PerRow(others) => others[p * LANES + j].as_slice(),
+                    Partner::PerRow(others) => others[i].as_slice(),
                 };
-                for (a, b) in row.as_slice()[done..].iter().zip(&with[done..]) {
-                    *sum += term(*a, *b);
+                for (a, b) in rest.zip(&with[done..]) {
+                    *sum += term(a, *b);
                 }
             }
             block.copy_from_slice(&sums[..block.len()]);

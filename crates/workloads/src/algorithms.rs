@@ -4,8 +4,13 @@
 //! weight vectors — small, dependency-free implementations with tests
 //! against known structure.
 
+use std::fmt;
+use std::sync::OnceLock;
+
 use flstore_fl::weights::{RowPanels, WeightVector};
 use flstore_sim::rng::DetRng;
+
+use crate::run::{count_distance_pass, fill_once};
 
 /// Result of a k-means run.
 #[derive(Debug, Clone, PartialEq)]
@@ -20,27 +25,104 @@ pub struct KMeansResult {
     pub iterations: usize,
 }
 
+/// What k-means reads of its points without its seed: the points packed
+/// once into [`RowPanels`], and each point's distance to every point.
+///
+/// Point `j`'s distance row is filled the first time a run needs it (to
+/// seed from point `j`, or to assign against it while it is still a
+/// seed) and is bit-equal to `panels.l2_distances(vectors[j])`. A point
+/// set built from a round can serve every k-means run on that round,
+/// whatever its seed, from any thread: a row is filled without waiting,
+/// by checking it and otherwise computing it and setting it, so two runs
+/// racing for one row both compute it and keep the same bits. It holds
+/// one packed copy of the points and at most `n²` distances, and no
+/// reference to the vectors it was built from.
+pub struct PointSet {
+    panels: RowPanels,
+    rows: Vec<OnceLock<Box<[f64]>>>,
+}
+
+impl PointSet {
+    /// Packs `vectors`; no distance row is filled yet.
+    pub fn new(vectors: &[&WeightVector]) -> Self {
+        PointSet {
+            panels: RowPanels::new(vectors),
+            rows: vectors.iter().map(|_| OnceLock::new()).collect(),
+        }
+    }
+
+    /// Point `j`'s distance to every point, where `point` is the vector
+    /// point `j` was built from.
+    fn row(&self, j: usize, point: &WeightVector) -> &[f64] {
+        let row = fill_once(&self.rows[j], || {
+            let mut row = vec![0.0; self.rows.len()];
+            self.distances(point, &mut row);
+            row.into_boxed_slice()
+        });
+        row
+    }
+
+    /// One distance pass: every point's distance to `v`.
+    fn distances(&self, v: &WeightVector, out: &mut [f64]) {
+        count_distance_pass();
+        self.panels.l2_distances(v, out);
+    }
+}
+
+impl fmt::Debug for PointSet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("PointSet")
+            .field("points", &self.rows.len())
+            .field(
+                "rows_filled",
+                &self.rows.iter().filter(|r| r.get().is_some()).count(),
+            )
+            .finish()
+    }
+}
+
 /// Lloyd's k-means with k-means++-style seeding, deterministic under `seed`.
 ///
 /// Returns `None` when `vectors` is empty or `k == 0`; if `k` exceeds the
-/// number of vectors it is clamped.
-///
-/// `vectors` are packed once into [`RowPanels`], and k-means++ seeding,
-/// every assignment pass and the final inertia pass run on those panels:
-/// every distance is one f64 chain, eight rows per pass. No distance is
-/// computed twice: the first assignment step reuses the seeding passes,
-/// and a converged run takes its inertia from the last assignment step.
-/// Each centroid is the f32 mean of its members in input order, a
-/// centroid left without members keeps its position, and ties go to the
-/// lowest centroid index.
+/// number of vectors it is clamped. This is [`kmeans_on`] with a point
+/// set of its own.
 ///
 /// # Panics
 ///
-/// Panics if input vectors disagree in dimensionality. With `k >= 2` it
-/// also panics on a NaN or infinite component, whose seeding weight
+/// As [`kmeans_on`].
+pub fn kmeans(
+    vectors: &[&WeightVector],
+    k: usize,
+    max_iters: usize,
+    seed: u64,
+) -> Option<KMeansResult> {
+    kmeans_on(&PointSet::new(vectors), vectors, k, max_iters, seed)
+}
+
+/// [`kmeans`] on `points`, a [`PointSet`] built from `vectors`, which
+/// other runs may share.
+///
+/// Every distance is one f64 chain on the point set's panels. k-means++
+/// seeding picks data points, so it reads the point set's distance rows
+/// instead of running passes, and the first assignment step reads the
+/// same rows: the seeds have not moved yet. After that a centroid gets a
+/// new distance pass only when it moved. Each centroid is the f32 mean
+/// of its members in input order, so a centroid whose member list is the
+/// one it is already the mean of would come out bit-identical and is
+/// left alone; a centroid left without members keeps its position. Ties
+/// go to the lowest centroid index. When no centroid moved after the
+/// last assignment step (a converged run), the inertia comes from that
+/// step; otherwise one paired pass measures it.
+///
+/// # Panics
+///
+/// Panics if input vectors disagree in dimensionality, or unless
+/// `points` has one point per vector. With `k >= 2` it also panics on a
+/// NaN or infinite component, whose seeding weight
 /// [`DetRng::weighted_index`] rejects, and on a NaN distance in the
 /// assignment step ("distances are finite").
-pub fn kmeans(
+pub fn kmeans_on(
+    points: &PointSet,
     vectors: &[&WeightVector],
     k: usize,
     max_iters: usize,
@@ -49,27 +131,21 @@ pub fn kmeans(
     if vectors.is_empty() || k == 0 {
         return None;
     }
+    assert_eq!(points.rows.len(), vectors.len(), "one point per vector");
     let n = vectors.len();
     let k = k.min(n);
     let mut rng = DetRng::stream(seed, "kmeans");
-    let panels = RowPanels::new(vectors);
 
     // k-means++ seeding: first centroid uniform, then proportional to
     // squared distance from the nearest chosen centroid. `nearest` keeps
-    // that squared distance per point, so each new centroid costs one
-    // distance pass. Centroid j's pass lands in `dist[j * n..]`, where
-    // the first assignment step reads it: seeded centroids have not
-    // moved yet, so recomputing them would give the same bits.
-    let mut centroids: Vec<WeightVector> = Vec::with_capacity(k);
-    centroids.push(vectors[rng.index(n)].clone());
+    // that squared distance per point, so each new seed reads one
+    // distance row.
+    let mut seeds = Vec::with_capacity(k);
+    seeds.push(rng.index(n));
     let mut nearest = vec![f64::INFINITY; n];
-    let mut dist = vec![0.0; k * n];
-    while centroids.len() < k {
-        let newest = centroids.last().expect("seeded");
-        let j = centroids.len() - 1;
-        let d = &mut dist[j * n..(j + 1) * n];
-        panels.l2_distances(newest, d);
-        for (d2, d) in nearest.iter_mut().zip(d.iter()) {
+    while seeds.len() < k {
+        let newest = seeds[seeds.len() - 1];
+        for (d2, d) in nearest.iter_mut().zip(points.row(newest, vectors[newest])) {
             *d2 = d2.min(d * d);
         }
         let total: f64 = nearest.iter().sum();
@@ -78,20 +154,35 @@ pub fn kmeans(
         } else {
             rng.weighted_index(&nearest)
         };
-        centroids.push(vectors[next].clone());
+        seeds.push(next);
     }
 
+    // `dist[j * n + i]` is point i's distance to centroid j, measured
+    // while the centroid was where it is now unless `moved[j]`.
+    let mut centroids: Vec<WeightVector> = seeds.iter().map(|s| vectors[*s].clone()).collect();
+    let mut dist = Vec::with_capacity(k * n);
+    for s in &seeds {
+        dist.extend_from_slice(points.row(*s, vectors[*s]));
+    }
+    let mut moved = vec![false; k];
+    // The member list each centroid is the mean of; `None` while it is
+    // still its seed point.
+    let mut mean_of: Vec<Option<Vec<usize>>> = vec![None; k];
     let mut assignments = vec![0usize; n];
+    let mut member_ids: Vec<usize> = Vec::with_capacity(n);
     let mut members: Vec<&WeightVector> = Vec::with_capacity(n);
     let mut iterations = 0;
-    let mut converged = false;
     for iter in 0..max_iters.max(1) {
         iterations = iter + 1;
-        // Assignment step: `dist[j * n + i]` is point i's distance to
-        // centroid j. The first step only lacks the last seed's pass.
-        let fresh = if iter == 0 { k - 1 } else { 0 };
-        for (c, d) in centroids.iter().zip(dist.chunks_exact_mut(n)).skip(fresh) {
-            panels.l2_distances(c, d);
+        // Assignment step.
+        for ((c, d), moved) in centroids
+            .iter()
+            .zip(dist.chunks_exact_mut(n))
+            .zip(&mut moved)
+        {
+            if std::mem::take(moved) {
+                points.distances(c, d);
+            }
         }
         let mut changed = false;
         for (i, assigned) in assignments.iter_mut().enumerate() {
@@ -106,34 +197,32 @@ pub fn kmeans(
         }
         // Converged: the update step would recompute the same centroids.
         if !changed && iter > 0 {
-            converged = true;
             break;
         }
-        // Update step.
+        // Update step: only a centroid whose member list changed moves.
         for (j, centroid) in centroids.iter_mut().enumerate() {
+            member_ids.clear();
+            member_ids.extend((0..n).filter(|i| assignments[*i] == j));
+            if member_ids.is_empty() || mean_of[j].as_ref() == Some(&member_ids) {
+                continue;
+            }
             members.clear();
-            members.extend(
-                vectors
-                    .iter()
-                    .zip(&assignments)
-                    .filter(|(_, a)| **a == j)
-                    .map(|(v, _)| *v),
-            );
+            members.extend(member_ids.iter().map(|i| vectors[*i]));
             centroid.mean_into(&members);
+            mean_of[j] = Some(member_ids.clone());
+            moved[j] = true;
         }
     }
 
-    // On convergence the last assignment step already measured every
-    // point against its (unmoved) centroid; only a run that exhausted
-    // `max_iters` moved the centroids after measuring.
-    let inertia = if converged {
-        let d = assignments.iter().enumerate().map(|(i, a)| dist[a * n + i]);
-        d.map(|d| d * d).sum()
-    } else {
+    let inertia = if moved.contains(&true) {
         let partners: Vec<&WeightVector> = assignments.iter().map(|a| &centroids[*a]).collect();
         let d = &mut dist[..n];
-        panels.paired_l2_distances(&partners, d);
+        count_distance_pass();
+        points.panels.paired_l2_distances(&partners, d);
         d.iter().map(|d| d * d).sum()
+    } else {
+        let d = assignments.iter().enumerate().map(|(i, a)| dist[a * n + i]);
+        d.map(|d| d * d).sum()
     };
 
     Some(KMeansResult {

@@ -6,7 +6,7 @@
 use flstore_fl::update::ModelUpdate;
 use flstore_fl::weights::WeightVector;
 
-use crate::algorithms::kmeans;
+use crate::algorithms::{kmeans_on, PointSet};
 use crate::outputs::ClusteringOutput;
 
 /// Default number of clusters, matching the synthetic job's latent groups.
@@ -18,7 +18,19 @@ pub const DEFAULT_K: usize = 5;
 /// Returns `None` when `updates` is empty or `k == 0`.
 pub fn run(updates: &[&ModelUpdate], k: usize, seed: u64) -> Option<ClusteringOutput> {
     let vectors: Vec<&WeightVector> = updates.iter().map(|u| &u.weights).collect();
-    let result = kmeans(&vectors, k, 50, seed)?;
+    run_on(&PointSet::new(&vectors), updates, k, seed)
+}
+
+/// [`run`] on `points`, the [`PointSet`] of `updates`' weights, which
+/// other runs on the same round may share.
+pub fn run_on(
+    points: &PointSet,
+    updates: &[&ModelUpdate],
+    k: usize,
+    seed: u64,
+) -> Option<ClusteringOutput> {
+    let vectors: Vec<&WeightVector> = updates.iter().map(|u| &u.weights).collect();
+    let result = kmeans_on(points, &vectors, k, 50, seed)?;
     let assignments = updates
         .iter()
         .zip(&result.assignments)

@@ -7,8 +7,43 @@
 use flstore_fl::update::ModelUpdate;
 use flstore_fl::weights::{RowPanels, WeightVector};
 
-use crate::algorithms::kmeans;
+use crate::algorithms::{kmeans_on, PointSet};
 use crate::outputs::PersonalizationOutput;
+
+/// A round's personalization features and their k-means point set: what
+/// [`run`] derives from the round before it reads its seed.
+///
+/// Feature = weight direction with local accuracy appended as an extra
+/// (scaled) dimension, so groups reflect both what the model learned and
+/// how well it fits local data.
+#[derive(Debug)]
+pub struct Features {
+    vectors: Vec<WeightVector>,
+    points: PointSet,
+}
+
+impl Features {
+    /// Derives `updates`' features and packs them.
+    pub fn new(updates: &[&ModelUpdate]) -> Self {
+        let weights: Vec<&WeightVector> = updates.iter().map(|u| &u.weights).collect();
+        let mut norms = vec![0.0; updates.len()];
+        RowPanels::new(&weights).l2_norms(&mut norms);
+        let vectors: Vec<WeightVector> = updates
+            .iter()
+            .zip(&norms)
+            .map(|(u, norm)| {
+                let norm = norm.max(1e-9) as f32;
+                let mut values = Vec::with_capacity(u.weights.dim() + 1);
+                values.extend(u.weights.as_slice().iter().map(|v| v / norm));
+                values.push((u.metrics.local_accuracy * 2.0) as f32);
+                WeightVector::from_vec(values)
+            })
+            .collect();
+        let refs: Vec<&WeightVector> = vectors.iter().collect();
+        let points = PointSet::new(&refs);
+        Features { vectors, points }
+    }
+}
 
 /// Groups one round's participants into at most `k` personalization groups.
 /// Deterministic under `seed`.
@@ -18,25 +53,19 @@ pub fn run(updates: &[&ModelUpdate], k: usize, seed: u64) -> Option<Personalizat
     if updates.is_empty() || k == 0 {
         return None;
     }
-    // Feature = weight direction with local accuracy appended as an extra
-    // (scaled) dimension, so groups reflect both what the model learned and
-    // how well it fits local data.
-    let weights: Vec<&WeightVector> = updates.iter().map(|u| &u.weights).collect();
-    let mut norms = vec![0.0; updates.len()];
-    RowPanels::new(&weights).l2_norms(&mut norms);
-    let features: Vec<WeightVector> = updates
-        .iter()
-        .zip(&norms)
-        .map(|(u, norm)| {
-            let norm = norm.max(1e-9) as f32;
-            let mut values = Vec::with_capacity(u.weights.dim() + 1);
-            values.extend(u.weights.as_slice().iter().map(|v| v / norm));
-            values.push((u.metrics.local_accuracy * 2.0) as f32);
-            WeightVector::from_vec(values)
-        })
-        .collect();
-    let refs: Vec<&WeightVector> = features.iter().collect();
-    let result = kmeans(&refs, k, 50, seed)?;
+    run_on(&Features::new(updates), updates, k, seed)
+}
+
+/// [`run`] on `features`, the [`Features`] of `updates`, which other runs
+/// on the same round may share.
+pub fn run_on(
+    features: &Features,
+    updates: &[&ModelUpdate],
+    k: usize,
+    seed: u64,
+) -> Option<PersonalizationOutput> {
+    let refs: Vec<&WeightVector> = features.vectors.iter().collect();
+    let result = kmeans_on(&features.points, &refs, k, 50, seed)?;
 
     let k_used = result.centroids.len();
     let mut acc_sum = vec![0.0f64; k_used];

@@ -18,8 +18,10 @@ use flstore_fl::ids::{ClientId, Round};
 use flstore_fl::metadata::{MetaValue, SharedValue};
 use flstore_fl::metrics::RoundMetrics;
 use flstore_fl::update::ModelUpdate;
+use flstore_fl::weights::WeightVector;
 use flstore_sim::bytes::ByteSize;
 
+use crate::algorithms::PointSet;
 use crate::apps;
 use crate::outputs::WorkloadOutput;
 use crate::request::WorkloadRequest;
@@ -121,7 +123,7 @@ pub fn execute<V: Borrow<MetaValue>>(
 ) -> Result<WorkloadOutcome, WorkloadError> {
     let s = split(values);
     validate(request, &s)?;
-    let output = run_kernel(request, &s);
+    let output = run_kernel(request, &s, None);
     let work = request.kind.work_units(values.len(), model_scale);
     let result_bytes = output.result_bytes();
     Ok(WorkloadOutcome {
@@ -207,7 +209,9 @@ fn validate(request: &WorkloadRequest, s: &SplitValues<'_>) -> Result<(), Worklo
 /// Every other kernel's output is a function of the kind, the round, the
 /// client and the values alone, which is what lets [`OutputMemo`] hand
 /// one serve's output to another. `run_kernel` must read the seed for
-/// these kinds only; the seed-rule tests pin that both ways.
+/// these kinds only; the seed-rule tests pin that both ways. A seeded
+/// kind may still share what its kernel derives before the seed is
+/// read ([`shares_inputs`]), never its output.
 fn reads_seed(kind: WorkloadKind) -> bool {
     matches!(
         kind,
@@ -215,14 +219,50 @@ fn reads_seed(kind: WorkloadKind) -> bool {
     )
 }
 
+/// Whether `kind` is a seeded kind whose kernel derives [`RoundInputs`]
+/// from its values before it reads the seed. Inference has none: its
+/// cost is its per-seed draws.
+fn shares_inputs(kind: WorkloadKind) -> bool {
+    matches!(kind, WorkloadKind::Clustering | WorkloadKind::Personalized)
+}
+
+/// What a seeded kernel derives from its round without its seed: for
+/// clustering, the updates' k-means [`PointSet`]; for personalization,
+/// its features and their point set. Derived copies only: no
+/// `Arc<MetaValue>` is held.
+#[derive(Debug)]
+enum RoundInputs {
+    Clustering(PointSet),
+    Personalized(apps::personalization::Features),
+}
+
+impl RoundInputs {
+    fn derive(kind: WorkloadKind, s: &SplitValues<'_>) -> Self {
+        match kind {
+            WorkloadKind::Clustering => {
+                let weights: Vec<&WeightVector> = s.updates.iter().map(|u| &u.weights).collect();
+                RoundInputs::Clustering(PointSet::new(&weights))
+            }
+            WorkloadKind::Personalized => {
+                RoundInputs::Personalized(apps::personalization::Features::new(&s.updates))
+            }
+            _ => unreachable!("{kind} derives no round inputs"),
+        }
+    }
+}
+
 /// Runs the kernel for `request` over values that already passed
-/// [`validate`].
+/// [`validate`], on the shared `inputs` when the task has them.
 ///
 /// # Panics
 ///
 /// Panics if a kernel declines inputs that `validate` admitted — that is a
 /// contract bug between the two halves, never a data error.
-fn run_kernel(request: &WorkloadRequest, s: &SplitValues<'_>) -> WorkloadOutput {
+fn run_kernel(
+    request: &WorkloadRequest,
+    s: &SplitValues<'_>,
+    inputs: Option<&RoundInputs>,
+) -> WorkloadOutput {
     const CONTRACT: &str = "validate() admitted inputs the kernel rejected";
     let kind = request.kind;
     let seed = request.id.as_u64();
@@ -237,14 +277,26 @@ fn run_kernel(request: &WorkloadRequest, s: &SplitValues<'_>) -> WorkloadOutput 
             .map(WorkloadOutput::Filtering)
             .expect(CONTRACT),
         WorkloadKind::Clustering => {
-            apps::clustering::run(&s.updates, apps::clustering::DEFAULT_K, seed)
-                .map(WorkloadOutput::Clustering)
-                .expect(CONTRACT)
+            let k = apps::clustering::DEFAULT_K;
+            match inputs {
+                Some(RoundInputs::Clustering(points)) => {
+                    apps::clustering::run_on(points, &s.updates, k, seed)
+                }
+                _ => apps::clustering::run(&s.updates, k, seed),
+            }
+            .map(WorkloadOutput::Clustering)
+            .expect(CONTRACT)
         }
         WorkloadKind::Personalized => {
-            apps::personalization::run(&s.updates, apps::clustering::DEFAULT_K, seed)
-                .map(WorkloadOutput::Personalization)
-                .expect(CONTRACT)
+            let k = apps::clustering::DEFAULT_K;
+            match inputs {
+                Some(RoundInputs::Personalized(features)) => {
+                    apps::personalization::run_on(features, &s.updates, k, seed)
+                }
+                _ => apps::personalization::run(&s.updates, k, seed),
+            }
+            .map(WorkloadOutput::Personalization)
+            .expect(CONTRACT)
         }
         WorkloadKind::SchedulingCluster => apps::sched_cluster::run(&s.updates)
             .map(WorkloadOutput::SchedCluster)
@@ -290,7 +342,10 @@ fn run_kernel(request: &WorkloadRequest, s: &SplitValues<'_>) -> WorkloadOutput 
 ///
 /// A task attached to an [`OutputMemo`] slot shares its kernel output
 /// with every other task on that slot: the first to finish fills it, and
-/// the rest clone it instead of running the kernel.
+/// the rest clone it instead of running the kernel. A clustering or
+/// personalization task gets an inputs slot instead: the first to run
+/// derives its round's seed-free inputs into it, and every task on the
+/// slot runs its own seeded kernel on them.
 ///
 /// [`compute`]: PreparedExecute::compute
 #[derive(Debug, Clone)]
@@ -299,6 +354,7 @@ pub struct PreparedExecute {
     values: Vec<SharedValue>,
     work: WorkUnits,
     shared: Option<Arc<OnceLock<WorkloadOutput>>>,
+    inputs: Option<Arc<OnceLock<RoundInputs>>>,
 }
 
 impl PreparedExecute {
@@ -313,18 +369,11 @@ impl PreparedExecute {
     /// id, identical to the inline [`execute`] result.
     ///
     /// Never waits on another thread: a task whose slot is still empty
-    /// runs the kernel itself, so two racing tasks both run it and get
-    /// the same bytes.
+    /// runs the kernel itself (or derives the inputs itself), so two
+    /// racing tasks both run it and get the same bytes.
     pub fn compute(&self) -> WorkloadOutcome {
         let output = match &self.shared {
-            Some(slot) => match slot.get() {
-                Some(output) => output.clone(),
-                None => {
-                    let output = self.run();
-                    let _ = slot.set(output.clone());
-                    output
-                }
-            },
+            Some(slot) => fill_once(slot, || self.run()).clone(),
             None => self.run(),
         };
         let result_bytes = output.result_bytes();
@@ -339,12 +388,29 @@ impl PreparedExecute {
         KERNEL_RUNS.with(|runs| runs.set(runs.get() + 1));
         let s = split(&self.values);
         debug_assert!(validate(&self.request, &s).is_ok(), "prepare() validated");
-        run_kernel(&self.request, &s)
+        let kind = self.request.kind;
+        let inputs = self
+            .inputs
+            .as_ref()
+            .map(|slot| fill_once(slot, || RoundInputs::derive(kind, &s)));
+        run_kernel(&self.request, &s, inputs)
     }
+}
+
+/// `slot`'s value, made by `make` and set first when the slot is empty.
+/// Never waits for another thread to make it: two threads that find the
+/// slot empty both make a value, and the one set first is kept.
+pub(crate) fn fill_once<T>(slot: &OnceLock<T>, make: impl FnOnce() -> T) -> &T {
+    if let Some(value) = slot.get() {
+        return value;
+    }
+    let _ = slot.set(make());
+    slot.get().expect("the slot was just filled")
 }
 
 thread_local! {
     static KERNEL_RUNS: Cell<u64> = const { Cell::new(0) };
+    static DISTANCE_PASSES: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Kernels [`PreparedExecute::compute`] has run on the calling thread: a
@@ -352,6 +418,19 @@ thread_local! {
 /// none.
 pub fn kernel_runs_on_this_thread() -> u64 {
     KERNEL_RUNS.with(Cell::get)
+}
+
+pub(crate) fn count_distance_pass() {
+    DISTANCE_PASSES.with(|passes| passes.set(passes.get() + 1));
+}
+
+/// k-means distance passes (one [`RowPanels`] distance pass over every
+/// point) run on the calling thread, whether to fill a shared point
+/// set's row or to measure a moved centroid.
+///
+/// [`RowPanels`]: flstore_fl::weights::RowPanels
+pub fn distance_passes_on_this_thread() -> u64 {
+    DISTANCE_PASSES.with(Cell::get)
 }
 
 /// Validates `request` against owned `values` and packages the deferred
@@ -376,37 +455,51 @@ pub fn prepare(
         values,
         work,
         shared: None,
+        inputs: None,
     })
 }
 
-/// Hands tasks that would read the same values one shared output slot.
+/// Hands tasks that would read the same values one shared output slot,
+/// or for clustering and personalization one shared inputs slot.
 ///
-/// Holds at most one entry per [`WorkloadKind`]: the newest task of that
-/// kind, as its round, its client, its ordered input values and its
-/// slot. A task matches the entry when the round and client are equal
-/// and each value is the *same allocation* as the entry's, compared by
-/// pointer through a [`Weak`]. A value that is decoded again — after an
-/// eviction, a re-ingest, a spill fault-back, or on every uncached miss —
-/// is a new `Arc`, so the entry misses and the next task takes a fresh
-/// slot. The `Weak`s keep no value alive, and an address cannot be
-/// reused while a `Weak` still points at it. The kinds whose kernels
-/// read the request id as their seed (clustering, personalization,
-/// inference) never share.
+/// Holds at most one output entry per seed-free [`WorkloadKind`], and one
+/// inputs entry each for clustering and personalization: the newest task
+/// of that kind, as its round, its client, its ordered input values and
+/// its slot. A task matches the entry when the round and client are
+/// equal and each value is the *same allocation* as the entry's,
+/// compared by pointer through a [`Weak`]. A value that is decoded again
+/// — after an eviction, a re-ingest, a spill fault-back, or on every
+/// uncached miss — is a new `Arc`, so the entry misses and the next task
+/// takes a fresh slot. The `Weak`s keep no value alive, and an address
+/// cannot be reused while a `Weak` still points at it.
+///
+/// The kinds whose kernels read the request id as their seed
+/// (clustering, personalization, inference) never share an output.
+/// Clustering and personalization share what their kernels derive before
+/// they read the seed: the round's k-means [`PointSet`], and
+/// personalization's features with theirs. These are derived copies that
+/// hold no value. Per memo that is at most one packed copy of a round's
+/// updates with `n²` distances, plus one round's features, their packed
+/// copy and `n²` distances: about 2.3 MiB at 48 × 4096. An entry is held
+/// until a task of its kind on other values replaces it and the last
+/// task on the old slot is dropped.
 #[derive(Debug, Default)]
 pub struct OutputMemo {
-    entries: [Option<MemoEntry>; WorkloadKind::ALL.len()],
+    outputs: [Option<MemoEntry<WorkloadOutput>>; WorkloadKind::ALL.len()],
+    inputs: [Option<MemoEntry<RoundInputs>>; WorkloadKind::ALL.len()],
     stats: MemoStats,
+    input_stats: MemoStats,
 }
 
 #[derive(Debug)]
-struct MemoEntry {
+struct MemoEntry<T> {
     round: Round,
     client: Option<ClientId>,
     values: Vec<Weak<MetaValue>>,
-    slot: Arc<OnceLock<WorkloadOutput>>,
+    slot: Arc<OnceLock<T>>,
 }
 
-impl MemoEntry {
+impl<T> MemoEntry<T> {
     fn matches(&self, task: &PreparedExecute) -> bool {
         self.round == task.request.round
             && self.client == task.request.client
@@ -417,6 +510,28 @@ impl MemoEntry {
                 .zip(&task.values)
                 .all(|(held, value)| std::ptr::eq(held.as_ptr(), Arc::as_ptr(value)))
     }
+}
+
+/// `entry`'s slot when `task` reads the same values, or a fresh slot that
+/// replaces the entry otherwise, counted in `stats`.
+fn join<T>(
+    entry: &mut Option<MemoEntry<T>>,
+    stats: &mut MemoStats,
+    task: &PreparedExecute,
+) -> Arc<OnceLock<T>> {
+    if let Some(held) = entry.as_ref().filter(|held| held.matches(task)) {
+        stats.shared += 1;
+        return held.slot.clone();
+    }
+    let slot = Arc::new(OnceLock::new());
+    *entry = Some(MemoEntry {
+        round: task.request.round,
+        client: task.request.client,
+        values: task.values.iter().map(Arc::downgrade).collect(),
+        slot: slot.clone(),
+    });
+    stats.attached += 1;
+    slot
 }
 
 /// [`OutputMemo`] operation counters.
@@ -431,42 +546,43 @@ pub struct MemoStats {
 impl OutputMemo {
     /// Gives `task` the slot of the memo's entry for its kind when the
     /// task reads the same values, or a fresh slot that replaces the
-    /// entry otherwise. Tasks of seeded kinds are left unshared.
+    /// entry otherwise: an output slot for a seed-free kind, an inputs
+    /// slot for clustering and personalization. Inference tasks are left
+    /// unshared.
     pub fn attach(&mut self, task: &mut PreparedExecute) {
         let kind = task.request.kind;
-        if reads_seed(kind) {
-            return;
+        let at = kind as usize;
+        if !reads_seed(kind) {
+            task.shared = Some(join(&mut self.outputs[at], &mut self.stats, task));
+        } else if shares_inputs(kind) {
+            task.inputs = Some(join(&mut self.inputs[at], &mut self.input_stats, task));
         }
-        let entry = &mut self.entries[kind as usize];
-        if let Some(held) = entry.as_ref().filter(|held| held.matches(task)) {
-            task.shared = Some(held.slot.clone());
-            self.stats.shared += 1;
-            return;
-        }
-        let slot = Arc::new(OnceLock::new());
-        *entry = Some(MemoEntry {
-            round: task.request.round,
-            client: task.request.client,
-            values: task.values.iter().map(Arc::downgrade).collect(),
-            slot: slot.clone(),
-        });
-        task.shared = Some(slot);
-        self.stats.attached += 1;
     }
 
-    /// Entries held: at most one per kind.
+    /// Output entries held: at most one per seed-free kind.
     pub fn len(&self) -> usize {
-        self.entries.iter().flatten().count()
+        self.outputs.iter().flatten().count()
     }
 
-    /// True when no entry is held.
+    /// True when no output entry is held.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Attach counters since the memo was created.
+    /// Output attach counters since the memo was created.
     pub fn stats(&self) -> MemoStats {
         self.stats
+    }
+
+    /// Inputs entries held: at most one each for clustering and
+    /// personalization.
+    pub fn inputs_len(&self) -> usize {
+        self.inputs.iter().flatten().count()
+    }
+
+    /// Inputs attach counters since the memo was created.
+    pub fn input_stats(&self) -> MemoStats {
+        self.input_stats
     }
 }
 

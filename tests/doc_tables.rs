@@ -9,7 +9,9 @@
 //!
 //! README's per-kernel time table is checked the same way against
 //! measured data instead of an in-code inventory: the newest committed
-//! `BENCH_<n>.json` that has a traced heavy_serve section.
+//! `BENCH_<n>.json` that has a traced heavy_serve section. A row prints
+//! a speed-up only when the two sides' traced runs do not overlap, and
+//! "within noise" otherwise.
 
 use std::path::Path;
 
@@ -95,10 +97,31 @@ fn newest_traced_bench() -> (String, serde_json::Value) {
         .expect("a BENCH_<n>.json with a traced.heavy_serve section")
 }
 
+/// Whether two sides' runs do not overlap: every run of one side is
+/// below every run of the other. Only then does a row print a speed-up;
+/// five traced runs per side cannot resolve a smaller shift.
+fn apart(parent: &[f64], change: &[f64]) -> bool {
+    let range = |runs: &[f64]| {
+        let lo = runs.iter().copied().fold(f64::INFINITY, f64::min);
+        let hi = runs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        (lo, hi)
+    };
+    let ((p_lo, p_hi), (c_lo, c_hi)) = (range(parent), range(change));
+    !parent.is_empty() && !change.is_empty() && (c_hi < p_lo || c_lo > p_hi)
+}
+
 #[test]
 fn readme_kernel_times_match_the_newest_traced_bench() {
     let (name, bench) = newest_traced_bench();
     let traced = &bench["traced"]["heavy_serve"];
+    let runs = |side: &str, probe: &str| -> Vec<f64> {
+        traced["runs"][side]
+            .as_array()
+            .unwrap_or_else(|| panic!("{name}: no traced {side} runs"))
+            .iter()
+            .filter_map(|run| run[probe].as_f64())
+            .collect()
+    };
     let parent = traced["parent"].as_object().expect("traced parent side");
     let inventory: Vec<String> = parent
         .iter()
@@ -110,10 +133,12 @@ fn readme_kernel_times_match_the_newest_traced_bench() {
             let after = traced["change"][probe.as_str()]
                 .as_f64()
                 .unwrap_or_else(|| panic!("{name}: no change-side {probe}"));
-            Some(format!(
-                "{kernel}\t{before:.0}\t{after:.0}\t×{:.1}",
-                before / after
-            ))
+            let speedup = if apart(&runs("parent", probe), &runs("change", probe)) {
+                format!("×{:.1}", before / after)
+            } else {
+                "within noise".to_string()
+            };
+            Some(format!("{kernel}\t{before:.0}\t{after:.0}\t{speedup}"))
         })
         .collect();
     assert!(!inventory.is_empty(), "{name} traces no kernel");
